@@ -66,18 +66,38 @@ class ExperimentConfig:
             raise ConfigError("at least one metric required")
         if not self.configs:
             raise ConfigError("at least one retraining configuration required")
+        for name in ("metrics", "configs"):
+            entries = getattr(self, name)
+            dupes = sorted({e for e in entries if entries.count(e) > 1})
+            if dupes:
+                raise ConfigError(f"{name} lists {', '.join(dupes)} more than once")
         for m in self.metrics:
             if m not in METRICS:
                 raise ConfigError(f"unknown metric {m!r} (choices: {', '.join(METRICS)})")
         for k in self.configs:
             if k not in CONFIG_KINDS:
                 raise ConfigError(f"unknown configuration {k!r} (choices: {', '.join(CONFIG_KINDS)})")
+        for stage in ("train", "retrain"):
+            _require(self, f"{stage}_lr", lambda v: v > 0, "> 0")
+            _require(self, f"{stage}_momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+            _require(self, f"{stage}_batch_size", lambda v: v >= 1, ">= 1")
+            _require(self, f"{stage}_epochs", lambda v: v >= 0, ">= 0")
+        _require(self, "attack_epsilon", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _require(self, "attack_fraction", lambda v: 0 < v <= 1, "in (0, 1]")
+        _require(self, "nc_threshold", lambda v: 0 <= v <= 1, "in [0, 1]")
         if self.dataset == "idx":
             missing = [name for name in ("idx_train_images", "idx_train_labels",
                                          "idx_test_images", "idx_test_labels")
                        if not getattr(self, name)]
             if missing:
                 raise ConfigError(f"idx dataset needs {', '.join(missing)}")
+
+
+def _require(cfg: ExperimentConfig, field_name: str, ok, bound: str) -> None:
+    """ConfigError naming the config key unless ok(value); NaN never passes."""
+    value = getattr(cfg, field_name)
+    if not ok(value):
+        raise ConfigError(f"{_FIELD_TO_KEY[field_name]} must be {bound}, got {value!r}")
 
 
 # config-file key -> (field, parser)

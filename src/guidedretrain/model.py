@@ -211,10 +211,7 @@ def _freeze(params: dict) -> dict:
 
 def build_model(arch: ArchitectureDescriptor, seed: int) -> ModelState:
     """He-uniform weights from PCG32(seed), zero biases."""
-    shapes = Graph(
-        arch.input_shape, arch.layers,
-        _zero_params(arch),
-    ).param_shapes()
+    shapes = _param_shapes(arch)
     rng = Pcg32(seed)
     params = {}
     for key, shape in shapes.items():
@@ -226,6 +223,11 @@ def build_model(arch: ArchitectureDescriptor, seed: int) -> ModelState:
         u = rng.uniforms(int(np.prod(shape)))
         params[key] = ((2.0 * u - 1.0) * limit).astype(np.float32).reshape(shape)
     return ModelState(arch, _freeze(params), init_seed=seed)
+
+
+def _param_shapes(arch: ArchitectureDescriptor) -> dict:
+    """{parameter key: shape} in the canonical order of the model file."""
+    return Graph(arch.input_shape, arch.layers, _zero_params(arch)).param_shapes()
 
 
 def _zero_params(arch: ArchitectureDescriptor) -> dict:
@@ -362,8 +364,8 @@ def save_model(model: ModelState, path) -> None:
         fh.write(bytes([FORMAT_VERSION]))
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for value in model.parameters.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+        for key in _param_shapes(model.architecture):
+            fh.write(np.ascontiguousarray(model.parameters[key], dtype="<f4").tobytes())
 
 
 def load_model(path) -> ModelState:
@@ -383,9 +385,8 @@ def load_model(path) -> ModelState:
         raise TruncatedFileError("descriptor truncated")
     arch = ArchitectureDescriptor.from_json(raw[off:off + blob_len].decode("utf-8"))
     off += blob_len
-    shapes = Graph(arch.input_shape, arch.layers, _zero_params(arch)).param_shapes()
     params = {}
-    for key, shape in shapes.items():
+    for key, shape in _param_shapes(arch).items():
         count = int(np.prod(shape))
         end = off + 4 * count
         if len(raw) < end:

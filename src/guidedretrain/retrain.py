@@ -19,7 +19,7 @@ import numpy as np
 
 from .attack import AugmentedSets
 from .metrics import GuidanceConfig, order_inputs, timed_scoring
-from .model import Dataset, ModelState, TrainParams, accuracy, build_model, train
+from .model import Dataset, ModelState, TrainParams, build_model, predict, train
 
 CONFIG_KINDS = ("C1", "C2", "C3")
 
@@ -152,16 +152,20 @@ def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
             shuffle_stream=point_index,  # isolates parallel points
         ),
     )
+    # one pass over Test*: its clean rows are Test, its adversarial rows are
+    # Adv-Test in order, and a row's prediction does not depend on its batch
+    test_star = eval_sets.test_star
+    hits = predict(trained, test_star.images)[0] == test_star.labels
+    adversarial = eval_sets.test_star_is_adversarial
     return RetrainRun(
         kind=kind,
         metric=metric,
         point_index=point_index,
         input_size=size,
         model=trained,
-        accuracy_test_star=accuracy(trained, eval_sets.test_star),
-        accuracy_test=accuracy(trained, eval_sets.test_star.take(
-            np.flatnonzero(~eval_sets.test_star_is_adversarial))),
-        accuracy_adv_test=accuracy(trained, eval_sets.adv_test),
+        accuracy_test_star=float(np.mean(hits)),
+        accuracy_test=float(np.mean(hits[~adversarial])),
+        accuracy_adv_test=float(np.mean(hits[adversarial])),
         wall_seconds=time.monotonic() - t0,
     )
 

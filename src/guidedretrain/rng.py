@@ -19,6 +19,23 @@ _MASK32 = (1 << 32) - 1
 _BLOCK = 1024
 
 
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """MULT^r and sum_{k<r} MULT^k (mod 2^64) for r = 0..n.
+
+    r steps take state s to MULT^r * s + (sum_{k<r} MULT^k) * inc.
+    """
+    mult = np.empty(n + 1, dtype=np.uint64)
+    total = np.empty(n + 1, dtype=np.uint64)
+    a, c = 1, 0
+    for r in range(n + 1):
+        mult[r], total[r] = a, c
+        a, c = (a * _MULT) & _MASK64, (c * _MULT + 1) & _MASK64
+    return mult, total
+
+
+_JUMP_MULT, _JUMP_SUM = _jump_tables(_BLOCK)
+
+
 class Pcg32:
     """PCG32 generator (XSH-RR variant) with selectable stream."""
 
@@ -45,23 +62,19 @@ class Pcg32:
             raise ValueError("n must be non-negative")
         if n == 0:
             return np.zeros(0, dtype=np.uint32)
-        nblocks = -(-n // _BLOCK)
+        width = min(n, _BLOCK)
+        nblocks = -(-n // width)
         # affine jump by _BLOCK steps: s -> a_blk*s + c_blk (mod 2^64)
-        a_blk, c_blk = 1, 0
-        for _ in range(_BLOCK):
-            a_blk = (a_blk * _MULT) & _MASK64
-            c_blk = (c_blk * _MULT + self.inc) & _MASK64
+        a_blk = int(_JUMP_MULT[_BLOCK])
+        c_blk = (int(_JUMP_SUM[_BLOCK]) * self.inc) & _MASK64
         starts = np.empty(nblocks, dtype=np.uint64)
         s = self.state
         for q in range(nblocks):
             starts[q] = s
             s = (a_blk * s + c_blk) & _MASK64
-        states = np.empty((nblocks, _BLOCK), dtype=np.uint64)
-        states[:, 0] = starts
-        a64 = np.uint64(_MULT)
-        c64 = np.uint64(self.inc)
-        for r in range(1, _BLOCK):
-            states[:, r] = states[:, r - 1] * a64 + c64
+        # column r holds each block's state after r steps; uint64 wraps mod 2^64
+        offsets = _JUMP_SUM[:width] * np.uint64(self.inc)
+        states = starts[:, None] * _JUMP_MULT[:width] + offsets
         flat = states.reshape(-1)[:n]
         # XSH-RR output from each pre-step state
         xorshifted = (((flat >> np.uint64(18)) ^ flat) >> np.uint64(27)) & np.uint64(_MASK32)

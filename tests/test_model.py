@@ -197,6 +197,18 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(p0, p1)
 
 
+def test_save_writes_canonical_parameter_order(tmp_path):
+    m = build_model(desk_architecture(), seed=11)
+    reversed_params = dict(reversed(list(m.parameters.items())))
+    shuffled = ModelState(m.architecture, reversed_params, m.init_seed)
+    save_model(m, tmp_path / "canonical.grcnn")
+    save_model(shuffled, tmp_path / "reversed.grcnn")
+    assert (tmp_path / "canonical.grcnn").read_bytes() == (tmp_path / "reversed.grcnn").read_bytes()
+    loaded = load_model(tmp_path / "reversed.grcnn")
+    for key in m.parameters:
+        assert np.array_equal(loaded.parameters[key], m.parameters[key])
+
+
 def test_model_file_size(tmp_path):
     m = build_model(desk_architecture(), seed=11)
     path = tmp_path / "model.grcnn"

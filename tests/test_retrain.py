@@ -144,6 +144,20 @@ def test_retrain_point_deterministic():
         assert np.array_equal(a.model.parameters[key], b.model.parameters[key])
 
 
+def test_retrain_point_splits_one_test_star_pass():
+    # 2 x 150 Test* rows: the one pass batches them as 256 + 44, while
+    # separate passes over Test and Adv-Test would batch them as 150 + 150
+    m, sets = toy_sets(n_train=40, n_test=150)
+    assert len(sets.test_star) > 256
+    pool = ordered_pool("C2", sets, range(len(sets.train_star)))
+    run = retrain_point("C2", m, pool, len(pool), RetrainHP(epochs=1, shuffle_seed=2),
+                        point_index=1, eval_sets=sets)
+    clean = sets.test_star.take(np.flatnonzero(~sets.test_star_is_adversarial))
+    assert run.accuracy_test_star == accuracy(run.model, sets.test_star)
+    assert run.accuracy_test == accuracy(run.model, clean)
+    assert run.accuracy_adv_test == accuracy(run.model, sets.adv_test)
+
+
 def test_retrain_point_rejects_oversized_request():
     m, sets = toy_sets()
     pool = ordered_pool("C3", sets, range(len(sets.train_star)))
@@ -179,7 +193,11 @@ def test_run_experiment_parallel_matches_sequential():
     m, sets = toy_sets(n_train=50, n_test=8)
     seq = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig(), workers=1)
     par = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig(), workers=4)
-    assert [r.accuracy_test_star for r in seq.runs] == [r.accuracy_test_star for r in par.runs]
+
+    def accuracies(record):
+        return [(r.accuracy_test_star, r.accuracy_test, r.accuracy_adv_test) for r in record.runs]
+
+    assert accuracies(seq) == accuracies(par)
 
 
 def _record(kind, metric, sizes_accs, pool_total, metric_seconds=1.0):

@@ -43,6 +43,32 @@ def test_block_matches_sequential():
         assert a.next_u32() == b.next_u32()
 
 
+# (seed, stream) pairs including a stream >= 2^62 and seeds >= 2^63
+PAIRS = [(7, 3), (0, 0), (42, 54), (2**63 + 5, 1), (123, 2**62 + 9), (2**64 - 1, 2**63 + 7)]
+# mixed sizes whose running total crosses several 1024-output boundaries
+SIZES = (1, 10, 1023, 1024, 1025, 5000, 3, 2048, 700)
+
+
+def test_blocks_with_interleaved_steps_match_reference():
+    for seed, stream in PAIRS:
+        g = Pcg32(seed, stream)
+        ref = _reference_pcg32(seed, stream, sum(SIZES) + len(SIZES))
+        pos = 0
+        for n in SIZES:
+            assert g.u32_block(n).tolist() == ref[pos:pos + n], (seed, stream, n)
+            pos += n
+            # the state after a block continues the sequence exactly
+            assert g.next_u32() == ref[pos], (seed, stream, n)
+            pos += 1
+
+
+def test_back_to_back_blocks_match_reference():
+    for seed, stream in PAIRS:
+        g = Pcg32(seed, stream)
+        got = np.concatenate([g.u32_block(n) for n in SIZES]).tolist()
+        assert got == _reference_pcg32(seed, stream, sum(SIZES)), (seed, stream)
+
+
 def test_streams_are_distinct():
     a = Pcg32(11, 0).u32_block(100)
     b = Pcg32(11, 1).u32_block(100)

@@ -26,18 +26,21 @@ from .metrics import (
     nc_score,
     order_inputs,
     random_score,
+    score_metrics,
     timed_scoring,
 )
 from .model import (
     ActivationTrace,
     ArchitectureDescriptor,
     Dataset,
+    ForwardPass,
     ModelState,
     TrainParams,
     accuracy,
     activation_trace,
     build_model,
     desk_architecture,
+    forward_pass,
     load_model,
     predict,
     save_model,

@@ -218,9 +218,10 @@ class Graph:
     arrays; callers may rebind the attribute between steps but must not
     mutate arrays another evaluation is reading. dtype=float64 runs the same
     chain in full 64-bit storage (used when verifying gradients).
+    `params=None` builds the shape algebra only; such a graph cannot run.
     """
 
-    def __init__(self, input_shape, layers, params, dtype=np.float32):
+    def __init__(self, input_shape, layers, params=None, dtype=np.float32):
         self.dtype = np.dtype(dtype).type
         self.input_shape = tuple(int(d) for d in input_shape)
         if len(self.input_shape) != 3:
@@ -248,6 +249,8 @@ class Graph:
             raise GraphError("graph must end in a dense logits layer")
         self.class_count = self.nodes[-1].out_shape[0]
         self.params = params
+        if params is None:
+            return
         for node in self.nodes:
             if node.kind in ("conv2d", "dense"):
                 for suffix, want in (("w", node.w_shape), ("b", node.b_shape)):
@@ -290,6 +293,8 @@ class GradientBundle:
 
 
 def _check_params_finite(graph: Graph) -> None:
+    if graph.params is None:
+        raise GraphError("graph was built without parameters; it only describes shapes")
     for key, value in graph.params.items():
         if not np.all(np.isfinite(value)):
             raise GraphError(f"parameter {key!r} contains non-finite values")

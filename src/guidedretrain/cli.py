@@ -26,7 +26,7 @@ from pathlib import Path
 from .attack import AttackConfig, build_augmented_sets
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .data import save_idx_dataset
-from .metrics import scores_to_csv, timed_scoring
+from .metrics import score_metrics, scores_to_csv
 from .model import accuracy, load_model, save_model
 from .reports import (
     COMPARISON_CSV,
@@ -127,14 +127,11 @@ def cmd_score(cfg: ExperimentConfig) -> int:
     model = _original_model(cfg, train_set)
     sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
                                 AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
-    guidance = guidance_config(cfg)
-    timings = []
-    for metric in cfg.metrics:
-        scores, seconds = timed_scoring(metric, model, sets.train_star, guidance)
+    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance_config(cfg))
+    for metric, (scores, seconds) in scored.items():
         scores_to_csv(scores, out / f"scores_{metric.lower()}.csv")
-        timings.append((metric, seconds))
         print(f"{metric}: {len(scores)} scores in {seconds:.3f}s")
-    write_timing_csv(timings, out / TIMING_CSV)
+    write_timing_csv([(m, seconds) for m, (_, seconds) in scored.items()], out / TIMING_CSV)
     return 0
 
 
@@ -145,11 +142,13 @@ def cmd_retrain(cfg: ExperimentConfig) -> int:
     sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
                                 AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
     guidance = guidance_config(cfg)
+    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance)
     hp = retrain_hp(cfg)
     records = []
     for kind in cfg.configs:
         for metric in cfg.metrics:
-            record = run_experiment(model, sets, metric, kind, hp, guidance)
+            record = run_experiment(model, sets, metric, kind, hp, guidance,
+                                    scored=scored[metric])
             records.append(record)
             print(f"{kind}/{metric}: best {record.best_accuracy:.3f} "
                   f"at {record.resource_string()}")

@@ -7,6 +7,11 @@ training traces of its predicted class. DSA is the distance to the nearest
 same-predicted-class training trace divided by the distance from that trace
 to the nearest trace of any other class. Random assigns a seeded permutation
 rank. Ordering for retraining is descending score, ties broken by input id.
+
+NC, LSA and DSA are functions of one ForwardPass over Train*: predict's
+labels plus the post-activation traces of every conv/dense layer.
+score_metrics computes that pass once, inside the first scoring that needs
+it, and lets every trace-based metric read it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .autodiff import Dense, forward_eval
-from .model import Dataset, ModelState, activation_traces, neuron_count, predict
+from .autodiff import Dense
+from .model import Dataset, ForwardPass, ModelState, forward_pass, trace_columns
 from .rng import Pcg32
 
 METRICS = ("NC", "LSA", "DSA", "RANDOM")
+TRACE_METRICS = ("NC", "LSA", "DSA")  # the metrics that read the forward pass
 
 # finite stand-in for an undefined DSA ratio (zero denominator), keeps the
 # ordering total
@@ -87,30 +93,21 @@ def _scale_minmax(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def nc_scores(model: ModelState, images: np.ndarray, cfg: NCConfig,
-              batch_size: int = 256) -> np.ndarray:
-    """Neuron coverage of each image over all conv/dense post-activation neurons."""
-    arch = model.architecture
-    layers = arch.neuron_layers()
-    sources = [arch.post_activation_source(name) for name in layers]
-    graph = model.graph()
-    images = np.asarray(images, dtype=np.float32)
-    total = neuron_count(arch)
-    out = np.empty(len(images), dtype=np.float64)
-    for start in range(0, len(images), batch_size):
-        state = forward_eval(graph, images[start:start + batch_size])
-        n = state.batch
-        active = np.zeros(n, dtype=np.int64)
-        for src in sources:
-            block = state.activations[src].reshape(n, -1).astype(np.float64)
-            scaled = _scale_minmax(block)
-            active += (scaled > cfg.threshold).sum(axis=1)
-        out[start:start + n] = active / total
-    return out
+def nc_scores(fp: ForwardPass, cfg: NCConfig) -> np.ndarray:
+    """Neuron coverage of each pass row over all conv/dense post-activation neurons."""
+    active = np.zeros(len(fp.labels), dtype=np.int64)
+    for cols in trace_columns(fp.architecture).values():
+        active += (_scale_minmax(fp.traces[:, cols]) > cfg.threshold).sum(axis=1)
+    return active / fp.traces.shape[1]
 
 
 def nc_score(model: ModelState, image: np.ndarray, cfg: NCConfig) -> float:
-    return float(nc_scores(model, np.asarray(image, dtype=np.float32)[None], cfg)[0])
+    return float(nc_scores(forward_pass(model, image), cfg)[0])
+
+
+def _check_pass(fp: ForwardPass, train_star: Dataset) -> None:
+    if len(fp.labels) != len(train_star):
+        raise ValueError(f"forward pass has {len(fp.labels)} rows, Train* has {len(train_star)}")
 
 
 def scott_bandwidths(samples: np.ndarray) -> np.ndarray:
@@ -142,17 +139,18 @@ def default_lsa_layer(arch) -> str:
     return hidden[-1]
 
 
-def fit_lsa(model: ModelState, train_star: Dataset, layer: str | None = None,
-            variance_threshold: float = 1e-5, batch_size: int = 256) -> LsaEstimator:
+def fit_lsa(fp: ForwardPass, train_star: Dataset, layer: str | None = None,
+            variance_threshold: float = 1e-5) -> LsaEstimator:
     """Per-class diagonal Gaussian KDE over the selected layer's traces.
 
-    Classes group by true label; neurons whose variance across the whole
-    train_star falls below the threshold are dropped.
+    `fp` is the forward pass over train_star. Classes group by true label;
+    neurons whose variance across the whole train_star falls below the
+    threshold are dropped.
     """
-    arch = model.architecture
+    _check_pass(fp, train_star)
     if layer is None:
-        layer = default_lsa_layer(arch)
-    traces = activation_traces(model, train_star.images, [layer], batch_size=batch_size)
+        layer = default_lsa_layer(fp.architecture)
+    traces = fp.block([layer])
     variances = traces.var(axis=0)
     retained = np.flatnonzero(variances >= variance_threshold)
     if retained.size == 0:
@@ -189,11 +187,8 @@ def _lsa_from_traces(est: LsaEstimator, traces: np.ndarray, classes: np.ndarray)
     return out
 
 
-def lsa_scores(est: LsaEstimator, model: ModelState, images: np.ndarray,
-               batch_size: int = 256) -> np.ndarray:
-    traces = activation_traces(model, images, [est.layer], batch_size=batch_size)[:, est.retained]
-    pred, _ = predict(model, images, batch_size=batch_size)
-    return _lsa_from_traces(est, traces, pred)
+def lsa_scores(est: LsaEstimator, fp: ForwardPass) -> np.ndarray:
+    return _lsa_from_traces(est, fp.block([est.layer])[:, est.retained], fp.labels)
 
 
 def lsa_from_trace(est: LsaEstimator, trace: np.ndarray, predicted_class: int) -> float:
@@ -214,95 +209,142 @@ def lsa_from_trace(est: LsaEstimator, trace: np.ndarray, predicted_class: int) -
 
 def lsa_score(est: LsaEstimator, model: ModelState, image: np.ndarray) -> float:
     """Surprise of one input: -log mean Gaussian-kernel density, direct sum."""
-    trace = activation_traces(model, np.asarray(image, dtype=np.float32)[None],
-                              [est.layer])[0][est.retained]
-    pred, _ = predict(model, np.asarray(image, dtype=np.float32)[None])
-    return lsa_from_trace(est, trace, int(pred[0]))
+    fp = forward_pass(model, image)
+    return lsa_from_trace(est, fp.block([est.layer])[0][est.retained], int(fp.labels[0]))
 
 
 @dataclass(frozen=True)
 class DsaIndex:
+    """Reference traces grouped by true class: class c is rows class_rows[c]."""
+
     layers: tuple[str, ...]
-    class_traces: dict  # class -> (n_c, d) float64
-    dim: int
+    traces: np.ndarray  # (n, d) float64
+    class_rows: dict  # class -> ascending int64 row indices into traces
+    sq_norms: np.ndarray  # (n,) squared row norms of traces
+
+    @property
+    def dim(self) -> int:
+        return self.traces.shape[1]
+
+    @property
+    def class_traces(self) -> dict:
+        """class -> (n_c, d) copy of that class's reference rows."""
+        return {cls: self.traces[rows] for cls, rows in self.class_rows.items()}
 
 
-def fit_dsa(model: ModelState, train_star: Dataset, layers=None,
-            batch_size: int = 256) -> DsaIndex:
-    """Training traces grouped by true class over the selected layers."""
-    arch = model.architecture
-    selected = tuple(layers) if layers is not None else arch.neuron_layers()
-    traces = activation_traces(model, train_star.images, selected, batch_size=batch_size)
-    class_traces = {}
-    for cls in range(train_star.class_count):
-        rows = traces[train_star.labels == cls]
+def _squared_norms(traces: np.ndarray) -> np.ndarray:
+    """Squared norm of each trace row; a non-finite row is rejected by index."""
+    sq = np.einsum("ij,ij->i", traces, traces)
+    bad = np.flatnonzero(~np.isfinite(sq))
+    if bad.size:
+        raise ValueError(f"DSA trace row {bad[0]} has a non-finite value or squared norm")
+    return sq
+
+
+def dsa_index(traces: np.ndarray, labels: np.ndarray, class_count: int, layers) -> DsaIndex:
+    """Index over reference traces (n, d), grouped by their true labels."""
+    traces = np.asarray(traces, dtype=np.float64)
+    labels = np.asarray(labels)
+    sq = _squared_norms(traces)
+    class_rows = {}
+    for cls in range(class_count):
+        rows = np.flatnonzero(labels == cls)
         if len(rows) == 0:
             raise ValueError(f"class {cls} has no inputs")
-        class_traces[cls] = rows
-    if len(class_traces) < 2:
+        class_rows[cls] = rows
+    if len(class_rows) < 2:
         raise ValueError("DSA needs at least 2 classes")
-    return DsaIndex(layers=selected, class_traces=class_traces, dim=traces.shape[1])
+    return DsaIndex(layers=tuple(layers), traces=traces, class_rows=class_rows, sq_norms=sq)
 
 
-def dsa_from_trace(index: DsaIndex, trace: np.ndarray, predicted_class: int) -> float:
-    """DSA of one trace, scanning every reference trace.
+def fit_dsa(fp: ForwardPass, train_star: Dataset, layers=None) -> DsaIndex:
+    """Training traces grouped by true class over the selected layers.
 
-    Per-pair distances accumulate squared differences left to right in
-    float64, the same order a naive exhaustive search uses.
+    `fp` is the forward pass over train_star; with every layer selected (the
+    default) the index reads its trace matrix without a copy.
     """
-    if predicted_class not in index.class_traces:
-        raise KeyError(f"predicted class {predicted_class} absent from the index")
-    trace = np.asarray(trace, dtype=np.float64)
-    same = index.class_traces[predicted_class]
-    dists = cdist(trace[None], same, "euclidean")[0]
-    a_row = int(dists.argmin())
-    dist_a = float(dists[a_row])
-    x_a = same[a_row]
-    dist_b = np.inf
-    for other_cls, rows in index.class_traces.items():
-        if other_cls == predicted_class:
-            continue
-        d = cdist(x_a[None], rows, "euclidean")[0]
-        dist_b = min(dist_b, float(d.min()))
-    if dist_b == 0.0:
-        return DSA_ZERO_DENOMINATOR_SENTINEL
-    return dist_a / dist_b
+    _check_pass(fp, train_star)
+    selected = tuple(layers) if layers is not None else fp.architecture.neuron_layers()
+    return dsa_index(fp.block(selected), train_star.labels, train_star.class_count, selected)
 
 
-def dsa_score(index: DsaIndex, model: ModelState, image: np.ndarray) -> float:
-    """DSA of one input (trace extraction plus exhaustive search)."""
-    trace = activation_traces(model, np.asarray(image, dtype=np.float32)[None], index.layers)[0]
-    pred, _ = predict(model, np.asarray(image, dtype=np.float32)[None])
-    return dsa_from_trace(index, trace, int(pred[0]))
+def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
+    """(index row, cdist distance) of each query row's nearest reference.
 
-
-def dsa_scores(index: DsaIndex, model: ModelState, images: np.ndarray,
-               batch_size: int = 256) -> np.ndarray:
-    """Bulk DSA: same definition as dsa_score, vectorised.
-
-    For each class the nearest other-class distance of every reference trace
-    is precomputed once, so scoring stays exact exhaustive search.
+    The references are the index rows of `blocks`, a list of row arrays
+    taken in order; ties go to the first of them in that order, as in an
+    exhaustive argmin over cdist. One GEMM per block gives
+    g = |q|^2 + |r|^2 - 2 q.r, which differs from the square of cdist's
+    distance by at most E = 2 (d + 6) 2^-53 (|q| + |r|)^2: that covers the
+    rounding of the GEMM and norms in any summation order and the rounding
+    of cdist's own value, with a factor 2 to spare. So every row j with
+    g_j - E_j <= min_k (g_k + E_k) may be the nearest, no other row can, and
+    cdist decides among exactly those.
     """
-    traces = activation_traces(model, images, index.layers, batch_size=batch_size)
-    pred, _ = predict(model, images, batch_size=batch_size)
-    nearest_other = {}
-    for cls, rows in index.class_traces.items():
-        others = np.concatenate([r for c, r in index.class_traces.items() if c != cls])
-        nearest_other[cls] = cdist(rows, others, "euclidean").min(axis=1)
+    slack = 2.0 * (index.dim + 6) * 2.0 ** -53
+    q_norm = np.sqrt(q_sq)[:, None]
+    lows = []
+    ceiling = np.full(len(queries), np.inf)
+    for rows in blocks:
+        r_sq = index.sq_norms[rows]
+        g = q_sq[:, None] + r_sq - 2.0 * (queries @ index.traces[rows].T)
+        e = slack * (q_norm + np.sqrt(r_sq)) ** 2
+        lows.append(g - e)
+        np.minimum(ceiling, (g + e).min(axis=1), out=ceiling)
+    # written as "not above" so a NaN from overflow keeps the row listed
+    shortlist = ~(np.concatenate(lows, axis=1) > ceiling[:, None])
+    order = np.concatenate(blocks)
+    best = np.empty(len(queries), dtype=np.int64)
+    dist = np.empty(len(queries), dtype=np.float64)
+    for i, keep in enumerate(shortlist):
+        rows = order[keep]
+        dists = cdist(queries[i:i + 1], index.traces[rows], "euclidean")[0]
+        k = int(dists.argmin())
+        best[i], dist[i] = rows[k], dists[k]
+    return best, dist
+
+
+def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """DSA of each trace row (n, d) given its predicted class."""
+    if traces.shape[1] != index.dim:
+        raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
+    sq = _squared_norms(traces)
     out = np.empty(len(traces), dtype=np.float64)
-    for cls in np.unique(pred):
+    for cls in np.unique(classes):
         cls = int(cls)
-        if cls not in index.class_traces:
+        if cls not in index.class_rows:
             raise KeyError(f"predicted class {cls} absent from the index")
-        mask = pred == cls
-        refs = index.class_traces[cls]
-        dists = cdist(traces[mask], refs, "euclidean")
-        a_rows = dists.argmin(axis=1)
-        dist_a = dists[np.arange(len(a_rows)), a_rows]
-        dist_b = nearest_other[cls][a_rows]
+        mask = classes == cls
+        a_rows, dist_a = _nearest(traces[mask], sq[mask], index, [index.class_rows[cls]])
+        # nearest other-class distance, once per distinct nearest reference
+        need, back = np.unique(a_rows, return_inverse=True)
+        others = [rows for c, rows in index.class_rows.items() if c != cls]
+        _, dist_b = _nearest(index.traces[need], index.sq_norms[need], index, others)
+        dist_b = dist_b[back]
         safe = np.where(dist_b > 0, dist_b, 1.0)
         out[mask] = np.where(dist_b > 0, dist_a / safe, DSA_ZERO_DENOMINATOR_SENTINEL)
     return out
+
+
+def dsa_from_trace(index: DsaIndex, trace: np.ndarray, predicted_class: int) -> float:
+    """DSA of one trace."""
+    trace = np.asarray(trace, dtype=np.float64)[None]
+    return float(dsa_from_traces(index, trace, np.array([predicted_class]))[0])
+
+
+def dsa_score(index: DsaIndex, model: ModelState, image: np.ndarray) -> float:
+    """DSA of one input (its own forward pass plus the search)."""
+    return float(dsa_scores(index, forward_pass(model, image))[0])
+
+
+def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:
+    """DSA of every row of a forward pass.
+
+    Exact: each nearest-trace search shortlists by GEMM distances and
+    decides by cdist (see _nearest), so the scores equal an exhaustive
+    cdist search bit for bit.
+    """
+    return dsa_from_traces(index, fp.block(index.layers), fp.labels)
 
 
 def random_score(ids, seed: int) -> list[GuidanceScore]:
@@ -331,34 +373,72 @@ def order_inputs(scores) -> list:
     return [s.input_id for s in sorted(scores, key=lambda s: (-s.value, s.input_id))]
 
 
-def score_dataset(metric: str, model: ModelState, train_star: Dataset,
-                  cfg: GuidanceConfig) -> list[GuidanceScore]:
-    """Scores for every input of train_star under one metric."""
+class SharedPass:
+    """The forward pass of one model over Train*, run when a metric first
+    needs it and read by every trace-based metric after that."""
+
+    def __init__(self, model: ModelState, train_star: Dataset, batch_size: int = 256):
+        self.model = model
+        self.train_star = train_star
+        self.batch_size = batch_size
+        self.seconds = 0.0  # wall time of the pass, 0 until it has run
+        self._pass = None
+
+    def get(self) -> ForwardPass:
+        if self._pass is None:
+            t0 = time.monotonic()
+            self._pass = forward_pass(self.model, self.train_star.images, self.batch_size)
+            self.seconds = time.monotonic() - t0
+        return self._pass
+
+
+def _trace_metric_values(metric: str, fp: ForwardPass, train_star: Dataset,
+                         cfg: GuidanceConfig) -> np.ndarray:
     if metric == "NC":
-        values = nc_scores(model, train_star.images, NCConfig(cfg.nc_threshold),
-                           batch_size=cfg.batch_size)
-    elif metric == "LSA":
-        est = fit_lsa(model, train_star, layer=cfg.lsa_layer,
-                      variance_threshold=cfg.lsa_variance_threshold,
-                      batch_size=cfg.batch_size)
-        values = lsa_scores(est, model, train_star.images, batch_size=cfg.batch_size)
-    elif metric == "DSA":
-        index = fit_dsa(model, train_star, layers=cfg.dsa_layers, batch_size=cfg.batch_size)
-        values = dsa_scores(index, model, train_star.images, batch_size=cfg.batch_size)
-    elif metric == "RANDOM":
-        return random_score(range(len(train_star)), cfg.random_seed)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return [GuidanceScore(input_id=i, metric=metric, value=float(v))
-            for i, v in enumerate(values)]
+        return nc_scores(fp, NCConfig(cfg.nc_threshold))
+    if metric == "LSA":
+        est = fit_lsa(fp, train_star, layer=cfg.lsa_layer,
+                      variance_threshold=cfg.lsa_variance_threshold)
+        return lsa_scores(est, fp)
+    if metric == "DSA":
+        return dsa_scores(fit_dsa(fp, train_star, layers=cfg.dsa_layers), fp)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
-                  cfg: GuidanceConfig):
-    """(scores, wall seconds) for one metric over all of train_star."""
+                  cfg: GuidanceConfig, shared: SharedPass | None = None):
+    """(scores, seconds) for one metric over all of train_star.
+
+    NC, LSA and DSA read `shared`, the forward pass of `model` over
+    train_star (a pass of their own when None). Their seconds are the whole
+    pass plus their own math, whichever metric ran the pass, so each still
+    reads what the metric costs on its own. RANDOM is charged only its own
+    work.
+    """
     t0 = time.monotonic()
-    scores = score_dataset(metric, model, train_star, cfg)
-    return scores, time.monotonic() - t0
+    if metric == "RANDOM":
+        scores = random_score(range(len(train_star)), cfg.random_seed)
+        return scores, time.monotonic() - t0
+    if metric not in TRACE_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if shared is None:
+        shared = SharedPass(model, train_star, cfg.batch_size)
+    elif shared.model is not model or shared.train_star is not train_star:
+        raise ValueError("the shared pass belongs to another model or dataset")
+    pass_before = shared.seconds
+    values = _trace_metric_values(metric, shared.get(), train_star, cfg)
+    scores = [GuidanceScore(input_id=i, metric=metric, value=float(v))
+              for i, v in enumerate(values)]
+    own = time.monotonic() - t0 - (shared.seconds - pass_before)
+    return scores, own + shared.seconds
+
+
+def score_metrics(metrics, model: ModelState, train_star: Dataset,
+                  cfg: GuidanceConfig) -> dict:
+    """{metric: (scores, seconds)}; the trace-based metrics share one
+    forward pass, which is freed when scoring ends."""
+    shared = SharedPass(model, train_star, cfg.batch_size)
+    return {metric: timed_scoring(metric, model, train_star, cfg, shared) for metric in metrics}
 
 
 def format_duration(seconds: float) -> str:

@@ -227,31 +227,7 @@ def build_model(arch: ArchitectureDescriptor, seed: int) -> ModelState:
 
 def _param_shapes(arch: ArchitectureDescriptor) -> dict:
     """{parameter key: shape} in the canonical order of the model file."""
-    return Graph(arch.input_shape, arch.layers, _zero_params(arch)).param_shapes()
-
-
-def _zero_params(arch: ArchitectureDescriptor) -> dict:
-    params = {}
-    shape = arch.input_shape
-    for layer in arch.layers:
-        if isinstance(layer, Conv2D):
-            h, w, c = shape
-            params[f"{layer.name}.w"] = np.zeros((layer.kernel, layer.kernel, c, layer.filters), np.float32)
-            params[f"{layer.name}.b"] = np.zeros((layer.filters,), np.float32)
-            if layer.padding == "same":
-                shape = (-(-h // layer.stride), -(-w // layer.stride), layer.filters)
-            else:
-                shape = ((h - layer.kernel) // layer.stride + 1,
-                         (w - layer.kernel) // layer.stride + 1, layer.filters)
-        elif isinstance(layer, MaxPool2D):
-            h, w, c = shape
-            shape = (h // layer.size, w // layer.size, c)
-        elif isinstance(layer, Dense):
-            d = int(np.prod(shape))
-            params[f"{layer.name}.w"] = np.zeros((d, layer.units), np.float32)
-            params[f"{layer.name}.b"] = np.zeros((layer.units,), np.float32)
-            shape = (layer.units,)
-    return params
+    return Graph(arch.input_shape, arch.layers).param_shapes()
 
 
 def train(model: ModelState, data: Dataset, hp: TrainParams) -> ModelState:
@@ -279,21 +255,43 @@ def train(model: ModelState, data: Dataset, hp: TrainParams) -> ModelState:
     return ModelState(model.architecture, _freeze(graph.params), model.init_seed, tuple(history))
 
 
+def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int,
+                    columns: dict, with_probs: bool = False):
+    """The batched inference loop behind predict, activation_traces and forward_pass.
+
+    `images` is a batch (N, H, W, C) or one input (H, W, C). Returns
+    (argmax labels, softmax probabilities or None, traces or None);
+    `columns` maps each traced neuron layer to its slice of trace columns, as
+    trace_columns builds it. A row's outputs do not depend on its batch.
+    """
+    arch = model.architecture
+    images = np.asarray(images, dtype=np.float32)
+    if images.shape == arch.input_shape:
+        images = images[None]
+    n = len(images)
+    graph = model.graph()
+    sources = [(arch.post_activation_source(name), cols) for name, cols in columns.items()]
+    labels = np.empty(n, dtype=np.int64)
+    probs = np.empty((n, arch.classes), dtype=np.float32) if with_probs else None
+    width = max((cols.stop for cols in columns.values()), default=0)
+    traces = np.empty((n, width), dtype=np.float64) if columns else None
+    for start in range(0, n, batch_size):
+        state = forward_eval(graph, images[start:start + batch_size])
+        rows = slice(start, start + state.batch)
+        logits = state.logits.astype(np.float64)
+        logits -= logits.max(axis=1, keepdims=True)
+        labels[rows] = logits.argmax(axis=1)
+        if probs is not None:
+            e = np.exp(logits)
+            probs[rows] = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+        for src, cols in sources:
+            traces[rows, cols] = state.activations[src].reshape(state.batch, -1)
+    return labels, probs, traces
+
+
 def predict(model: ModelState, images: np.ndarray, batch_size: int = 256):
     """(argmax labels, softmax probabilities); ties resolve to the lowest class."""
-    images = np.asarray(images, dtype=np.float32)
-    if images.shape == model.architecture.input_shape:
-        images = images[None]
-    graph = model.graph()
-    labels = np.empty(len(images), dtype=np.int64)
-    probs = np.empty((len(images), model.architecture.classes), dtype=np.float32)
-    for start in range(0, len(images), batch_size):
-        chunk = images[start:start + batch_size]
-        logits = forward_eval(graph, chunk).logits.astype(np.float64)
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        probs[start:start + len(chunk)] = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-        labels[start:start + len(chunk)] = logits.argmax(axis=1)
+    labels, probs, _ = _forward_batches(model, images, batch_size, {}, with_probs=True)
     return labels, probs
 
 
@@ -323,37 +321,68 @@ def _resolve_trace_layers(arch: ArchitectureDescriptor, layers) -> tuple[str, ..
     return tuple(name for name in known if name in requested)
 
 
+def trace_columns(arch: ArchitectureDescriptor, layers=None) -> dict:
+    """{layer: slice of its columns} in a trace matrix over the selected
+    (default: all) conv/dense layers, in architecture order."""
+    selected = arch.neuron_layers() if layers is None else _resolve_trace_layers(arch, layers)
+    widths = {node.name: int(np.prod(node.out_shape))
+              for node in Graph(arch.input_shape, arch.layers).nodes}
+    columns = {}
+    start = 0
+    for name in selected:
+        columns[name] = slice(start, start + widths[name])
+        start += widths[name]
+    return columns
+
+
+def neuron_count(arch: ArchitectureDescriptor, layers=None) -> int:
+    """Total neurons of the selected (default: all) conv/dense layers."""
+    return sum(cols.stop - cols.start for cols in trace_columns(arch, layers).values())
+
+
 def activation_traces(model: ModelState, images: np.ndarray, layers=None, batch_size: int = 256) -> np.ndarray:
     """Float64 trace matrix (N, total neurons of selected layers).
 
     `layers=None` selects every conv/dense layer.
     """
-    arch = model.architecture
-    selected = arch.neuron_layers() if layers is None else _resolve_trace_layers(arch, layers)
-    if not selected:
+    columns = trace_columns(model.architecture, layers)
+    if not columns:
         raise ValueError("no layers selected")
-    sources = [arch.post_activation_source(name) for name in selected]
-    graph = model.graph()
-    images = np.asarray(images, dtype=np.float32)
-    rows = []
-    for start in range(0, len(images), batch_size):
-        state = forward_eval(graph, images[start:start + batch_size])
-        n = state.batch
-        parts = [state.activations[src].reshape(n, -1).astype(np.float64) for src in sources]
-        rows.append(np.concatenate(parts, axis=1))
-    return np.concatenate(rows, axis=0)
+    return _forward_batches(model, images, batch_size, columns)[2]
 
 
-def neuron_count(arch: ArchitectureDescriptor, layers=None) -> int:
-    """Total neurons of the selected (default: all) conv/dense layers."""
-    selected = arch.neuron_layers() if layers is None else _resolve_trace_layers(arch, layers)
-    graph = Graph(arch.input_shape, arch.layers, _zero_params(arch))
-    counts = {
-        node.name: int(np.prod(node.out_shape))
-        for node in graph.nodes
-        if node.kind in ("conv2d", "dense")
-    }
-    return sum(counts[name] for name in selected)
+@dataclass(frozen=True)
+class ForwardPass:
+    """One inference pass of a model over a set of images.
+
+    `labels` are predict's labels; `traces` holds the float64 post-activation
+    values of every conv/dense layer, in architecture order, one contiguous
+    column block per layer.
+    """
+
+    architecture: ArchitectureDescriptor
+    labels: np.ndarray
+    traces: np.ndarray
+
+    def block(self, layers=None) -> np.ndarray:
+        """Trace columns of the selected (default: all) layers, in architecture
+        order; a view of `traces` when the layers are adjacent."""
+        if layers is None:
+            return self.traces
+        columns = trace_columns(self.architecture)
+        parts = [columns[name] for name in _resolve_trace_layers(self.architecture, layers)]
+        if not parts:
+            raise ValueError("no layers selected")
+        if all(a.stop == b.start for a, b in zip(parts, parts[1:])):
+            return self.traces[:, parts[0].start:parts[-1].stop]
+        return np.concatenate([self.traces[:, cols] for cols in parts], axis=1)
+
+
+def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = 256) -> ForwardPass:
+    """Labels plus the traces of every conv/dense layer, from one batched pass."""
+    labels, _, traces = _forward_batches(model, images, batch_size,
+                                         trace_columns(model.architecture))
+    return ForwardPass(model.architecture, labels, traces)
 
 
 def save_model(model: ModelState, path) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from .attack import AttackConfig, build_augmented_sets
 from .config import ExperimentConfig, config_echo, with_overrides
 from .data import generate_synthetic, load_idx_dataset
-from .metrics import GuidanceConfig, format_duration, scores_to_csv, timed_scoring
+from .metrics import GuidanceConfig, format_duration, score_metrics, scores_to_csv
 from .model import (
     Dataset,
     ModelState,
@@ -268,9 +268,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
         stage = "score"
         t = time.monotonic()
         guidance = guidance_config(cfg)
-        scored = {}
+        scored = score_metrics(cfg.metrics, original, sets.train_star, guidance)
         for metric in cfg.metrics:
-            scored[metric] = timed_scoring(metric, original, sets.train_star, guidance)
             score_file = f"scores_{metric.lower()}.csv"
             scores_to_csv(scored[metric][0], out_dir / score_file)
             files[score_file] = out_dir / score_file

@@ -34,6 +34,7 @@ from guidedretrain.model import (
     activation_traces,
     build_model,
     desk_architecture,
+    forward_pass,
     predict,
     train,
 )
@@ -276,7 +277,7 @@ def test_c04_metric_oracles():
     queries = rng.uniforms(30 * 16).reshape(30, 4, 4, 1).astype(np.float32)
 
     # DSA vs exhaustive search: exact equality
-    index = fit_dsa(model, train_star)
+    index = fit_dsa(forward_pass(model, images), train_star)
     traces = activation_traces(model, queries, index.layers)
     pred, _ = predict(model, queries)
     for i in range(len(queries)):
@@ -302,7 +303,7 @@ def test_c04_metric_oracles():
         assert got == dist_a / dist_b, i
 
     # LSA vs direct 64-bit kernel sum: 1e-9 relative
-    est = fit_lsa(model, train_star, layer="d1", variance_threshold=0.0)
+    est = fit_lsa(forward_pass(model, images), train_star, layer="d1", variance_threshold=0.0)
     worst_lsa = 0.0
     for i in range(len(queries)):
         got = lsa_score(est, model, queries[i])

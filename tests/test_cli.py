@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from guidedretrain.cli import main
@@ -99,3 +101,20 @@ def test_seed_override_changes_model(tmp_path):
     a = load_model(out_a / "model.grcnn")
     b = load_model(out_b / "model.grcnn")
     assert any(not np.array_equal(a.parameters[k], b.parameters[k]) for k in a.parameters)
+
+
+def test_retrain_scores_each_metric_once(tmp_path, monkeypatch):
+    from guidedretrain import metrics, retrain
+
+    scorings = Counter()
+    timed_scoring = metrics.timed_scoring
+
+    def counting(metric, *args, **kwargs):
+        scorings[metric] += 1
+        return timed_scoring(metric, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "timed_scoring", counting)
+    monkeypatch.setattr(retrain, "timed_scoring", counting)
+    cfg = write_config(tmp_path)  # configs = C2,C3
+    assert main(["retrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert scorings == {"RANDOM": 1, "NC": 1}

@@ -1,4 +1,5 @@
-"""The `sweep` benchmark workload reproduces its committed output digests.
+"""The `sweep` and `stages` benchmark workloads reproduce their committed
+output digests.
 
 c09 compares two runs of the same code with each other; this test compares
 one run against the sha256 digests kept in perfbench/reference.json, so a
@@ -32,6 +33,23 @@ def test_sweep_workload_matches_reference_digests(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     expected = bench.reference_digests("sweep", seed)
+    names = bench.artifact_names(workload)
+    assert sorted(expected) == sorted(names)
+    assert bench.digests(out, names) == expected
+
+
+def test_stages_workload_matches_reference_digests(tmp_path):
+    # 928-row Train* with 3,108-dim traces: the data the DSA shortlist must
+    # reproduce exactly, walked through the five stage subcommands
+    bench = load_perfbench_run()
+    seed = 0
+    workload = bench.WORKLOADS["stages"]
+    config = tmp_path / "stages.cfg"
+    config.write_text(bench.config_text(workload, seed))
+    out = tmp_path / "out"
+    for step in workload.steps:
+        assert main([step, "--config", str(config), "--out", str(out)]) == 0, step
+    expected = bench.reference_digests("stages", seed)
     names = bench.artifact_names(workload)
     assert sorted(expected) == sorted(names)
     assert bench.digests(out, names) == expected

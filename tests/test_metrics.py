@@ -1,14 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import kendalltau
 
 from guidedretrain.attack import AttackConfig, build_augmented_sets
 from guidedretrain.autodiff import Conv2D, Dense, Relu
 from guidedretrain.metrics import (
     DSA_ZERO_DENOMINATOR_SENTINEL,
-    DsaIndex,
+    METRICS,
     GuidanceConfig,
     GuidanceScore,
     LsaEstimator,
@@ -16,6 +18,8 @@ from guidedretrain.metrics import (
     active_fraction,
     default_lsa_layer,
     dsa_from_trace,
+    dsa_from_traces,
+    dsa_index,
     dsa_score,
     dsa_scores,
     fit_dsa,
@@ -28,11 +32,20 @@ from guidedretrain.metrics import (
     nc_scores,
     order_inputs,
     random_score,
+    SharedPass,
+    score_metrics,
     scores_to_csv,
     scott_bandwidths,
     timed_scoring,
 )
-from guidedretrain.model import ArchitectureDescriptor, Dataset, ModelState, build_model, desk_architecture
+from guidedretrain.model import (
+    ArchitectureDescriptor,
+    Dataset,
+    ModelState,
+    build_model,
+    desk_architecture,
+    forward_pass,
+)
 from guidedretrain.rng import Pcg32
 
 
@@ -90,7 +103,7 @@ def test_nc_bounds_and_threshold_monotonicity():
     images = random_dataset(20).images
     prev = None
     for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vals = nc_scores(m, images, NCConfig(threshold=threshold))
+        vals = nc_scores(forward_pass(m, images), NCConfig(threshold=threshold))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         if prev is not None:
             assert np.all(vals <= prev + 1e-12)
@@ -117,8 +130,8 @@ def test_nc_matches_direct_count():
 def test_nc_batching_invariant():
     m = tiny_cnn()
     images = random_dataset(15).images
-    a = nc_scores(m, images, NCConfig(), batch_size=256)
-    b = nc_scores(m, images, NCConfig(), batch_size=4)
+    a = nc_scores(forward_pass(m, images, batch_size=256), NCConfig())
+    b = nc_scores(forward_pass(m, images, batch_size=4), NCConfig())
     assert np.array_equal(a, b)
 
 
@@ -140,7 +153,7 @@ def test_scott_bandwidth_formula():
 def test_fit_lsa_structure():
     m = tiny_cnn(classes=2)
     data = random_dataset(20, classes=2)
-    est = fit_lsa(m, data, layer="d1", variance_threshold=0.0)
+    est = fit_lsa(forward_pass(m, data.images), data, layer="d1", variance_threshold=0.0)
     assert set(est.class_traces) == {0, 1}
     assert est.class_traces[0].shape[0] == 10
     assert est.class_traces[1].shape[0] == 10
@@ -167,7 +180,7 @@ def test_variance_filter_drops_constant_neuron():
     }
     m = ModelState(arch, params, init_seed=0)
     data = random_dataset(12, classes=2, h=2, w=2)
-    est = fit_lsa(m, data, layer="d1", variance_threshold=1e-8)
+    est = fit_lsa(forward_pass(m, data.images), data, layer="d1", variance_threshold=1e-8)
     assert 1 not in est.retained.tolist()
     assert 0 in est.retained.tolist()
 
@@ -213,12 +226,12 @@ def test_lsa_minimal_at_single_training_trace():
 def test_lsa_determinism_and_bulk_consistency():
     m = tiny_cnn(classes=2, seed=1)
     data = random_dataset(30, classes=2, seed=7)
-    est = fit_lsa(m, data, layer="d1", variance_threshold=0.0)
+    est = fit_lsa(forward_pass(m, data.images), data, layer="d1", variance_threshold=0.0)
     img = data.images[3]
     a = lsa_score(est, m, img)
     b = lsa_score(est, m, img)
     assert a == b
-    bulk = lsa_scores(est, m, data.images)
+    bulk = lsa_scores(est, forward_pass(m, data.images))
     singles = np.array([lsa_score(est, m, data.images[i]) for i in range(len(data))])
     assert np.allclose(bulk, singles, rtol=1e-9, atol=1e-12)
 
@@ -229,7 +242,7 @@ def test_fit_lsa_rejects_small_class():
     labels = np.array([0, 0, 1, 1])  # class 2 empty
     data = Dataset(images, labels, class_count=3)
     with pytest.raises(ValueError, match="class 2"):
-        fit_lsa(m, data, layer="d1")
+        fit_lsa(forward_pass(m, data.images), data, layer="d1")
 
 
 def test_default_lsa_layer_is_last_hidden_dense():
@@ -266,42 +279,42 @@ def brute_force_dsa(index, trace, cls):
     return dist_a / dist_b
 
 
+def index_of(class_traces, layers=("d1",)):
+    """DSA index over {class: rows} for classes 0..k-1, laid out class by class."""
+    classes = sorted(class_traces)
+    traces = np.concatenate([class_traces[c] for c in classes])
+    labels = np.concatenate([np.full(len(class_traces[c]), c) for c in classes])
+    return dsa_index(traces, labels, len(classes), layers)
+
+
 def test_dsa_one_dimensional_case():
-    index = DsaIndex(layers=("d1",), class_traces={0: np.array([[1.0]]), 1: np.array([[3.0]])}, dim=1)
+    index = index_of({0: np.array([[1.0]]), 1: np.array([[3.0]])})
     assert dsa_from_trace(index, np.array([0.0]), 0) == 0.5
 
 
 def test_dsa_zero_at_matching_trace():
-    index = DsaIndex(
-        layers=("d1",),
-        class_traces={0: np.array([[1.0, 2.0], [3.0, 4.0]]), 1: np.array([[9.0, 9.0]])},
-        dim=2,
-    )
+    index = index_of({0: np.array([[1.0, 2.0], [3.0, 4.0]]), 1: np.array([[9.0, 9.0]])})
     assert dsa_from_trace(index, np.array([3.0, 4.0]), 0) == 0.0
 
 
 def test_dsa_scaling_invariance():
     rng = Pcg32(11)
     traces = {0: rng.normals(20).reshape(10, 2), 1: rng.normals(16).reshape(8, 2)}
-    index1 = DsaIndex(layers=("d1",), class_traces=traces, dim=2)
-    index2 = DsaIndex(layers=("d1",), class_traces={c: 2.0 * t for c, t in traces.items()}, dim=2)
+    index1 = index_of(traces)
+    index2 = index_of({c: 2.0 * t for c, t in traces.items()})
     q = np.array([0.3, -0.2])
     assert dsa_from_trace(index1, q, 0) == pytest.approx(dsa_from_trace(index2, 2.0 * q, 0), rel=1e-12)
 
 
 def test_dsa_zero_denominator_sentinel():
-    index = DsaIndex(
-        layers=("d1",),
-        class_traces={0: np.array([[1.0]]), 1: np.array([[1.0]])},  # duplicate across classes
-        dim=1,
-    )
+    index = index_of({0: np.array([[1.0]]), 1: np.array([[1.0]])})  # duplicate across classes
     assert dsa_from_trace(index, np.array([5.0]), 0) == DSA_ZERO_DENOMINATOR_SENTINEL
 
 
 def test_dsa_matches_brute_force_exactly():
     m = tiny_cnn(classes=3, seed=2)
     train = random_dataset(60, classes=3, seed=8)
-    index = fit_dsa(m, train)
+    index = fit_dsa(forward_pass(m, train.images), train)
     assert index.dim == 2 * 16 + 4 + 3  # conv 4*4*2 + d1 + out
     queries = random_dataset(25, classes=3, seed=9)
     from guidedretrain.model import activation_traces, predict
@@ -317,11 +330,110 @@ def test_dsa_matches_brute_force_exactly():
 def test_dsa_bulk_matches_single():
     m = tiny_cnn(classes=3, seed=2)
     train = random_dataset(40, classes=3, seed=8)
-    index = fit_dsa(m, train)
+    index = fit_dsa(forward_pass(m, train.images), train)
     queries = random_dataset(12, classes=3, seed=10)
-    bulk = dsa_scores(index, m, queries.images)
+    bulk = dsa_scores(index, forward_pass(m, queries.images))
     singles = np.array([dsa_score(index, m, queries.images[i]) for i in range(len(queries))])
-    assert np.allclose(bulk, singles, rtol=1e-12, atol=0)
+    assert np.array_equal(bulk, singles)
+
+
+def assert_bulk_dsa_is_brute_force(index, queries, classes):
+    got = dsa_from_traces(index, queries, np.asarray(classes))
+    want = [brute_force_dsa(index, q, int(c)) for q, c in zip(queries, classes)]
+    assert got.tolist() == want
+
+
+def test_dsa_shortlist_duplicates_and_first_index_ties():
+    # integer traces: q + v and q - v are exactly equally far from q, but
+    # their nearest other-class traces differ, so the first-index rule shows
+    # in the score; duplicated rows within and across classes hit the
+    # zero-denominator sentinel
+    rng = np.random.default_rng(3)
+    q = rng.integers(-5, 6, size=40).astype(np.float64)
+    v = rng.integers(-3, 4, size=40).astype(np.float64)
+    w = rng.integers(-9, 10, size=(4, 40)).astype(np.float64)
+    class0 = np.array([w[0], q + v, q - v, w[0], w[1]])
+    class1 = np.array([q - v + 1.0, w[2], w[1]])  # w[1] duplicates a class-0 row
+    class2 = np.array([q + v + 3.0, w[3], w[3]])
+    index = index_of({0: class0, 1: class1, 2: class2})
+    queries = np.array([q, q, w[0], w[1], w[3], q + v, w[2]])
+    assert_bulk_dsa_is_brute_force(index, queries, [0, 0, 0, 0, 2, 1, 1])
+    swapped = index_of({0: class0[[0, 2, 1, 3, 4]], 1: class1, 2: class2})
+    assert_bulk_dsa_is_brute_force(swapped, queries, [0, 0, 0, 0, 2, 1, 1])
+    assert dsa_from_trace(index, q, 0) != dsa_from_trace(swapped, q, 0)  # the tie decides
+    assert dsa_from_trace(index, w[1], 0) == DSA_ZERO_DENOMINATOR_SENTINEL
+
+
+def test_dsa_shortlist_separates_one_ulp():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(6, 30))
+    near = base[2].copy()
+    near[7] = np.nextafter(near[7], np.inf)
+    class0 = np.vstack([base[:3], near[None], base[3:4]])
+    class1 = rng.normal(size=(4, 30))
+    class1[0] = near + 1e-9  # the two candidates' other-class distances differ
+    index = index_of({0: class0, 1: class1})
+    queries = [base[2], near, base[2] + 1e-15, near - 1e-15]
+    step = np.zeros(30)
+    step[7] = np.spacing(base[2][7])
+    queries += [base[2] + step / 2, base[2] - step]
+    assert_bulk_dsa_is_brute_force(index, np.array(queries), [0] * len(queries))
+
+
+@pytest.fixture
+def recheck_sizes(monkeypatch):
+    """Rows each exact cdist recheck of the DSA shortlist receives."""
+    from guidedretrain import metrics
+
+    sizes = []
+
+    def counting_cdist(a, b, metric):
+        sizes.append(len(b))
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(metrics, "cdist", counting_cdist)
+    return sizes
+
+
+def test_dsa_shortlist_large_norms_near_the_bound(recheck_sizes):
+    # offset 1e6 makes the GEMM rounding bound (about 4 here) comparable to
+    # the gaps between squared distances, so shortlists range from one row
+    # to several
+    rng = np.random.default_rng(7)
+    d = 64
+    refs = 1e6 + rng.normal(size=(60, d))
+    index = dsa_index(refs, np.arange(60) % 3, 3, ("d1",))
+    queries = np.vstack([1e6 + rng.normal(size=(20, d)), refs[:5]])
+    assert_bulk_dsa_is_brute_force(index, queries, np.arange(len(queries)) % 3)
+    assert min(recheck_sizes) == 1 and max(recheck_sizes) > 3
+
+
+def test_dsa_shortlist_single_row_classes():
+    rng = np.random.default_rng(9)
+    index = index_of({0: rng.normal(size=(1, 12)), 1: rng.normal(size=(5, 12)),
+                      2: rng.normal(size=(1, 12))})
+    queries = rng.normal(size=(9, 12))
+    assert_bulk_dsa_is_brute_force(index, queries, np.arange(9) % 3)
+
+
+def test_dsa_shortlist_rechecks_few_rows(recheck_sizes):
+    rng = np.random.default_rng(11)
+    refs = rng.normal(size=(90, 50))
+    index = dsa_index(refs, np.arange(90) % 3, 3, ("d1",))
+    dsa_from_traces(index, refs[:30] + 1e-3, np.arange(30) % 3)
+    assert max(recheck_sizes) == 1  # well-separated traces: one candidate per row
+
+
+def test_dsa_rejects_non_finite_rows():
+    refs = np.ones((4, 3))
+    refs[2, 1] = np.nan
+    with pytest.raises(ValueError, match="row 2"):
+        dsa_index(refs, np.array([0, 1, 0, 1]), 2, ("d1",))
+    index = dsa_index(np.eye(4, 3), np.array([0, 1, 0, 1]), 2, ("d1",))
+    queries = np.zeros((3, 3))
+    queries[1, 0] = np.inf
+    with pytest.raises(ValueError, match="row 1"):
+        dsa_from_traces(index, queries, np.array([0, 0, 1]))
 
 
 def test_fit_dsa_rejects_empty_class():
@@ -329,7 +441,7 @@ def test_fit_dsa_rejects_empty_class():
     images = random_dataset(4, classes=3).images
     data = Dataset(images, np.array([0, 0, 1, 1]), class_count=3)
     with pytest.raises(ValueError, match="class 2"):
-        fit_dsa(m, data)
+        fit_dsa(forward_pass(m, data.images), data)
 
 
 # ---------------------------------------------------------------- Random
@@ -398,6 +510,50 @@ def test_timed_scoring_deterministic_scores():
         assert [s.value for s in s1] == [s.value for s in s2], metric
         assert len(s1) == len(sets.train_star)
         assert t1 >= 0 and t2 >= 0
+
+
+def small_sets(seed=4):
+    m = tiny_cnn(classes=3, seed=seed)
+    train = random_dataset(30, classes=3, seed=3)
+    test = random_dataset(9, classes=3, seed=4)
+    return m, build_augmented_sets(m, train, test, 0.5, AttackConfig(epsilon=0.1), seed=2)
+
+
+def test_shared_pass_scores_equal_single_metric_calls():
+    m, sets = small_sets()
+    cfg = GuidanceConfig()
+    shared = score_metrics(METRICS, m, sets.train_star, cfg)
+    assert list(shared) == list(METRICS)
+    for metric in METRICS:
+        fresh, _ = timed_scoring(metric, m, sets.train_star, cfg)
+        assert [s.value for s in shared[metric][0]] == [s.value for s in fresh], metric
+
+
+def test_shared_pass_runs_once_and_is_charged_to_each_trace_metric(monkeypatch):
+    from guidedretrain import metrics
+
+    m, sets = small_sets()
+    passes = []
+
+    def slow_pass(*args, **kwargs):
+        passes.append(args)
+        time.sleep(0.3)
+        return forward_pass(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_pass", slow_pass)
+    scored = score_metrics(("RANDOM", "NC", "LSA", "DSA"), m, sets.train_star, GuidanceConfig())
+    assert len(passes) == 1
+    for metric in ("NC", "LSA", "DSA"):
+        assert scored[metric][1] >= 0.3, metric
+    assert scored["RANDOM"][1] < 0.3
+
+
+def test_shared_pass_must_match_model_and_data():
+    m, sets = small_sets()
+    other = tiny_cnn(classes=3, seed=5)
+    shared = SharedPass(other, sets.train_star)
+    with pytest.raises(ValueError, match="another model"):
+        timed_scoring("NC", m, sets.train_star, GuidanceConfig(), shared)
 
 
 def test_random_scoring_is_fast():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from guidedretrain.autodiff import Dense, Relu
+from guidedretrain.autodiff import Dense, Graph, GraphError, Relu, forward_eval
 from guidedretrain.model import (
     ArchitectureDescriptor,
     BadMagicError,
@@ -15,10 +15,12 @@ from guidedretrain.model import (
     activation_traces,
     build_model,
     desk_architecture,
+    forward_pass,
     load_model,
     neuron_count,
     predict,
     save_model,
+    trace_columns,
     train,
 )
 from guidedretrain.rng import Pcg32
@@ -272,3 +274,46 @@ def test_architecture_json_round_trip():
     again = ArchitectureDescriptor.from_json(arch.to_json())
     assert again == arch
     assert again.to_json() == arch.to_json()
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256, 300])
+def test_forward_pass_matches_predict_and_activation_traces(batch_size):
+    m = build_model(desk_architecture(), seed=6)
+    images = Pcg32(13).uniforms(270 * 16 * 16).reshape(270, 16, 16, 1).astype(np.float32)
+    fp = forward_pass(m, images, batch_size=batch_size)
+    assert fp.traces.dtype == np.float64
+    assert fp.traces.shape == (270, neuron_count(m.architecture))
+    assert np.array_equal(fp.labels, predict(m, images, batch_size=batch_size)[0])
+    columns = trace_columns(m.architecture)
+    for name in m.architecture.neuron_layers():
+        want = activation_traces(m, images, [name], batch_size=batch_size)
+        assert np.array_equal(fp.traces[:, columns[name]], want), name
+        assert np.array_equal(fp.block([name]), want), name
+    # and a row's outputs do not depend on its batch
+    default = forward_pass(m, images)
+    assert np.array_equal(fp.labels, default.labels)
+    assert np.array_equal(fp.traces, default.traces)
+
+
+def test_forward_pass_blocks():
+    m = build_model(desk_architecture(), seed=2)
+    images = Pcg32(3).uniforms(5 * 16 * 16).reshape(5, 16, 16, 1).astype(np.float32)
+    fp = forward_pass(m, images)
+    assert fp.block() is fp.traces
+    assert np.shares_memory(fp.block(["conv2", "dense1"]), fp.traces)  # adjacent: a view
+    assert np.array_equal(fp.block(["dense1", "conv1"]),
+                          activation_traces(m, images, ["conv1", "dense1"]))
+    with pytest.raises(KeyError):
+        fp.block(["pool1"])
+
+
+def test_trace_columns_and_shape_only_graph():
+    arch = desk_architecture()
+    assert trace_columns(arch) == {"conv1": slice(0, 2048), "conv2": slice(2048, 3072),
+                                   "dense1": slice(3072, 3104), "dense2": slice(3104, 3108)}
+    assert trace_columns(arch, ["dense2", "conv2"]) == {"conv2": slice(0, 1024),
+                                                        "dense2": slice(1024, 1028)}
+    shapes = Graph(arch.input_shape, arch.layers)
+    assert shapes.param_shapes()["dense1.w"] == (256, 32)
+    with pytest.raises(GraphError, match="without parameters"):
+        forward_eval(shapes, np.zeros((1, 16, 16, 1), dtype=np.float32))

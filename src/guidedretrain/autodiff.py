@@ -48,6 +48,16 @@ class Relu:
 Layer = Conv2D | MaxPool2D | Dense | Relu
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bits of a float array as a same-size integer view.
+
+    Multiplying the bits by a boolean mask selects `a` where the mask holds
+    and +0 elsewhere, bit for bit as np.where(mask, a, 0) but without a
+    branch per element.
+    """
+    return a.view(np.dtype(f"i{a.itemsize}"))
+
+
 def _conv_out(extent: int, kernel: int, stride: int, padding: str) -> tuple[int, int, int]:
     """(output extent, pad before, pad after) along one spatial axis."""
     if padding == "same":
@@ -62,7 +72,13 @@ def _conv_out(extent: int, kernel: int, stride: int, padding: str) -> tuple[int,
 
 
 class _ConvNode:
-    kind = "conv2d"
+    """Convolution as one GEMM over im2col columns.
+
+    im2col copies one strided slice of the zero-padded input per kernel tap
+    into columns (n, oh, ow, k, k, c); col2im adds the column gradients back
+    tap by tap in reverse (ky, kx) order, which gives every input pixel its
+    addends in ascending output position.
+    """
 
     def __init__(self, spec: Conv2D, in_shape: tuple[int, ...], dtype=np.float32):
         if len(in_shape) != 3:
@@ -70,66 +86,66 @@ class _ConvNode:
         if spec.stride not in (1, 2):
             raise GraphError(f"conv2d node {spec.name!r}: stride must be 1 or 2")
         h, w, c = in_shape
-        k = spec.kernel
-        oh, self.pad_t, self.pad_b = _conv_out(h, k, spec.stride, spec.padding)
-        ow, self.pad_l, self.pad_r = _conv_out(w, k, spec.stride, spec.padding)
+        k, s = spec.kernel, spec.stride
+        oh, pad_t, pad_b = _conv_out(h, k, s, spec.padding)
+        ow, pad_l, pad_r = _conv_out(w, k, s, spec.padding)
         self.name = spec.name
         self.dtype = dtype
-        self.stride = spec.stride
-        self.kernel = k
         self.in_shape = in_shape
         self.out_shape = (oh, ow, spec.filters)
-        self.w_shape = (k, k, c, spec.filters)
-        self.b_shape = (spec.filters,)
-        hp = h + self.pad_t + self.pad_b
-        wp = w + self.pad_l + self.pad_r
-        self.padded_size = hp * wp * c
-        # gather index (out positions, k*k*c) into the padded, flattened input
-        oy = np.arange(oh) * spec.stride
-        ox = np.arange(ow) * spec.stride
-        ky, kx, kc = np.meshgrid(np.arange(k), np.arange(k), np.arange(c), indexing="ij")
-        taps = ((ky * wp) + kx) * c + kc  # offsets of one window, (k, k, c)
-        base = (oy[:, None] * wp + ox[None, :]) * c  # (oh, ow)
-        self.gather = (base.reshape(-1, 1) + taps.reshape(1, -1)).astype(np.int64)
+        self.w_key, self.b_key = f"{spec.name}.w", f"{spec.name}.b"
+        self.param_shapes = {self.w_key: (k, k, c, spec.filters), self.b_key: (spec.filters,)}
+        self.padded_shape = (h + pad_t + pad_b, w + pad_l + pad_r, c)
+        self.interior = (slice(None), slice(pad_t, pad_t + h), slice(pad_l, pad_l + w))
+        self.col_shape = (oh, ow, k, k, c)
+        # (ky, kx, rows, columns of the padded input that tap (ky, kx) reads)
+        self.taps = [(ky, kx, slice(ky, ky + (oh - 1) * s + 1, s), slice(kx, kx + (ow - 1) * s + 1, s))
+                     for ky in range(k) for kx in range(k)]
 
-    def _pad(self, x: np.ndarray) -> np.ndarray:
-        if self.pad_t or self.pad_b or self.pad_l or self.pad_r:
-            return np.pad(x, ((0, 0), (self.pad_t, self.pad_b), (self.pad_l, self.pad_r), (0, 0)))
-        return x
-
-    def forward(self, x, w, b):
+    def forward(self, x, params, keep):
         n = x.shape[0]
-        cols = self._pad(x).reshape(n, self.padded_size)[:, self.gather]
-        kk = self.gather.shape[1]
-        y64 = cols.astype(np.float64) @ w.reshape(kk, -1).astype(np.float64)
-        y64 += b.astype(np.float64)
+        if self.padded_shape == self.in_shape:
+            xp = x
+        else:
+            xp = np.zeros((n,) + self.padded_shape, dtype=x.dtype)
+            xp[self.interior] = x
+        cols = np.empty((n,) + self.col_shape, dtype=x.dtype)
+        for ky, kx, rows, columns in self.taps:
+            cols[:, :, :, ky, kx] = xp[:, rows, columns]
         oh, ow, f = self.out_shape
-        return y64.astype(self.dtype).reshape(n, oh, ow, f), cols
+        cols = cols.reshape(n, oh * ow, -1)
+        y64 = cols.astype(np.float64) @ params[self.w_key].reshape(-1, f).astype(np.float64)
+        y64 += params[self.b_key].astype(np.float64)
+        return y64.astype(self.dtype).reshape(n, oh, ow, f), cols if keep else None
 
-    def backward(self, dy, cols, w):
+    def backward(self, dy, cols, params, need_dx):
         n = dy.shape[0]
         oh, ow, f = self.out_shape
-        kk = self.gather.shape[1]
+        w = params[self.w_key]
         dy64 = dy.reshape(n, oh * ow, f).astype(np.float64)
-        dw = np.tensordot(cols.astype(np.float64), dy64, axes=([0, 1], [0, 1]))
+        # BLAS rounds dw differently for different operand layouts. These are
+        # the layouts np.tensordot formed from fancy-index gathered columns (a
+        # C-ordered transpose for n > 1, a transposed view for n == 1), so the
+        # weight gradients keep the bits of that formulation.
+        cols_t = cols.reshape(n * oh * ow, -1).T
+        dw = np.dot(cols_t.astype(np.float64, order="C" if n > 1 else "K"), dy64.reshape(n * oh * ow, f))
         db = dy64.sum(axis=(0, 1))
-        dcols = dy64 @ w.reshape(kk, f).astype(np.float64).T
-        flat_idx = (np.arange(n)[:, None, None] * self.padded_size + self.gather[None]).ravel()
-        dxp = np.bincount(flat_idx, weights=dcols.ravel(), minlength=n * self.padded_size)
-        h, wd, c = self.in_shape
-        hp = h + self.pad_t + self.pad_b
-        wp = wd + self.pad_l + self.pad_r
-        dxp = dxp.reshape(n, hp, wp, c)
-        dx = dxp[:, self.pad_t:self.pad_t + h, self.pad_l:self.pad_l + wd, :]
-        return (
-            dx.astype(self.dtype),
-            dw.astype(self.dtype).reshape(self.w_shape),
-            db.astype(self.dtype),
-        )
+        grads = {self.w_key: dw.astype(self.dtype).reshape(w.shape), self.b_key: db.astype(self.dtype)}
+        if not need_dx:
+            return None, grads
+        dcols = (dy64 @ w.reshape(-1, f).astype(np.float64).T).reshape((n,) + self.col_shape)
+        dxp = np.zeros((n,) + self.padded_shape)
+        for ky, kx, rows, columns in reversed(self.taps):
+            dxp[:, rows, columns] += dcols[:, :, :, ky, kx]
+        return dxp[self.interior].astype(self.dtype), grads
 
 
 class _PoolNode:
-    kind = "maxpool2d"
+    """s x s max-pool over one strided slice per window tap; odd edges are cropped.
+
+    A later tap replaces the running maximum only when strictly greater, so
+    the first maximal element of each window wins, as argmax would pick it.
+    """
 
     def __init__(self, spec: MaxPool2D, in_shape: tuple[int, ...], dtype=np.float32):
         if len(in_shape) != 3:
@@ -140,74 +156,74 @@ class _PoolNode:
             raise GraphError(f"maxpool2d node {spec.name!r}: pool size {s} too large for {in_shape}")
         self.name = spec.name
         self.dtype = dtype
-        self.size = s
         self.in_shape = in_shape
         self.out_shape = (h // s, w // s, c)
+        self.param_shapes = {}
+        self.idx_dtype = np.min_scalar_type(s * s - 1)
+        # (rows, columns) of the input that window tap t = sy * s + sx reads
+        self.taps = [(slice(sy, (h // s) * s, s), slice(sx, (w // s) * s, s))
+                     for sy in range(s) for sx in range(s)]
 
-    def forward(self, x):
-        n = x.shape[0]
-        h, w, c = self.in_shape
-        oh, ow, _ = self.out_shape
-        s = self.size
-        win = x[:, :oh * s, :ow * s, :].reshape(n, oh, s, ow, s, c)
-        win = win.transpose(0, 1, 3, 5, 2, 4).reshape(n, oh, ow, c, s * s)
-        idx = win.argmax(axis=-1)
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    def forward(self, x, params, keep):
+        rows, columns = self.taps[0]
+        y = x[:, rows, columns].copy()
+        y_bits = _bits(y)
+        idx = np.zeros(y.shape, dtype=self.idx_dtype) if keep else None
+        for t, (rows, columns) in enumerate(self.taps[1:], 1):
+            tap = x[:, rows, columns]
+            greater = tap > y
+            y_bits ^= (y_bits ^ _bits(tap)) * greater
+            if keep:
+                idx ^= (idx ^ t) * greater
         return y, idx
 
-    def backward(self, dy, idx):
-        n = dy.shape[0]
-        h, w, c = self.in_shape
-        oh, ow, _ = self.out_shape
-        s = self.size
-        dwin = np.zeros((n, oh, ow, c, s * s), dtype=self.dtype)
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-        dwin = dwin.reshape(n, oh, ow, c, s, s).transpose(0, 1, 4, 2, 5, 3)
-        dx = np.zeros((n, h, w, c), dtype=self.dtype)
-        dx[:, :oh * s, :ow * s, :] = dwin.reshape(n, oh * s, ow * s, c)
-        return dx
+    def backward(self, dy, idx, params, need_dx):
+        dx = np.zeros((dy.shape[0],) + self.in_shape, dtype=self.dtype)
+        for t, (rows, columns) in enumerate(self.taps):
+            np.multiply(_bits(dy), idx == t, out=_bits(dx[:, rows, columns]))
+        return dx, {}
 
 
 class _DenseNode:
-    kind = "dense"
-
     def __init__(self, spec: Dense, in_shape: tuple[int, ...], dtype=np.float32):
         self.name = spec.name
         self.dtype = dtype
         self.in_shape = in_shape
         self.in_features = int(np.prod(in_shape))
         self.out_shape = (spec.units,)
-        self.w_shape = (self.in_features, spec.units)
-        self.b_shape = (spec.units,)
+        self.w_key, self.b_key = f"{spec.name}.w", f"{spec.name}.b"
+        self.param_shapes = {self.w_key: (self.in_features, spec.units), self.b_key: (spec.units,)}
 
-    def forward(self, x, w, b):
-        n = x.shape[0]
-        xf = x.reshape(n, self.in_features).astype(np.float64)
-        y = xf @ w.astype(np.float64) + b.astype(np.float64)
-        return y.astype(self.dtype), xf
+    def forward(self, x, params, keep):
+        xf = x.reshape(x.shape[0], self.in_features).astype(np.float64)
+        y = xf @ params[self.w_key].astype(np.float64) + params[self.b_key].astype(np.float64)
+        return y.astype(self.dtype), xf if keep else None
 
-    def backward(self, dy, xf, w):
+    def backward(self, dy, xf, params, need_dx):
         dy64 = dy.astype(np.float64)
-        dw = xf.T @ dy64
-        db = dy64.sum(axis=0)
-        dx = (dy64 @ w.astype(np.float64).T).astype(self.dtype)
-        return dx.reshape((dy.shape[0],) + self.in_shape), dw.astype(self.dtype), db.astype(self.dtype)
+        grads = {self.w_key: (xf.T @ dy64).astype(self.dtype), self.b_key: dy64.sum(axis=0).astype(self.dtype)}
+        if not need_dx:
+            return None, grads
+        dx = (dy64 @ params[self.w_key].astype(np.float64).T).astype(self.dtype)
+        return dx.reshape((dy.shape[0],) + self.in_shape), grads
 
 
 class _ReluNode:
-    kind = "relu"
-
     def __init__(self, spec: Relu, in_shape: tuple[int, ...], dtype=np.float32):
         self.name = spec.name
         self.dtype = dtype
         self.in_shape = in_shape
         self.out_shape = in_shape
+        self.param_shapes = {}
 
-    def forward(self, x):
-        return np.maximum(x, self.dtype(0)), x > 0
+    def forward(self, x, params, keep):
+        return np.maximum(x, self.dtype(0)), x > 0 if keep else None
 
-    def backward(self, dy, mask):
-        return np.where(mask, dy, self.dtype(0))
+    def backward(self, dy, mask, params, need_dx):
+        return (_bits(dy) * mask).view(self.dtype), {}
+
+
+_NODES = {Conv2D: _ConvNode, MaxPool2D: _PoolNode, Dense: _DenseNode, Relu: _ReluNode}
 
 
 class Graph:
@@ -233,42 +249,25 @@ class Graph:
             if spec.name in names:
                 raise GraphError(f"duplicate layer name {spec.name!r}")
             names.add(spec.name)
-            if isinstance(spec, Conv2D):
-                node = _ConvNode(spec, shape, self.dtype)
-            elif isinstance(spec, MaxPool2D):
-                node = _PoolNode(spec, shape, self.dtype)
-            elif isinstance(spec, Dense):
-                node = _DenseNode(spec, shape, self.dtype)
-            elif isinstance(spec, Relu):
-                node = _ReluNode(spec, shape, self.dtype)
-            else:
+            if type(spec) not in _NODES:
                 raise GraphError(f"unknown layer kind {spec!r}")
+            node = _NODES[type(spec)](spec, shape, self.dtype)
             shape = node.out_shape
             self.nodes.append(node)
-        if not self.nodes or self.nodes[-1].kind != "dense":
+        if not self.nodes or not isinstance(self.nodes[-1], _DenseNode):
             raise GraphError("graph must end in a dense logits layer")
         self.class_count = self.nodes[-1].out_shape[0]
         self.params = params
         if params is None:
             return
-        for node in self.nodes:
-            if node.kind in ("conv2d", "dense"):
-                for suffix, want in (("w", node.w_shape), ("b", node.b_shape)):
-                    key = f"{node.name}.{suffix}"
-                    if key not in params:
-                        raise GraphError(f"missing parameter {key!r}")
-                    if params[key].shape != want:
-                        raise GraphError(
-                            f"parameter {key!r} has shape {params[key].shape}, expected {want}"
-                        )
+        for key, want in self.param_shapes().items():
+            if key not in params:
+                raise GraphError(f"missing parameter {key!r}")
+            if params[key].shape != want:
+                raise GraphError(f"parameter {key!r} has shape {params[key].shape}, expected {want}")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
-        for node in self.nodes:
-            if node.kind in ("conv2d", "dense"):
-                shapes[f"{node.name}.w"] = node.w_shape
-                shapes[f"{node.name}.b"] = node.b_shape
-        return shapes
+        return {key: shape for node in self.nodes for key, shape in node.param_shapes.items()}
 
 
 @dataclass
@@ -289,7 +288,7 @@ class GradientBundle:
     """Loss gradients for every parameter plus the network input."""
 
     params: dict[str, np.ndarray]
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None
 
 
 def _check_params_finite(graph: Graph) -> None:
@@ -304,8 +303,9 @@ def forward_eval(graph: Graph, x: np.ndarray, labels=None) -> ForwardState:
     """Run the graph on a batch (N, H, W, C) or a single input (H, W, C).
 
     With labels given, also computes the mean softmax cross-entropy loss and
-    caches everything backward_grads needs. All per-node activations are
-    retained for trace extraction.
+    caches everything backward_grads needs; without labels no node builds a
+    cache. All per-node activations are retained for trace extraction. A
+    non-finite input raises GraphError naming its row.
     """
     x = np.asarray(x, dtype=graph.dtype)
     if x.shape == graph.input_shape:
@@ -316,20 +316,18 @@ def forward_eval(graph: Graph, x: np.ndarray, labels=None) -> ForwardState:
         )
     _check_params_finite(graph)
     n = x.shape[0]
+    finite = np.isfinite(x.reshape(n, -1)).all(axis=1)
+    if not finite.all():
+        raise GraphError(f"input row {int(finite.argmin())} contains non-finite values")
+    keep = labels is not None
     activations: dict[str, np.ndarray] = {}
     caches: dict[str, object] = {}
     out = x
     for node in graph.nodes:
-        if node.kind == "conv2d":
-            out, cache = node.forward(out, graph.params[f"{node.name}.w"], graph.params[f"{node.name}.b"])
-        elif node.kind == "dense":
-            out, cache = node.forward(out, graph.params[f"{node.name}.w"], graph.params[f"{node.name}.b"])
-        elif node.kind == "maxpool2d":
-            out, cache = node.forward(out)
-        else:
-            out, cache = node.forward(out)
+        out, cache = node.forward(out, graph.params, keep)
         activations[node.name] = out
-        caches[node.name] = cache
+        if keep:
+            caches[node.name] = cache
     logits = out
     loss = None
     dlogits = None
@@ -362,28 +360,22 @@ def forward_eval(graph: Graph, x: np.ndarray, labels=None) -> ForwardState:
     )
 
 
-def backward_grads(state: ForwardState) -> GradientBundle:
-    """Exact reverse-mode gradients of the loss from a completed forward pass."""
+def backward_grads(state: ForwardState, input_grad: bool = True) -> GradientBundle:
+    """Exact reverse-mode gradients of the loss from a completed forward pass.
+
+    With input_grad=False GradientBundle.input_grad is None and a first conv
+    or dense layer skips its input gradient; parameter gradients are the same.
+    """
     if not isinstance(state, ForwardState) or state.dlogits is None:
         raise GraphError("backward_grads requires a forward pass evaluated with labels")
     graph = state.graph
     grads: dict[str, np.ndarray] = {}
     dy = state.dlogits
     for node in reversed(graph.nodes):
-        cache = state.caches[node.name]
-        if node.kind == "conv2d":
-            dy, dw, db = node.backward(dy, cache, graph.params[f"{node.name}.w"])
-            grads[f"{node.name}.w"] = dw
-            grads[f"{node.name}.b"] = db
-        elif node.kind == "dense":
-            dy, dw, db = node.backward(dy, cache, graph.params[f"{node.name}.w"])
-            grads[f"{node.name}.w"] = dw
-            grads[f"{node.name}.b"] = db
-        elif node.kind == "maxpool2d":
-            dy = node.backward(dy, cache)
-        else:
-            dy = node.backward(dy, cache)
-    return GradientBundle(params=grads, input_grad=dy)
+        need_dx = input_grad or node is not graph.nodes[0]
+        dy, node_grads = node.backward(dy, state.caches[node.name], graph.params, need_dx)
+        grads.update(node_grads)
+    return GradientBundle(params=grads, input_grad=dy if input_grad else None)
 
 
 def sgd_step(params, grads: GradientBundle, lr: float, momentum: float, velocity=None):

@@ -88,14 +88,21 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _original_model(cfg: ExperimentConfig, train_set):
-    """Load <out>/model.grcnn when present, else train and save it."""
+def _model_and_sets(cfg: ExperimentConfig):
+    """The prelude of attack/score/retrain/report: M and the augmented sets.
+
+    M is loaded from <out>/model.grcnn when present, else trained and saved.
+    """
+    train_set, test_set = prepare_data(cfg)
     path = Path(cfg.out) / MODEL_FILE
     if path.exists():
-        return load_model(path)
-    model = train_original(cfg, train_set)
-    save_model(model, path)
-    return model
+        model = load_model(path)
+    else:
+        model = train_original(cfg, train_set)
+        save_model(model, path)
+    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
+                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
+    return model, sets
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
@@ -110,10 +117,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_attack(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    train_set, test_set = prepare_data(cfg)
-    model = _original_model(cfg, train_set)
-    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
+    model, sets = _model_and_sets(cfg)
     for name, data in (("adv_train", sets.adv_train), ("adv_test", sets.adv_test)):
         save_idx_dataset(data, out / f"{name}-images-idx3-ubyte", out / f"{name}-labels-idx1-ubyte")
     print(f"adv_train {len(sets.adv_train)} inputs, adv_test {len(sets.adv_test)} inputs; "
@@ -123,10 +127,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 def cmd_score(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    train_set, test_set = prepare_data(cfg)
-    model = _original_model(cfg, train_set)
-    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
+    model, sets = _model_and_sets(cfg)
     scored = score_metrics(cfg.metrics, model, sets.train_star, guidance_config(cfg))
     for metric, (scores, seconds) in scored.items():
         scores_to_csv(scores, out / f"scores_{metric.lower()}.csv")
@@ -137,10 +138,7 @@ def cmd_score(cfg: ExperimentConfig) -> int:
 
 def cmd_retrain(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    train_set, test_set = prepare_data(cfg)
-    model = _original_model(cfg, train_set)
-    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
+    model, sets = _model_and_sets(cfg)
     guidance = guidance_config(cfg)
     scored = score_metrics(cfg.metrics, model, sets.train_star, guidance)
     hp = retrain_hp(cfg)
@@ -201,10 +199,7 @@ def cmd_report(cfg: ExperimentConfig, trend_seeds: int = 0) -> int:
         print(f"error: {points} not found; run `retrain` or `run` first", file=sys.stderr)
         return 1
     records = _records_from_points(points)
-    train_set, test_set = prepare_data(cfg)
-    model = _original_model(cfg, train_set)
-    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
+    model, sets = _model_and_sets(cfg)
     original_accuracy = accuracy(model, sets.test_star)
     write_summary_csv(records, original_accuracy, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)

@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .autodiff import Dense
-from .model import Dataset, ForwardPass, ModelState, forward_pass, trace_columns
+from .model import INFERENCE_BATCH, Dataset, ForwardPass, ModelState, forward_pass, trace_columns
 from .rng import Pcg32
 
 METRICS = ("NC", "LSA", "DSA", "RANDOM")
@@ -63,7 +63,7 @@ class GuidanceConfig:
     lsa_variance_threshold: float = 1e-5
     dsa_layers: tuple | None = None  # default: every conv/dense layer
     random_seed: int = 0
-    batch_size: int = 256
+    batch_size: int = INFERENCE_BATCH
 
 
 def active_fraction(scaled_layers, threshold: float) -> float:
@@ -88,8 +88,8 @@ def _scale_minmax(block: np.ndarray) -> np.ndarray:
     lo = block.min(axis=1, keepdims=True)
     hi = block.max(axis=1, keepdims=True)
     span = hi - lo
-    out = np.zeros_like(block)
-    np.divide(block - lo, span, out=out, where=span > 0)
+    out = block - lo  # a constant row is all +0 here and stays so
+    np.divide(out, span, out=out, where=span > 0)
     return out
 
 
@@ -377,7 +377,7 @@ class SharedPass:
     """The forward pass of one model over Train*, run when a metric first
     needs it and read by every trace-based metric after that."""
 
-    def __init__(self, model: ModelState, train_star: Dataset, batch_size: int = 256):
+    def __init__(self, model: ModelState, train_star: Dataset, batch_size: int = INFERENCE_BATCH):
         self.model = model
         self.train_star = train_star
         self.batch_size = batch_size

@@ -19,6 +19,9 @@ from .rng import Pcg32
 
 MAGIC = b"GRCNN1\x00"
 FORMAT_VERSION = 1
+# Rows per inference forward. Larger batches only add memory traffic:
+# a row's outputs do not depend on its batch.
+INFERENCE_BATCH = 32
 
 
 class ModelFileError(ValueError):
@@ -248,7 +251,7 @@ def train(model: ModelState, data: Dataset, hp: TrainParams) -> ModelState:
         for start in range(0, n, hp.batch_size):
             idx = order[start:start + hp.batch_size]
             state = forward_eval(graph, data.images[idx], data.labels[idx])
-            grads = backward_grads(state)
+            grads = backward_grads(state, input_grad=False)
             graph.params, velocity = sgd_step(graph.params, grads, hp.lr, hp.momentum, velocity)
             total += state.loss * len(idx)
         history.append((len(model.training_history) + epoch, total / n))
@@ -289,7 +292,7 @@ def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int,
     return labels, probs, traces
 
 
-def predict(model: ModelState, images: np.ndarray, batch_size: int = 256):
+def predict(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_BATCH):
     """(argmax labels, softmax probabilities); ties resolve to the lowest class."""
     labels, probs, _ = _forward_batches(model, images, batch_size, {}, with_probs=True)
     return labels, probs
@@ -340,7 +343,8 @@ def neuron_count(arch: ArchitectureDescriptor, layers=None) -> int:
     return sum(cols.stop - cols.start for cols in trace_columns(arch, layers).values())
 
 
-def activation_traces(model: ModelState, images: np.ndarray, layers=None, batch_size: int = 256) -> np.ndarray:
+def activation_traces(model: ModelState, images: np.ndarray, layers=None,
+                      batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Float64 trace matrix (N, total neurons of selected layers).
 
     `layers=None` selects every conv/dense layer.
@@ -378,7 +382,7 @@ class ForwardPass:
         return np.concatenate([self.traces[:, cols] for cols in parts], axis=1)
 
 
-def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = 256) -> ForwardPass:
+def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_BATCH) -> ForwardPass:
     """Labels plus the traces of every conv/dense layer, from one batched pass."""
     labels, _, traces = _forward_batches(model, images, batch_size,
                                          trace_columns(model.architecture))

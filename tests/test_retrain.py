@@ -145,8 +145,9 @@ def test_retrain_point_deterministic():
 
 
 def test_retrain_point_splits_one_test_star_pass():
-    # 2 x 150 Test* rows: the one pass batches them as 256 + 44, while
-    # separate passes over Test and Adv-Test would batch them as 150 + 150
+    # 2 x 150 Test* rows: the one pass batches them across the boundary
+    # between clean and adversarial rows, while separate passes over Test
+    # and Adv-Test would batch each half on its own
     m, sets = toy_sets(n_train=40, n_test=150)
     assert len(sets.test_star) > 256
     pool = ordered_pool("C2", sets, range(len(sets.train_star)))

@@ -14,7 +14,8 @@ Subcommands walk the pipeline end to end or stage by stage:
 Stages are deterministic functions of the configuration: stage subcommands
 recompute what they need from the config seeds (loading <out>/model.grcnn
 when present) instead of passing lossy intermediate files around. GR_THREADS
-caps the per-point retraining fan-out.
+caps the per-point retraining fan-out, the only parallelism: each command runs
+its numerics on one OpenBLAS thread and restores the caller's count on return.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._blas import one_blas_thread
 from .attack import AttackConfig, build_augmented_sets
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .data import save_idx_dataset
@@ -226,19 +228,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "attack":
-            return cmd_attack(cfg)
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "retrain":
-            return cmd_retrain(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, trend_seeds=args.trend_seeds)
-        raise AssertionError(f"unhandled command {args.command}")
+        with one_blas_thread():
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "attack":
+                return cmd_attack(cfg)
+            if args.command == "score":
+                return cmd_score(cfg)
+            if args.command == "retrain":
+                return cmd_retrain(cfg)
+            if args.command == "run":
+                return cmd_run(cfg)
+            if args.command == "report":
+                return cmd_report(cfg, trend_seeds=args.trend_seeds)
+            raise AssertionError(f"unhandled command {args.command}")
     except Exception as exc:  # pipeline failures map to a nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

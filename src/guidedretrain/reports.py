@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ._blas import blas_runtime
 from .attack import AttackConfig, build_augmented_sets
 from .config import ExperimentConfig, config_echo, with_overrides
 from .data import generate_synthetic, load_idx_dataset
@@ -224,7 +225,10 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
         fh.write("[files]\n")
         for name in sorted(files):
             fh.write(f"{sha256_file(files[name])}  {name}\n")
-        if stage_seconds:
+        fh.write("[runtime]\n")
+        for key, value in blas_runtime().items():
+            fh.write(f"{key} = {value}\n")
+        if stage_seconds:  # last: readers take everything after [timings]
             fh.write("[timings]\n")
             for stage in sorted(stage_seconds):
                 fh.write(f"{stage}_seconds = {stage_seconds[stage]:.3f}\n")

@@ -1,7 +1,9 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from guidedretrain import _blas, cli
 from guidedretrain.cli import main
 from guidedretrain.data import load_idx_dataset
 from guidedretrain.model import load_model
@@ -118,3 +120,116 @@ def test_retrain_scores_each_metric_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)  # configs = C2,C3
     assert main(["retrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert scorings == {"RANDOM": 1, "NC": 1}
+
+
+# every metric and configuration, so each file of the byte-identity set is written
+ALL_CONFIG = """
+synthetic.per_class_train = 30
+synthetic.per_class_test = 10
+synthetic.image_size = 8
+train.epochs = 3
+retrain.epochs = 1
+attack.fraction = 0.5
+"""
+BYTE_IDENTITY_SET = (["points.csv", "summary.csv", "comparison.csv"]
+                     + [f"plot_c{k}.csv" for k in (1, 2, 3)]
+                     + [f"scores_{m}.csv" for m in ("lsa", "dsa", "nc", "random")])
+
+
+def assert_same_bytes(a, b):
+    for name in BYTE_IDENTITY_SET:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_fan_out_writes_the_sequential_bytes(tmp_path, monkeypatch):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(ALL_CONFIG)
+    monkeypatch.setenv("GR_THREADS", "1")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "sequential")]) == 0
+    monkeypatch.setenv("GR_THREADS", "2")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fan-out")]) == 0
+    assert_same_bytes(tmp_path / "sequential", tmp_path / "fan-out")
+
+
+def test_stage_commands_write_the_run_bytes(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(ALL_CONFIG)
+    staged = tmp_path / "staged"
+    for step in ("train", "attack", "score", "retrain", "report"):
+        assert main([step, "--config", str(cfg), "--out", str(staged)]) == 0, step
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert_same_bytes(staged, tmp_path / "run")
+
+
+# each command runs on one OpenBLAS thread and restores the caller's count
+@pytest.fixture
+def two_threads():
+    """The caller's OpenBLAS count set to 2 for the test, restored after it."""
+    lib = _blas._openblas()
+    if lib is None:
+        pytest.skip("NumPy is not linked against OpenBLAS")
+    get, put, _ = lib
+    saved = get()
+    put(2)
+    yield "2"
+    put(saved)
+
+
+def blas_threads():
+    return _blas.blas_runtime()["blas_threads"]
+
+
+def test_command_sees_one_thread_and_caller_count_is_restored(tmp_path, monkeypatch,
+                                                              two_threads):
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(blas_threads())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_run", fake_run)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    assert seen == ["1"]
+    assert blas_threads() == two_threads
+
+
+def test_count_restored_after_pipeline_error(tmp_path, monkeypatch, capsys, two_threads):
+    def failing_run(cfg):
+        assert blas_threads() == "1"
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(cli, "cmd_run", failing_run)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 1
+    assert "stage broke" in capsys.readouterr().err
+    assert blas_threads() == two_threads
+    # a command that reports failure by its exit code
+    assert main(["report", "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "empty")]) == 1
+    assert blas_threads() == two_threads
+
+
+def test_count_untouched_by_bad_config(tmp_path, two_threads):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("who = knows\n")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert blas_threads() == two_threads
+
+
+def test_without_openblas_the_pin_does_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
+    with _blas.one_blas_thread():
+        assert _blas.blas_runtime() == {"blas_config": "unknown", "blas_threads": "unknown"}
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "model.grcnn").is_file()
+
+
+def test_run_manifest_records_one_blas_thread(tmp_path, two_threads):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    runtime = manifest.split("[runtime]\n", 1)[1].split("[timings]\n", 1)
+    assert len(runtime) == 2  # [runtime] comes before [timings]
+    lines = runtime[0].splitlines()
+    assert "blas_threads = 1" in lines
+    assert lines[0].startswith("blas_config = ") and "OpenBLAS" in lines[0]

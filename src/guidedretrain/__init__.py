@@ -49,12 +49,14 @@ from .model import (
 from .reports import ReportBundle, compute_trend, run_pipeline
 from .retrain import (
     ExperimentRecord,
+    RetrainBatch,
     RetrainHP,
     RetrainRun,
     SweepPlan,
     compare_records,
     retrain_point,
     run_experiment,
+    run_experiments,
     sweep_sizes,
 )
 

@@ -6,7 +6,8 @@ between training steps: with default threads a run burns about twice its
 wall time in CPU. `one_blas_thread` pins BLAS to one thread for a block and
 restores the caller's count afterwards. OpenBLAS splits a GEMM along M and
 N, never along K, so every output element keeps its summation order and
-results are bit-identical at any thread count.
+results are bit-identical at any thread count. Retraining workers, each one
+process per core, pin their own OpenBLAS to one thread for the same reason.
 
 NumPy's OpenBLAS is reached through NumPy's core extension, since dlsym on
 it also searches the libraries it links. Where no OpenBLAS symbol resolves
@@ -56,17 +57,22 @@ def blas_runtime() -> dict:
             "blas_threads": str(lib[0]())}
 
 
+def pin_one_blas_thread() -> int | None:
+    """Set OpenBLAS to one thread; returns the previous count, None without OpenBLAS."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    saved = lib[0]()
+    lib[1](1)
+    return saved
+
+
 @contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the caller's count."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    get, put, _ = lib
-    saved = get()
-    put(1)
+    saved = pin_one_blas_thread()
     try:
         yield
     finally:
-        put(saved)
+        if saved is not None:
+            _openblas()[1](saved)

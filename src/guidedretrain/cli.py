@@ -14,8 +14,10 @@ Subcommands walk the pipeline end to end or stage by stage:
 Stages are deterministic functions of the configuration: stage subcommands
 recompute what they need from the config seeds (loading <out>/model.grcnn
 when present) instead of passing lossy intermediate files around. GR_THREADS
-caps the per-point retraining fan-out, the only parallelism: each command runs
-its numerics on one OpenBLAS thread and restores the caller's count on return.
+sets the number of processes that retrain the sweep points (default: every
+usable core; 1 runs them in-process). That pool is the only parallelism: each
+command runs its numerics on one OpenBLAS thread and restores the caller's
+count on return.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .reports import (
     write_summary_csv,
     write_timing_csv,
 )
-from .retrain import ExperimentRecord, RetrainRun, compare_records, run_experiment
+from .retrain import ExperimentRecord, RetrainRun, compare_records, run_experiments
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -141,17 +143,13 @@ def cmd_score(cfg: ExperimentConfig) -> int:
 def cmd_retrain(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     model, sets = _model_and_sets(cfg)
-    guidance = guidance_config(cfg)
-    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance)
-    hp = retrain_hp(cfg)
-    records = []
-    for kind in cfg.configs:
-        for metric in cfg.metrics:
-            record = run_experiment(model, sets, metric, kind, hp, guidance,
-                                    scored=scored[metric])
-            records.append(record)
-            print(f"{kind}/{metric}: best {record.best_accuracy:.3f} "
-                  f"at {record.resource_string()}")
+    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance_config(cfg))
+    records = run_experiments(model, sets,
+                              [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
+                              retrain_hp(cfg), scored).records
+    for record in records:
+        print(f"{record.kind}/{record.metric}: best {record.best_accuracy:.3f} "
+              f"at {record.resource_string()}")
     write_points_csv(records, out / POINTS_CSV)
     return 0
 

@@ -32,7 +32,7 @@ from .model import (
     save_model,
     train,
 )
-from .retrain import RetrainHP, compare_records, run_experiment
+from .retrain import RetrainHP, compare_records, run_experiments
 
 MODEL_FILE = "model.grcnn"
 POINTS_CSV = "points.csv"
@@ -214,7 +214,8 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: str,
-                   stage_seconds: dict | None = None) -> Path:
+                   stage_seconds: dict | None = None, runtime: dict | None = None) -> Path:
+    """`runtime` adds lines to the [runtime] section after the BLAS ones."""
     path = out_dir / MANIFEST
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"status = {status}\n")
@@ -226,7 +227,7 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
         for name in sorted(files):
             fh.write(f"{sha256_file(files[name])}  {name}\n")
         fh.write("[runtime]\n")
-        for key, value in blas_runtime().items():
+        for key, value in {**blas_runtime(), **(runtime or {})}.items():
             fh.write(f"{key} = {value}\n")
         if stage_seconds:  # last: readers take everything after [timings]
             fh.write("[timings]\n")
@@ -248,6 +249,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict = {}
     stage_seconds: dict = {}
+    runtime: dict = {}
     stage = "data"
     try:
         t = time.monotonic()
@@ -283,13 +285,12 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
 
         stage = "retrain"
         t = time.monotonic()
-        hp = retrain_hp(cfg)
-        records = []
-        for kind in cfg.configs:
-            for metric in cfg.metrics:
-                records.append(run_experiment(original, sets, metric, kind, hp,
-                                              guidance, scored=scored[metric],
-                                              workers=workers))
+        batch = run_experiments(original, sets,
+                                [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
+                                retrain_hp(cfg), scored, workers=workers)
+        records = list(batch.records)
+        runtime = {"retrain_workers": batch.workers,
+                   "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
         stage_seconds["retrain"] = time.monotonic() - t
 
         stage = "report"
@@ -308,9 +309,10 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
         stage_seconds["report"] = time.monotonic() - t
     except Exception:
         write_manifest(out_dir, cfg, files, status=f"failed: {stage}",
-                       stage_seconds=stage_seconds)
+                       stage_seconds=stage_seconds, runtime=runtime)
         raise
-    write_manifest(out_dir, cfg, files, status="ok", stage_seconds=stage_seconds)
+    write_manifest(out_dir, cfg, files, status="ok", stage_seconds=stage_seconds,
+                   runtime=runtime)
     files[MANIFEST] = out_dir / MANIFEST
     return ReportBundle(
         out_dir=out_dir,
@@ -380,12 +382,12 @@ def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = N
         sets = build_augmented_sets(original, train_set, test_set, run_cfg.attack_fraction,
                                     AttackConfig(epsilon=run_cfg.attack_epsilon),
                                     seed=run_cfg.seed_attack)
-        guidance = guidance_config(run_cfg)
-        hp = retrain_hp(run_cfg)
+        scored = score_metrics(run_cfg.metrics, original, sets.train_star,
+                               guidance_config(run_cfg))
+        batch = run_experiments(original, sets, [("C2", m) for m in run_cfg.metrics],
+                                retrain_hp(run_cfg), scored, workers=workers)
         per_metric = {}
-        for metric in run_cfg.metrics:
-            record = run_experiment(original, sets, metric, "C2", hp, guidance,
-                                    workers=workers)
+        for metric, record in zip(run_cfg.metrics, batch.records):
             size = size_at_fraction_of_final(record.runs)
             per_metric[metric] = size
             rows.append(TrendRow(seed=seed, metric=metric,

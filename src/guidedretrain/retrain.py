@@ -3,23 +3,26 @@
 C1 retrains from a fresh fixed-seed initialization on the metric-ordered
 Train*, C2 from the original model's weights on the same pool, C3 from the
 original weights on the adversarial inputs only. Every data point restarts
-from its configuration's initial weights; points are independent and may run
-in parallel. The record keeps the best Test* accuracy, the smallest input
-size attaining it (u), and u/Tn as resource utilization.
+from its configuration's initial weights, so points are independent:
+`run_experiments` runs every point of a run as one job on a fork-based
+process pool. GR_THREADS sets its process count (default: every usable core;
+1 runs the points in-process). The record keeps the best Test* accuracy, the
+smallest input size attaining it (u), and u/Tn as resource utilization.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import pin_one_blas_thread
 from .attack import AugmentedSets
 from .metrics import GuidanceConfig, order_inputs, timed_scoring
-from .model import Dataset, ModelState, TrainParams, build_model, predict, train
+from .model import Dataset, ModelState, TrainParams, _freeze, build_model, predict, train
 
 CONFIG_KINDS = ("C1", "C2", "C3")
 
@@ -171,13 +174,117 @@ def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
 
 
 def max_workers() -> int:
-    """Parallel fan-out cap from GR_THREADS (default 1, sequential)."""
-    raw = os.environ.get("GR_THREADS", "1")
+    """Retraining process count: GR_THREADS, else every usable core."""
+    raw = os.environ.get("GR_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"GR_THREADS must be an integer, got {raw!r}")
     return max(1, n)
+
+
+@dataclass(frozen=True)
+class RetrainBatch:
+    """The records of one `run_experiments` call, in the order of its pairs."""
+
+    records: tuple
+    workers: int  # processes that ran the points; 1 means in-process
+    worker_cpu_seconds: float  # user + system CPU of the pool's workers
+
+
+# Inputs of the running `run_experiments` calls, keyed by call. Forked workers
+# inherit them, so a job is pickled as (call, pair, point) alone.
+_SHARED: dict = {}
+_calls = itertools.count()
+
+
+def _point_job(call: int, pair: int, point: int) -> RetrainRun:
+    original, sets, hp, plans = _SHARED[call]
+    kind, metric, pool, plan = plans[pair]
+    try:
+        return retrain_point(kind, original, pool, plan.sizes[point], hp, point, sets,
+                             metric=metric)
+    except Exception as exc:
+        raise RuntimeError(f"retraining {kind}/{metric} point {point} failed: {exc!r}") from exc
+
+
+def _pooled(ctx, workers: int, call: int, jobs) -> tuple[dict, float]:
+    """Run jobs on a fork pool; returns {job: run} and the workers' CPU seconds."""
+    import resource
+    from concurrent.futures import ProcessPoolExecutor
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    pool_exec = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                    initializer=pin_one_blas_thread)
+    try:
+        futures = [(job, pool_exec.submit(_point_job, call, *job)) for job in jobs]
+        runs = {job: future.result() for job, future in futures}
+    finally:
+        pool_exec.shutdown(wait=True, cancel_futures=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    for run in runs.values():  # unpickled arrays are writeable; train returns them frozen
+        _freeze(run.model.parameters)
+    return runs, cpu
+
+
+def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: RetrainHP,
+                    scored: dict, workers: int | None = None) -> RetrainBatch:
+    """Every data point of every (configuration, metric) pair in `pairs`.
+
+    `scored` maps each metric to its (scores, seconds). All points are
+    independent jobs, run largest input first on a fork-based process pool
+    of `workers` processes (default: `max_workers()`, capped at the job
+    count). With one worker, or without `fork`, they run in-process.
+    Records come back in `pairs` order, runs in point order.
+    """
+    plans = []
+    for kind, metric in pairs:
+        pool_ids = ordered_pool_ids(kind, sets, order_inputs(scored[metric][0]))
+        pool = sets.train_star.take(pool_ids)
+        plan = SweepPlan(total=len(pool), sizes=tuple(sweep_sizes(len(pool))),
+                         order=tuple(pool_ids))
+        plans.append((kind, metric, pool, plan))
+    sizes = {(p, i): size for p, (*_, plan) in enumerate(plans)
+             for i, size in enumerate(plan.sizes)}
+    jobs = sorted(sizes, key=lambda job: -sizes[job])  # largest first, ties in record order
+    workers = min(workers or max_workers(), max(1, len(jobs)))
+    ctx = None
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+    call = next(_calls)
+    _SHARED[call] = (original, sets, hp, plans)
+    try:
+        if ctx is None:
+            workers, cpu = 1, 0.0
+            runs = {job: _point_job(call, *job) for job in jobs}
+        else:
+            runs, cpu = _pooled(ctx, workers, call, jobs)
+    finally:
+        del _SHARED[call]
+    records = []
+    for p, (kind, metric, pool, plan) in enumerate(plans):
+        point_runs = tuple(runs[p, i] for i in range(len(plan.sizes)))
+        best = max(r.accuracy_test_star for r in point_runs)
+        u = min(r.input_size for r in point_runs if r.accuracy_test_star == best)
+        records.append(ExperimentRecord(
+            kind=kind,
+            metric=metric,
+            runs=point_runs,
+            best_accuracy=best,
+            best_input_size=u,
+            pool_total=plan.total,
+            resource_utilization=resource_utilization(u, plan.total),
+            metric_seconds=scored[metric][1],
+        ))
+    return RetrainBatch(records=tuple(records), workers=workers, worker_cpu_seconds=cpu)
 
 
 def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind: str,
@@ -190,34 +297,8 @@ def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind:
     """
     if scored is None:
         scored = timed_scoring(metric, original, sets.train_star, guidance)
-    scores, metric_seconds = scored
-    order = order_inputs(scores)
-    pool_ids = ordered_pool_ids(kind, sets, order)
-    pool = sets.train_star.take(pool_ids)
-    plan = SweepPlan(total=len(pool), sizes=tuple(sweep_sizes(len(pool))), order=tuple(pool_ids))
-    if workers is None:
-        workers = max_workers()
-
-    def point(i: int) -> RetrainRun:
-        return retrain_point(kind, original, pool, plan.sizes[i], hp, i, sets, metric=metric)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            runs = list(pool_exec.map(point, range(len(plan.sizes))))
-    else:
-        runs = [point(i) for i in range(len(plan.sizes))]
-    best = max(r.accuracy_test_star for r in runs)
-    u = min(r.input_size for r in runs if r.accuracy_test_star == best)
-    return ExperimentRecord(
-        kind=kind,
-        metric=metric,
-        runs=tuple(runs),
-        best_accuracy=best,
-        best_input_size=u,
-        pool_total=len(pool),
-        resource_utilization=resource_utilization(u, len(pool)),
-        metric_seconds=metric_seconds,
-    )
+    return run_experiments(original, sets, [(kind, metric)], hp, {metric: scored},
+                           workers=workers).records[0]
 
 
 @dataclass(frozen=True)

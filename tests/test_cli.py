@@ -1,3 +1,5 @@
+import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -141,6 +143,13 @@ def assert_same_bytes(a, b):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def manifest_runtime(out):
+    """The [runtime] lines of a run's manifest; fails unless [timings] follows."""
+    manifest = (out / "manifest.txt").read_text()
+    runtime, _ = manifest.split("[runtime]\n", 1)[1].split("[timings]\n", 1)
+    return dict(line.split(" = ", 1) for line in runtime.splitlines())
+
+
 def test_fan_out_writes_the_sequential_bytes(tmp_path, monkeypatch):
     cfg = tmp_path / "all.cfg"
     cfg.write_text(ALL_CONFIG)
@@ -149,6 +158,51 @@ def test_fan_out_writes_the_sequential_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("GR_THREADS", "2")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fan-out")]) == 0
     assert_same_bytes(tmp_path / "sequential", tmp_path / "fan-out")
+    sequential = manifest_runtime(tmp_path / "sequential")
+    assert sequential["retrain_workers"] == "1"
+    assert sequential["retrain_worker_cpu_seconds"] == "0.000"
+    fan_out = manifest_runtime(tmp_path / "fan-out")
+    assert fan_out["retrain_workers"] == "2"
+    assert float(fan_out["retrain_worker_cpu_seconds"]) > 0
+
+
+def test_without_fork_the_run_is_sequential_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(ALL_CONFIG)
+    monkeypatch.setenv("GR_THREADS", "2")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "pooled")]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "no-fork")]) == 0
+    assert_same_bytes(tmp_path / "pooled", tmp_path / "no-fork")
+    assert manifest_runtime(tmp_path / "no-fork")["retrain_workers"] == "1"
+
+
+def test_failing_point_in_a_worker_is_named(tmp_path, monkeypatch, capsys):
+    from guidedretrain import retrain
+
+    real = retrain.retrain_point
+
+    def failing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
+        if (kind, metric, point_index) == ("C3", "NC", 7):
+            raise ValueError(f"broken in process {os.getpid()}")
+        return real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+
+    monkeypatch.setattr(retrain, "retrain_point", failing)  # forked workers inherit it
+    monkeypatch.setenv("GR_THREADS", "2")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "C3/NC point 7" in err
+    assert int(re.search(r"broken in process (\d+)", err).group(1)) != os.getpid()
+    assert "status = failed: retrain" in (out / "manifest.txt").read_text()
 
 
 def test_stage_commands_write_the_run_bytes(tmp_path):

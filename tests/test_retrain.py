@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from guidedretrain.attack import AttackConfig, build_augmented_sets
 from guidedretrain.autodiff import Dense, Relu
-from guidedretrain.metrics import GuidanceConfig
+from guidedretrain.metrics import GuidanceConfig, timed_scoring
 from guidedretrain.model import ArchitectureDescriptor, Dataset, accuracy, build_model
 from guidedretrain.retrain import (
     ComparisonRow,
@@ -17,6 +19,7 @@ from guidedretrain.retrain import (
     resource_utilization,
     retrain_point,
     run_experiment,
+    run_experiments,
     sweep_sizes,
 )
 from guidedretrain.rng import Pcg32
@@ -242,7 +245,7 @@ def test_compare_records_flags_nearest_smaller():
 def test_gr_threads_env_controls_fanout(monkeypatch):
     from guidedretrain.retrain import max_workers
     monkeypatch.delenv("GR_THREADS", raising=False)
-    assert max_workers() == 1
+    assert max_workers() == len(os.sched_getaffinity(0))  # every usable core
     monkeypatch.setenv("GR_THREADS", "3")
     assert max_workers() == 3
     monkeypatch.setenv("GR_THREADS", "0")
@@ -258,3 +261,82 @@ def test_gr_threads_used_by_run_experiment(monkeypatch):
     monkeypatch.setenv("GR_THREADS", "2")
     env = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig())
     assert [r.accuracy_test_star for r in ref.runs] == [r.accuracy_test_star for r in env.runs]
+
+
+def random_scored(m, sets):
+    return {"RANDOM": timed_scoring("RANDOM", m, sets.train_star, GuidanceConfig())}
+
+
+def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch):
+    m, sets = toy_sets(n_train=50, n_test=8)
+    pairs = [("C1", "RANDOM"), ("C3", "RANDOM")]
+    scored = random_scored(m, sets)
+    seq = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored, workers=1)
+    monkeypatch.setenv("GR_THREADS", "2")
+    par = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored)
+    assert (seq.workers, seq.worker_cpu_seconds) == (1, 0.0)
+    assert par.workers == 2 and par.worker_cpu_seconds > 0
+    assert [(r.kind, r.metric) for r in par.records] == pairs
+    for a, b in zip(seq.records, par.records):
+        assert (a.best_accuracy, a.best_input_size, a.pool_total) == \
+            (b.best_accuracy, b.best_input_size, b.pool_total)
+        assert [r.point_index for r in b.runs] == list(range(20))
+        for ra, rb in zip(a.runs, b.runs):
+            assert (ra.kind, ra.metric, ra.input_size, ra.accuracy_test_star,
+                    ra.accuracy_test, ra.accuracy_adv_test) == \
+                (rb.kind, rb.metric, rb.input_size, rb.accuracy_test_star,
+                 rb.accuracy_test, rb.accuracy_adv_test)
+            assert ra.model.parameters.keys() == rb.model.parameters.keys()
+            for key, want in ra.model.parameters.items():
+                got = rb.model.parameters[key]
+                assert not got.flags.writeable, key
+                assert got.dtype == want.dtype and got.shape == want.shape, key
+                assert got.tobytes() == want.tobytes(), key
+
+
+def test_points_run_largest_input_first(monkeypatch):
+    from guidedretrain import retrain
+
+    seen = []
+    real = retrain.retrain_point
+
+    def recording(kind, original, pool, size, *args, **kwargs):
+        seen.append(size)
+        return real(kind, original, pool, size, *args, **kwargs)
+
+    monkeypatch.setattr(retrain, "retrain_point", recording)
+    m, sets = toy_sets(n_train=40, n_test=8)
+    batch = run_experiments(m, sets, [("C3", "RANDOM"), ("C2", "RANDOM")],
+                            RetrainHP(epochs=0), random_scored(m, sets), workers=1)
+    assert len(seen) == 40 and seen == sorted(seen, reverse=True)
+    for record in batch.records:
+        sizes = [r.input_size for r in record.runs]
+        assert sizes == sorted(sizes) and sizes[-1] == record.pool_total
+
+
+def test_workers_run_on_one_blas_thread(monkeypatch):
+    import dataclasses
+
+    from guidedretrain import _blas, retrain
+
+    lib = _blas._openblas()
+    if lib is None:
+        pytest.skip("NumPy is not linked against OpenBLAS")
+    get, put, _ = lib
+    real = retrain.retrain_point
+
+    def reporting(*args, **kwargs):  # the worker's BLAS thread count as its wall time
+        return dataclasses.replace(real(*args, **kwargs), wall_seconds=float(get()))
+
+    monkeypatch.setattr(retrain, "retrain_point", reporting)
+    m, sets = toy_sets(n_train=40, n_test=8)
+    saved = get()
+    put(2)
+    try:
+        batch = run_experiments(m, sets, [("C2", "RANDOM")], RetrainHP(epochs=0),
+                                random_scored(m, sets), workers=2)
+        assert get() == 2  # the caller's count is its own
+    finally:
+        put(saved)
+    assert batch.workers == 2
+    assert {r.wall_seconds for r in batch.records[0].runs} == {1.0}

@@ -12,6 +12,11 @@ NC, LSA and DSA are functions of one ForwardPass over Train*: predict's
 labels plus the post-activation traces of every conv/dense layer.
 score_metrics computes that pass once, inside the first scoring that needs
 it, and lets every trace-based metric read it.
+
+LSA's kernel distances and DSA's exact rechecks come from this module's
+cdist, an in-order sum of each pair's squared differences, and LSA's
+log-density from _logsumexp. Both use numpy only and return the bits of
+SciPy's `cdist` and `logsumexp` (1.17), which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .autodiff import Dense
 from .model import INFERENCE_BATCH, Dataset, ForwardPass, ModelState, forward_pass, trace_columns
@@ -36,6 +39,61 @@ DSA_ZERO_DENOMINATOR_SENTINEL = 1e12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _DENSITY_FLOOR = 1e-300
+
+# from this many pairs on, cdist loops over columns; below it, it
+# accumulates along the rows of one (pairs, d) block (measured crossover,
+# about 512-1024 pairs whatever d)
+_COLUMN_LOOP_PAIRS = 1024
+
+
+def cdist(XA, XB, metric: str = "euclidean") -> np.ndarray:
+    """(len(XA), len(XB)) squared or plain Euclidean distances between rows.
+
+    Each pair's squared differences are added one column at a time, in
+    column order, with one rounding per add, so the result has the bits of
+    SciPy's C loop; np.sum, einsum and GEMM sum in other orders.
+    """
+    if metric not in ("sqeuclidean", "euclidean"):
+        raise ValueError(f"unsupported metric {metric!r}")
+    XA = np.asarray(XA, dtype=np.float64)
+    XB = np.asarray(XB, dtype=np.float64)
+    if XA.ndim != 2 or XB.ndim != 2 or XA.shape[1] != XB.shape[1]:
+        raise ValueError(f"XA {XA.shape} and XB {XB.shape} must be 2-D with equal columns")
+    if len(XA) * len(XB) < _COLUMN_LOOP_PAIRS:
+        sq = XA[:, None] - XB
+        np.multiply(sq, sq, out=sq)
+        out = np.add.accumulate(sq, axis=2)[:, :, -1]
+    else:
+        out = np.zeros((len(XA), len(XB)))
+        diff = np.empty_like(out)
+        for a, b in zip(XA.T.copy(), XB.T.copy()):
+            np.subtract(a[:, None], b, out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
+    return np.sqrt(out) if metric == "euclidean" else out
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D float64 array, in SciPy 1.17's steps.
+
+    The row maxima are taken out of the sum and counted (m), the rest is
+    shifted by the maximum, exponentiated and summed; the result is
+    log1p(s / m) + log(m) + max. Rows where that is not finite take the
+    direct log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=1, keepdims=True).astype(np.float64)
+        shifted = np.where(at_max, -np.inf, a)
+        shifted -= a_max
+        # a zero sum stays 0 (m >= 1 unless the row's max is NaN, and then s is NaN)
+        s = np.exp(shifted).sum(axis=1, keepdims=True) / m
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,7 +238,7 @@ def _lsa_from_traces(est: LsaEstimator, traces: np.ndarray, classes: np.ndarray)
         log_norm = -np.log(h).sum() - 0.5 * d * _LOG_2PI
         d2 = cdist(traces[mask] / h, refs / h, "sqeuclidean")
         log_kernels = -0.5 * d2 + log_norm
-        log_density = logsumexp(log_kernels, axis=1) - np.log(len(refs))
+        log_density = _logsumexp(log_kernels) - np.log(len(refs))
         with np.errstate(under="ignore"):
             density = np.exp(log_density)
         out[mask] = -np.log(density + _DENSITY_FLOOR)
@@ -269,17 +327,19 @@ def fit_dsa(fp: ForwardPass, train_star: Dataset, layers=None) -> DsaIndex:
 
 
 def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
-    """(index row, cdist distance) of each query row's nearest reference.
+    """(index row, exact distance) of each query row's nearest reference.
 
     The references are the index rows of `blocks`, a list of row arrays
     taken in order; ties go to the first of them in that order, as in an
-    exhaustive argmin over cdist. One GEMM per block gives
-    g = |q|^2 + |r|^2 - 2 q.r, which differs from the square of cdist's
-    distance by at most E = 2 (d + 6) 2^-53 (|q| + |r|)^2: that covers the
-    rounding of the GEMM and norms in any summation order and the rounding
-    of cdist's own value, with a factor 2 to spare. So every row j with
+    exhaustive argmin over the exact distances. The exact distance is
+    cdist's: the square root of the in-order sum of squared differences.
+    One GEMM per block gives g = |q|^2 + |r|^2 - 2 q.r, which differs from
+    the square of the exact distance by at most
+    E = 2 (d + 6) 2^-53 (|q| + |r|)^2: that covers the rounding of the GEMM
+    and norms in any summation order and the rounding of the in-order sum,
+    with a factor 2 to spare. So every row j with
     g_j - E_j <= min_k (g_k + E_k) may be the nearest, no other row can, and
-    cdist decides among exactly those.
+    one cdist call per query decides among exactly those.
     """
     slack = 2.0 * (index.dim + 6) * 2.0 ** -53
     q_norm = np.sqrt(q_sq)[:, None]
@@ -308,7 +368,10 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
     """DSA of each trace row (n, d) given its predicted class."""
     if traces.shape[1] != index.dim:
         raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
-    sq = _squared_norms(traces)
+    if traces.__array_interface__ == index.traces.__array_interface__:
+        sq = index.sq_norms  # the index's own rows, as when Train* scores itself
+    else:
+        sq = _squared_norms(traces)
     out = np.empty(len(traces), dtype=np.float64)
     for cls in np.unique(classes):
         cls = int(cls)
@@ -341,8 +404,9 @@ def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:
     """DSA of every row of a forward pass.
 
     Exact: each nearest-trace search shortlists by GEMM distances and
-    decides by cdist (see _nearest), so the scores equal an exhaustive
-    cdist search bit for bit.
+    decides by the in-order sum of squared differences (cdist, see
+    _nearest), so the scores equal an exhaustive search over those exact
+    distances bit for bit.
     """
     return dsa_from_traces(index, fp.block(index.layers), fp.labels)
 

@@ -170,7 +170,10 @@ class Dataset:
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValueError("label out of range")
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # also true when min/max are NaN
+            finite = np.isfinite(self.images.reshape(len(self.images), -1)).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"image row {np.flatnonzero(~finite)[0]} has a non-finite pixel")
             raise ValueError(f"pixel values outside [0, 1]: min {lo}, max {hi}")
 
     def __len__(self) -> int:

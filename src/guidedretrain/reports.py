@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from ._blas import blas_runtime
 from .attack import AttackConfig, build_augmented_sets
 from .config import ExperimentConfig, config_echo, with_overrides
@@ -215,7 +217,8 @@ def sha256_file(path) -> str:
 
 def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: str,
                    stage_seconds: dict | None = None, runtime: dict | None = None) -> Path:
-    """`runtime` adds lines to the [runtime] section after the BLAS ones."""
+    """`runtime` adds lines to the [runtime] section after the BLAS and
+    numpy_version ones."""
     path = out_dir / MANIFEST
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"status = {status}\n")
@@ -227,7 +230,8 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
         for name in sorted(files):
             fh.write(f"{sha256_file(files[name])}  {name}\n")
         fh.write("[runtime]\n")
-        for key, value in {**blas_runtime(), **(runtime or {})}.items():
+        for key, value in {**blas_runtime(), "numpy_version": np.__version__,
+                           **(runtime or {})}.items():
             fh.write(f"{key} = {value}\n")
         if stage_seconds:  # last: readers take everything after [timings]
             fh.write("[timings]\n")

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -287,3 +289,24 @@ def test_run_manifest_records_one_blas_thread(tmp_path, two_threads):
     lines = runtime[0].splitlines()
     assert "blas_threads = 1" in lines
     assert lines[0].startswith("blas_config = ") and "OpenBLAS" in lines[0]
+    assert lines[2] == f"numpy_version = {np.__version__}"  # right after the BLAS lines
+
+
+def test_cli_process_imports_no_scipy(tmp_path):
+    # LSA and DSA are numpy only; a fresh interpreter that scores must not
+    # load SciPy, whose import once took two thirds of every start-up
+    cfg = tmp_path / "score.cfg"
+    cfg.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = NC,LSA,DSA,RANDOM"))
+    code = ("import sys\n"
+            "import guidedretrain.cli\n"
+            f"status = guidedretrain.cli.main(['score', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    for metric in ("nc", "lsa", "dsa", "random"):
+        assert (tmp_path / "out" / f"scores_{metric}.csv").is_file()

@@ -258,6 +258,15 @@ def test_dataset_validation():
         Dataset(good, np.array([0]), class_count=2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(value):
+    images = np.full((3, 2, 2, 1), 0.5, dtype=np.float32)
+    images[1, 1, 0, 0] = value
+    images[2, 0, 1, 0] = value
+    with pytest.raises(ValueError, match="row 1 has a non-finite pixel"):
+        Dataset(images, np.array([0, 1, 0]), class_count=2)
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         ArchitectureDescriptor((4, 4, 1), 1, (Dense("out", 1),))

@@ -11,13 +11,16 @@ Subcommands walk the pipeline end to end or stage by stage:
            --trend-seeds N additionally runs the multi-seed SA-vs-Random
            comparison
 
-Stages are deterministic functions of the configuration: stage subcommands
-recompute what they need from the config seeds (loading <out>/model.grcnn
-when present) instead of passing lossy intermediate files around. GR_THREADS
-sets the number of processes that retrain the sweep points (default: every
-usable core; 1 runs them in-process). That pool is the only parallelism: each
-command runs its numerics on one OpenBLAS thread and restores the caller's
-count on return.
+Stages are deterministic functions of the configuration. Each stage reads
+what an earlier one left in <out> instead of recomputing it: M from
+model.grcnn, the augmented sets from sets.npz and the metric scores from
+scores.npz. The .npz artifacts carry a fingerprint of M's bytes and the
+config keys they depend on; a stage rebuilds one that is missing, unreadable
+or stale and says so on stderr (see stages.py). GR_THREADS sets the number
+of processes that retrain the sweep points (default: every usable core; 1
+runs them in-process). That pool is the only parallelism: each command runs
+its numerics on one OpenBLAS thread and restores the caller's count on
+return.
 """
 
 from __future__ import annotations
@@ -27,31 +30,34 @@ import sys
 from pathlib import Path
 
 from ._blas import one_blas_thread
-from .attack import AttackConfig, build_augmented_sets
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .data import save_idx_dataset
-from .metrics import score_metrics, scores_to_csv
-from .model import accuracy, load_model, save_model
+from .metrics import scores_to_csv
+from .model import accuracy, save_model
 from .reports import (
     COMPARISON_CSV,
-    MODEL_FILE,
     POINTS_CSV,
     SUMMARY_CSV,
     TIMING_CSV,
     compute_trend,
     consistency_problems,
-    guidance_config,
-    prepare_data,
-    retrain_hp,
+    read_points_csv,
     run_pipeline,
-    train_original,
     write_comparison_csv,
     write_plot_csvs,
     write_points_csv,
     write_summary_csv,
     write_timing_csv,
 )
-from .retrain import ExperimentRecord, RetrainRun, compare_records, run_experiments
+from .retrain import compare_records, run_experiments
+from .stages import (
+    MODEL_FILE,
+    metric_scores,
+    model_and_sets,
+    prepare_data,
+    retrain_hp,
+    train_original,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -92,23 +98,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _model_and_sets(cfg: ExperimentConfig):
-    """The prelude of attack/score/retrain/report: M and the augmented sets.
-
-    M is loaded from <out>/model.grcnn when present, else trained and saved.
-    """
-    train_set, test_set = prepare_data(cfg)
-    path = Path(cfg.out) / MODEL_FILE
-    if path.exists():
-        model = load_model(path)
-    else:
-        model = train_original(cfg, train_set)
-        save_model(model, path)
-    sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                AttackConfig(epsilon=cfg.attack_epsilon), seed=cfg.seed_attack)
-    return model, sets
-
-
 def cmd_train(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     train_set, test_set = prepare_data(cfg)
@@ -121,7 +110,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_attack(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    model, sets = _model_and_sets(cfg)
+    model, sets, _ = model_and_sets(cfg)
     for name, data in (("adv_train", sets.adv_train), ("adv_test", sets.adv_test)):
         save_idx_dataset(data, out / f"{name}-images-idx3-ubyte", out / f"{name}-labels-idx1-ubyte")
     print(f"adv_train {len(sets.adv_train)} inputs, adv_test {len(sets.adv_test)} inputs; "
@@ -131,8 +120,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 def cmd_score(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    model, sets = _model_and_sets(cfg)
-    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance_config(cfg))
+    scored = metric_scores(cfg, cfg.metrics, *model_and_sets(cfg))
     for metric, (scores, seconds) in scored.items():
         scores_to_csv(scores, out / f"scores_{metric.lower()}.csv")
         print(f"{metric}: {len(scores)} scores in {seconds:.3f}s")
@@ -142,8 +130,8 @@ def cmd_score(cfg: ExperimentConfig) -> int:
 
 def cmd_retrain(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    model, sets = _model_and_sets(cfg)
-    scored = score_metrics(cfg.metrics, model, sets.train_star, guidance_config(cfg))
+    model, sets, sets_fp = model_and_sets(cfg)
+    scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
     records = run_experiments(model, sets,
                               [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
                               retrain_hp(cfg), scored).records
@@ -165,46 +153,19 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _records_from_points(path) -> list[ExperimentRecord]:
-    """Rebuild summary-grade records from a per-point CSV."""
-    groups: dict[tuple, list] = {}
-    totals: dict[tuple, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            row = dict(zip(header, line.strip().split(",")))
-            key = (row["config"], row["metric"])
-            groups.setdefault(key, []).append(row)
-            totals[key] = int(row["pool_total"])
-    records = []
-    for key in groups:  # first-appearance order matches the original emission
-        kind, metric = key
-        runs = tuple(
-            RetrainRun(kind, metric, int(r["point_index"]), int(r["input_size"]), None,
-                       float(r["accuracy_test_star"]), float(r["accuracy_test"]),
-                       float(r["accuracy_adv_test"]), 0.0)
-            for r in sorted(groups[key], key=lambda r: int(r["point_index"]))
-        )
-        best = max(r.accuracy_test_star for r in runs)
-        u = min(r.input_size for r in runs if r.accuracy_test_star == best)
-        records.append(ExperimentRecord(kind, metric, runs, best, u, totals[key],
-                                        u / totals[key], 0.0))
-    return records
-
-
 def cmd_report(cfg: ExperimentConfig, trend_seeds: int = 0) -> int:
     out = _out_dir(cfg)
     points = out / POINTS_CSV
     if not points.exists():
         print(f"error: {points} not found; run `retrain` or `run` first", file=sys.stderr)
         return 1
-    records = _records_from_points(points)
-    model, sets = _model_and_sets(cfg)
+    records = read_points_csv(points)
+    model, sets, _ = model_and_sets(cfg)
     original_accuracy = accuracy(model, sets.test_star)
     write_summary_csv(records, original_accuracy, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
     write_plot_csvs(records, out)
-    problems = consistency_problems(points, out / SUMMARY_CSV)
+    problems = consistency_problems(records, out / SUMMARY_CSV)
     if problems:
         print("consistency check failed:", "; ".join(problems), file=sys.stderr)
         return 1

@@ -226,9 +226,15 @@ def fit_lsa(fp: ForwardPass, train_star: Dataset, layer: str | None = None,
                         bandwidths=bandwidths)
 
 
+def _present(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of a non-negative int array: np.unique's
+    result, without the numpy.ma import that np.unique makes on first use."""
+    return np.flatnonzero(np.bincount(values))
+
+
 def _lsa_from_traces(est: LsaEstimator, traces: np.ndarray, classes: np.ndarray) -> np.ndarray:
     out = np.empty(len(traces), dtype=np.float64)
-    for cls in np.unique(classes):
+    for cls in _present(classes):
         if cls not in est.class_traces:
             raise KeyError(f"predicted class {cls} absent from the estimator")
         mask = classes == cls
@@ -373,14 +379,15 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
     else:
         sq = _squared_norms(traces)
     out = np.empty(len(traces), dtype=np.float64)
-    for cls in np.unique(classes):
+    for cls in _present(classes):
         cls = int(cls)
         if cls not in index.class_rows:
             raise KeyError(f"predicted class {cls} absent from the index")
         mask = classes == cls
         a_rows, dist_a = _nearest(traces[mask], sq[mask], index, [index.class_rows[cls]])
         # nearest other-class distance, once per distinct nearest reference
-        need, back = np.unique(a_rows, return_inverse=True)
+        need = _present(a_rows)
+        back = np.searchsorted(need, a_rows)
         others = [rows for c, rows in index.class_rows.items() if c != cls]
         _, dist_b = _nearest(index.traces[need], index.sq_norms[need], index, others)
         dist_b = dist_b[back]

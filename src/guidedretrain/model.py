@@ -302,7 +302,7 @@ def predict(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_B
 
 
 def accuracy(model: ModelState, data: Dataset) -> float:
-    labels, _ = predict(model, data.images)
+    labels = _forward_batches(model, data.images, INFERENCE_BATCH, {})[0]
     return float(np.mean(labels == data.labels))
 
 
@@ -392,16 +392,17 @@ def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = INFERE
     return ForwardPass(model.architecture, labels, traces)
 
 
-def save_model(model: ModelState, path) -> None:
-    """Write the model file: magic, version, descriptor JSON, raw float32 blobs."""
+def model_bytes(model: ModelState) -> bytes:
+    """The model file's bytes: magic, version, descriptor JSON, raw float32 blobs."""
     blob = model.architecture.to_json().encode("utf-8")
+    return b"".join([MAGIC, bytes([FORMAT_VERSION]), len(blob).to_bytes(8, "little"), blob]
+                    + [np.ascontiguousarray(model.parameters[key], dtype="<f4").tobytes()
+                       for key in _param_shapes(model.architecture)])
+
+
+def save_model(model: ModelState, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for key in _param_shapes(model.architecture):
-            fh.write(np.ascontiguousarray(model.parameters[key], dtype="<f4").tobytes())
+        fh.write(model_bytes(model))
 
 
 def load_model(path) -> ModelState:

@@ -22,21 +22,21 @@ import numpy as np
 from ._blas import blas_runtime
 from .attack import AttackConfig, build_augmented_sets
 from .config import ExperimentConfig, config_echo, with_overrides
-from .data import generate_synthetic, load_idx_dataset
-from .metrics import GuidanceConfig, format_duration, score_metrics, scores_to_csv
-from .model import (
-    Dataset,
-    ModelState,
-    TrainParams,
-    accuracy,
-    build_model,
-    desk_architecture,
-    save_model,
-    train,
+from .metrics import format_duration, score_metrics, scores_to_csv
+from .model import accuracy, save_model
+from .retrain import ExperimentRecord, RetrainRun, best_point, compare_records, run_experiments
+from .stages import (
+    MODEL_FILE,
+    SCORES_FILE,
+    SETS_FILE,
+    augmented_sets,
+    guidance_config,
+    metric_scores,
+    prepare_data,
+    retrain_hp,
+    train_original,
 )
-from .retrain import RetrainHP, compare_records, run_experiments
 
-MODEL_FILE = "model.grcnn"
 POINTS_CSV = "points.csv"
 SUMMARY_CSV = "summary.csv"
 COMPARISON_CSV = "comparison.csv"
@@ -54,53 +54,6 @@ class ReportBundle:
     records: list
     files: dict
     consistency_ok: bool
-
-
-def prepare_data(cfg: ExperimentConfig):
-    if cfg.dataset == "synthetic":
-        train_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_train,
-                                       cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
-                                       seed=cfg.synthetic_seed)
-        test_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_test,
-                                      cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
-                                      seed=cfg.synthetic_seed + 1)
-        return train_set, test_set
-    train_set = load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels)
-    test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
-                                class_count=train_set.class_count)
-    return train_set, test_set
-
-
-def architecture_for(cfg: ExperimentConfig, data: Dataset):
-    h, w, c = data.images.shape[1:]
-    return desk_architecture(input_shape=(h, w, c), classes=data.class_count)
-
-
-def train_original(cfg: ExperimentConfig, train_set: Dataset) -> ModelState:
-    model = build_model(architecture_for(cfg, train_set), seed=cfg.seed_init)
-    return train(model, train_set, TrainParams(
-        epochs=cfg.train_epochs, batch_size=cfg.train_batch_size,
-        lr=cfg.train_lr, momentum=cfg.train_momentum, shuffle_seed=cfg.seed_shuffle))
-
-
-def guidance_config(cfg: ExperimentConfig) -> GuidanceConfig:
-    dsa_layers = tuple(p.strip() for p in cfg.dsa_layers.split(",") if p.strip()) or None
-    return GuidanceConfig(
-        nc_threshold=cfg.nc_threshold,
-        lsa_layer=cfg.lsa_layer or None,
-        lsa_variance_threshold=cfg.lsa_variance_threshold,
-        dsa_layers=dsa_layers,
-        random_seed=cfg.seed_random_metric,
-    )
-
-
-def retrain_hp(cfg: ExperimentConfig) -> RetrainHP:
-    return RetrainHP(
-        epochs=cfg.retrain_epochs, batch_size=cfg.retrain_batch_size,
-        lr=cfg.retrain_lr, momentum=cfg.retrain_momentum,
-        shuffle_seed=cfg.seed_shuffle,
-        fresh_init_seed=cfg.seed_init + 1,  # C1 restarts differ from M's init
-    )
 
 
 # ------------------------------------------------------------- CSV writers
@@ -169,31 +122,44 @@ def emit_plot_data(bundle: "ReportBundle") -> dict:
     return write_plot_csvs(bundle.records, bundle.out_dir)
 
 
-def consistency_problems(points_path, summary_path) -> list[str]:
-    """Recompute every summary figure from the per-point CSV; list mismatches."""
-    by_key: dict[tuple, list[tuple[int, float]]] = {}
-    pool_totals: dict[tuple, int] = {}
-    with open(points_path, "r", encoding="utf-8") as fh:
+def read_points_csv(path) -> list[ExperimentRecord]:
+    """Summary-grade records from a per-point CSV, in first-appearance order."""
+    groups: dict[tuple, list] = {}
+    totals: dict[tuple, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for line in fh:
             row = dict(zip(header, line.strip().split(",")))
             key = (row["config"], row["metric"])
-            by_key.setdefault(key, []).append(
-                (int(row["input_size"]), float(row["accuracy_test_star"])))
-            pool_totals[key] = int(row["pool_total"])
+            groups.setdefault(key, []).append(RetrainRun(
+                key[0], key[1], int(row["point_index"]), int(row["input_size"]), None,
+                float(row["accuracy_test_star"]), float(row["accuracy_test"]),
+                float(row["accuracy_adv_test"]), 0.0))
+            totals[key] = int(row["pool_total"])
+    records = []
+    for (kind, metric), runs in groups.items():
+        runs = tuple(sorted(runs, key=lambda r: r.point_index))
+        best, u = best_point(runs)
+        records.append(ExperimentRecord(kind, metric, runs, best, u, totals[kind, metric],
+                                        u / totals[kind, metric], 0.0))
+    return records
+
+
+def consistency_problems(records, summary_path) -> list[str]:
+    """Recompute every summary figure from the per-point records; list mismatches."""
+    by_key = {(rec.kind, rec.metric): rec for rec in records}
     problems = []
     with open(summary_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for line in fh:
             row = dict(zip(header, line.strip().split(",")))
             key = (row["config"], row["metric"])
-            points = by_key.get(key)
-            if points is None:
+            rec = by_key.get(key)
+            if rec is None:
                 problems.append(f"{key}: summary row without per-point rows")
                 continue
-            best = max(acc for _, acc in points)
-            u = min(size for size, acc in points if acc == best)
-            total = pool_totals[key]
+            best, u = best_point(rec.runs)
+            total = rec.pool_total
             checks = [
                 ("best_accuracy", f"{best:.3f}"),
                 ("inputs_at_best", str(u)),
@@ -269,16 +235,15 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
 
         stage = "attack"
         t = time.monotonic()
-        sets = build_augmented_sets(original, train_set, test_set, cfg.attack_fraction,
-                                    AttackConfig(epsilon=cfg.attack_epsilon),
-                                    seed=cfg.seed_attack)
+        sets, sets_fp = augmented_sets(cfg, original, (train_set, test_set))
+        files[SETS_FILE] = out_dir / SETS_FILE
         original_accuracy = accuracy(original, sets.test_star)
         stage_seconds["attack"] = time.monotonic() - t
 
         stage = "score"
         t = time.monotonic()
-        guidance = guidance_config(cfg)
-        scored = score_metrics(cfg.metrics, original, sets.train_star, guidance)
+        scored = metric_scores(cfg, cfg.metrics, original, sets, sets_fp)
+        files[SCORES_FILE] = out_dir / SCORES_FILE
         for metric in cfg.metrics:
             score_file = f"scores_{metric.lower()}.csv"
             scores_to_csv(scored[metric][0], out_dir / score_file)
@@ -307,7 +272,8 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
         files[COMPARISON_CSV] = out_dir / COMPARISON_CSV
         for kind, path in write_plot_csvs(records, out_dir).items():
             files[path.name] = path
-        problems = consistency_problems(out_dir / POINTS_CSV, out_dir / SUMMARY_CSV)
+        problems = consistency_problems(read_points_csv(out_dir / POINTS_CSV),
+                                        out_dir / SUMMARY_CSV)
         if problems:
             raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
         stage_seconds["report"] = time.monotonic() - t

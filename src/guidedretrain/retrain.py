@@ -22,7 +22,16 @@ import numpy as np
 from ._blas import pin_one_blas_thread
 from .attack import AugmentedSets
 from .metrics import GuidanceConfig, order_inputs, timed_scoring
-from .model import Dataset, ModelState, TrainParams, _freeze, build_model, predict, train
+from .model import (
+    INFERENCE_BATCH,
+    Dataset,
+    ModelState,
+    TrainParams,
+    _forward_batches,
+    _freeze,
+    build_model,
+    train,
+)
 
 CONFIG_KINDS = ("C1", "C2", "C3")
 
@@ -99,6 +108,12 @@ class ExperimentRecord:
         return f"{self.best_input_size}/{self.pool_total}"
 
 
+def best_point(runs) -> tuple[float, int]:
+    """(best Test* accuracy, u: the smallest input size attaining it)."""
+    best = max(r.accuracy_test_star for r in runs)
+    return best, min(r.input_size for r in runs if r.accuracy_test_star == best)
+
+
 def resource_utilization(u: int, total: int) -> float:
     if total < 1 or u < 1 or u > total:
         raise ValueError(f"bad resource ratio {u}/{total}")
@@ -155,10 +170,11 @@ def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
             shuffle_stream=point_index,  # isolates parallel points
         ),
     )
-    # one pass over Test*: its clean rows are Test, its adversarial rows are
-    # Adv-Test in order, and a row's prediction does not depend on its batch
+    # one labels-only pass over Test*: its clean rows are Test, its
+    # adversarial rows are Adv-Test in order, and a row's prediction does not
+    # depend on its batch
     test_star = eval_sets.test_star
-    hits = predict(trained, test_star.images)[0] == test_star.labels
+    hits = _forward_batches(trained, test_star.images, INFERENCE_BATCH, {})[0] == test_star.labels
     adversarial = eval_sets.test_star_is_adversarial
     return RetrainRun(
         kind=kind,
@@ -272,8 +288,7 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
     records = []
     for p, (kind, metric, pool, plan) in enumerate(plans):
         point_runs = tuple(runs[p, i] for i in range(len(plan.sizes)))
-        best = max(r.accuracy_test_star for r in point_runs)
-        u = min(r.input_size for r in point_runs if r.accuracy_test_star == best)
+        best, u = best_point(point_runs)
         records.append(ExperimentRecord(
             kind=kind,
             metric=metric,

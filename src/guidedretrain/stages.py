@@ -1,0 +1,276 @@
+"""The stage spine: data, M, the augmented sets and the metric scores of a run.
+
+`run` and the stage commands share M and two derived artifacts in the output
+directory:
+
+  model.grcnn  the original model M
+  sets.npz     Train*/Test* float32 images, labels, origin flags and the
+               attack's source rows
+  scores.npz   each metric's raw float64 scores over Train* and its seconds
+
+Each .npz carries a fingerprint: a sha256 over a format tag, the bytes of
+M's model file and the canonical config lines the artifact depends on (the
+scores' fingerprint covers the sets' fingerprint in place of M and the data
+lines). A stage loads an artifact whose fingerprint matches, without
+unpickling, and rebuilds one that is missing, unreadable or stale: it writes
+the new file through a temporary one and notes on stderr why it rebuilt it.
+scores.npz keeps the metrics it has; a stage scores only those it lacks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import zipfile
+from pathlib import Path
+
+import numpy as np
+
+from .attack import AttackConfig, AugmentedSets, build_augmented_sets
+from .config import ExperimentConfig, config_echo
+from .data import generate_synthetic, load_idx_dataset
+from .metrics import GuidanceConfig, GuidanceScore, score_metrics
+from .model import (
+    Dataset,
+    ModelState,
+    TrainParams,
+    build_model,
+    desk_architecture,
+    load_model,
+    model_bytes,
+    save_model,
+    train,
+)
+from .retrain import RetrainHP
+
+MODEL_FILE = "model.grcnn"
+SETS_FILE = "sets.npz"
+SCORES_FILE = "scores.npz"
+
+# config keys each artifact depends on; a key ending in "." names its section
+_SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
+              "seed.attack")
+_SCORES_KEYS = ("nc.threshold", "lsa.layer", "lsa.variance_threshold", "dsa.layers",
+                "seed.random_metric")
+_IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
+
+
+def prepare_data(cfg: ExperimentConfig):
+    if cfg.dataset == "synthetic":
+        train_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_train,
+                                       cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
+                                       seed=cfg.synthetic_seed)
+        test_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_test,
+                                      cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
+                                      seed=cfg.synthetic_seed + 1)
+        return train_set, test_set
+    train_set = load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels)
+    test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
+                                class_count=train_set.class_count)
+    return train_set, test_set
+
+
+def architecture_for(cfg: ExperimentConfig, data: Dataset):
+    h, w, c = data.images.shape[1:]
+    return desk_architecture(input_shape=(h, w, c), classes=data.class_count)
+
+
+def train_original(cfg: ExperimentConfig, train_set: Dataset) -> ModelState:
+    model = build_model(architecture_for(cfg, train_set), seed=cfg.seed_init)
+    return train(model, train_set, TrainParams(
+        epochs=cfg.train_epochs, batch_size=cfg.train_batch_size,
+        lr=cfg.train_lr, momentum=cfg.train_momentum, shuffle_seed=cfg.seed_shuffle))
+
+
+def guidance_config(cfg: ExperimentConfig) -> GuidanceConfig:
+    dsa_layers = tuple(p.strip() for p in cfg.dsa_layers.split(",") if p.strip()) or None
+    return GuidanceConfig(
+        nc_threshold=cfg.nc_threshold,
+        lsa_layer=cfg.lsa_layer or None,
+        lsa_variance_threshold=cfg.lsa_variance_threshold,
+        dsa_layers=dsa_layers,
+        random_seed=cfg.seed_random_metric,
+    )
+
+
+def retrain_hp(cfg: ExperimentConfig) -> RetrainHP:
+    return RetrainHP(
+        epochs=cfg.retrain_epochs, batch_size=cfg.retrain_batch_size,
+        lr=cfg.retrain_lr, momentum=cfg.retrain_momentum,
+        shuffle_seed=cfg.seed_shuffle,
+        fresh_init_seed=cfg.seed_init + 1,  # C1 restarts differ from M's init
+    )
+
+
+# ------------------------------------------------------------- fingerprints
+
+
+def _fingerprint(tag: str, cfg: ExperimentConfig, keys, digests) -> str:
+    """sha256 over the tag, the given digest lines and the config_echo lines of `keys`."""
+    lines = [tag, *digests]
+    for line in config_echo(cfg):
+        key = line.split(" = ", 1)[0]
+        if any(key.startswith(k) if k.endswith(".") else key == k for k in keys):
+            lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def sets_fingerprint(cfg: ExperimentConfig, model: ModelState) -> str:
+    """Fingerprint of the augmented sets that `model` and `cfg` determine."""
+    digests = [f"model sha256 = {hashlib.sha256(model_bytes(model)).hexdigest()}"]
+    if cfg.dataset == "idx":
+        for key in _IDX_KEYS:
+            path = getattr(cfg, key.replace(".", "_"))
+            digests.append(f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
+    return _fingerprint("guidedretrain sets v1", cfg, _SETS_KEYS, digests)
+
+
+def scores_fingerprint(cfg: ExperimentConfig, sets_fp: str) -> str:
+    """Fingerprint of the metric scores over the sets fingerprinted `sets_fp`."""
+    return _fingerprint("guidedretrain scores v1", cfg, _SCORES_KEYS, [f"sets = {sets_fp}"])
+
+
+# ------------------------------------------------------------- artifact files
+
+
+def _load(path: Path, fingerprint: str, parse):
+    """(parse(arrays), None) for a fresh artifact, else (None, why it is not)."""
+    if not path.exists():
+        return None, "missing"
+    try:
+        with np.load(path, allow_pickle=False) as arrays:
+            if str(arrays["fingerprint"]) != fingerprint:
+                return None, "stale fingerprint"
+            return parse(arrays), None
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        return None, f"unreadable: {type(exc).__name__}: {exc}"
+
+
+def _save(path: Path, fingerprint: str, arrays: dict, why: str) -> None:
+    """Write the artifact through a temporary file and note why on stderr."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, fingerprint=np.array(fingerprint), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    print(f"rebuilt {path} ({why})", file=sys.stderr)
+
+
+def _sets_arrays(sets: AugmentedSets) -> dict:
+    n = len(sets.train_star) - len(sets.adv_train)
+    return {
+        "class_count": np.array(sets.train_star.class_count),
+        "train_images": sets.train_star.images,
+        "train_labels": sets.train_star.labels,
+        "train_adversarial": sets.train_star_is_adversarial,
+        "train_sources": np.array([sets.train_provenance[n + j] for j in range(len(sets.adv_train))],
+                                  dtype=np.int64),
+        "test_images": sets.test_star.images,
+        "test_labels": sets.test_star.labels,
+        "test_adversarial": sets.test_star_is_adversarial,
+    }
+
+
+def _split(star: Dataset, adversarial: np.ndarray, adv_count: int) -> tuple[int, Dataset]:
+    """(clean row count, the adversarial tail) of a set whose last `adv_count`
+    rows, and only those, are flagged adversarial."""
+    n = len(star) - adv_count
+    expected = np.arange(len(star)) >= n
+    if adversarial.dtype != bool or not np.array_equal(adversarial, expected):
+        raise ValueError(f"origin flags are not {n} clean rows followed by {adv_count} adversarial")
+    return n, Dataset(star.images[n:], star.labels[n:], star.class_count)
+
+
+def _sets_from_arrays(arrays) -> AugmentedSets:
+    classes = int(arrays["class_count"])
+    train_star = Dataset(arrays["train_images"], arrays["train_labels"], classes)
+    test_star = Dataset(arrays["test_images"], arrays["test_labels"], classes)
+    sources = arrays["train_sources"]
+    train_flags = arrays["train_adversarial"]
+    test_flags = arrays["test_adversarial"]
+    n_train, adv_train = _split(train_star, train_flags, len(sources))
+    n_test, adv_test = _split(test_star, test_flags, len(test_star) // 2)
+    return AugmentedSets(
+        adv_train=adv_train,
+        train_star=train_star,
+        adv_test=adv_test,
+        test_star=test_star,
+        train_star_is_adversarial=train_flags,
+        test_star_is_adversarial=test_flags,
+        train_provenance={n_train + j: int(src) for j, src in enumerate(sources)},
+        test_provenance={n_test + j: j for j in range(len(adv_test))},
+    )
+
+
+def _scores_from_arrays(arrays, rows: int) -> dict:
+    scored = {}
+    for name in arrays.files:
+        if not name.startswith("scores_"):
+            continue
+        metric = name[len("scores_"):]
+        values = arrays[name]
+        if values.dtype != np.float64 or values.shape != (rows,):
+            raise ValueError(f"{name} is {values.dtype} {values.shape}, expected float64 ({rows},)")
+        scores = [GuidanceScore(input_id=i, metric=metric, value=v)
+                  for i, v in enumerate(values.tolist())]
+        scored[metric] = (scores, float(arrays[f"seconds_{metric}"]))
+    return scored
+
+
+# ------------------------------------------------------------- the spine
+
+
+def augmented_sets(cfg: ExperimentConfig, model: ModelState,
+                   data=None) -> tuple[AugmentedSets, str]:
+    """(sets, fingerprint) of `model` under `cfg`: loaded from <out>/sets.npz
+    when fresh, else built (from `data`, the (train, test) pair, when given)
+    and saved."""
+    path = Path(cfg.out) / SETS_FILE
+    fingerprint = sets_fingerprint(cfg, model)
+    sets, why = _load(path, fingerprint, _sets_from_arrays)
+    if sets is None:
+        train_set, test_set = data if data is not None else prepare_data(cfg)
+        sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
+                                    AttackConfig(epsilon=cfg.attack_epsilon),
+                                    seed=cfg.seed_attack)
+        _save(path, fingerprint, _sets_arrays(sets), why)
+    return sets, fingerprint
+
+
+def model_and_sets(cfg: ExperimentConfig) -> tuple[ModelState, AugmentedSets, str]:
+    """M, the augmented sets and their fingerprint, for the stage commands.
+
+    M is loaded from <out>/model.grcnn when present, else trained and saved.
+    """
+    path = Path(cfg.out) / MODEL_FILE
+    data = None
+    if path.exists():
+        model = load_model(path)
+    else:
+        data = prepare_data(cfg)
+        model = train_original(cfg, data[0])
+        save_model(model, path)
+    return (model, *augmented_sets(cfg, model, data))
+
+
+def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: AugmentedSets,
+                  sets_fp: str) -> dict:
+    """{metric: (scores, seconds)} over Train*: read from <out>/scores.npz
+    when fresh; metrics it lacks are scored and added to it."""
+    path = Path(cfg.out) / SCORES_FILE
+    fingerprint = scores_fingerprint(cfg, sets_fp)
+    rows = len(sets.train_star)
+    stored, why = _load(path, fingerprint, lambda arrays: _scores_from_arrays(arrays, rows))
+    stored = stored or {}
+    missing = [m for m in metrics if m not in stored]
+    if missing:
+        stored.update(score_metrics(missing, model, sets.train_star, guidance_config(cfg)))
+        arrays = {}
+        for metric, (scores, seconds) in stored.items():
+            arrays[f"scores_{metric}"] = np.array([s.value for s in scores], dtype=np.float64)
+            arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
+        _save(path, fingerprint, arrays, why or f"lacked {', '.join(missing)}")
+    return {m: stored[m] for m in metrics}

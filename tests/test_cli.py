@@ -207,7 +207,7 @@ def test_failing_point_in_a_worker_is_named(tmp_path, monkeypatch, capsys):
     assert "status = failed: retrain" in (out / "manifest.txt").read_text()
 
 
-def test_stage_commands_write_the_run_bytes(tmp_path):
+def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
     cfg = tmp_path / "all.cfg"
     cfg.write_text(ALL_CONFIG)
     staged = tmp_path / "staged"
@@ -215,6 +215,136 @@ def test_stage_commands_write_the_run_bytes(tmp_path):
         assert main([step, "--config", str(cfg), "--out", str(staged)]) == 0, step
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert_same_bytes(staged, tmp_path / "run")
+    for name in ("sets.npz", "scores.npz"):
+        assert (tmp_path / "run" / name).is_file(), name
+    # again into the same directory: train writes M's same bytes, so every
+    # artifact is fresh and loaded, and the outputs do not move
+    capsys.readouterr()
+    for step in ("train", "attack", "score", "retrain", "report"):
+        assert main([step, "--config", str(cfg), "--out", str(staged)]) == 0, step
+    assert "rebuilt" not in capsys.readouterr().err
+    assert_same_bytes(staged, tmp_path / "run")
+
+
+def count_rebuilds(monkeypatch) -> Counter:
+    """Counts scorings and augmented-set builds from here on."""
+    from guidedretrain import metrics, retrain, stages
+
+    calls = Counter()
+    timed_scoring = metrics.timed_scoring
+    build_augmented_sets = stages.build_augmented_sets
+
+    def counting_scoring(metric, *args, **kwargs):
+        calls["timed_scoring"] += 1
+        return timed_scoring(metric, *args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        calls["build_augmented_sets"] += 1
+        return build_augmented_sets(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "timed_scoring", counting_scoring)
+    monkeypatch.setattr(retrain, "timed_scoring", counting_scoring)
+    monkeypatch.setattr(stages, "build_augmented_sets", counting_build)
+    return calls
+
+
+def stage(step, cfg, out, *extra):
+    assert main([step, "--config", str(cfg), "--out", str(out), *extra]) == 0, step
+
+
+def assert_same_scores(a, b, metrics=("random", "nc")):
+    for metric in metrics:
+        name = f"scores_{metric}.csv"
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_retrain_after_score_rescores_and_rebuilds_nothing(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("train", cfg, out)
+    stage("score", cfg, out)
+    calls = count_rebuilds(monkeypatch)
+    stage("retrain", cfg, out)
+    assert calls == {}
+    assert (out / "points.csv").is_file()
+
+
+def test_changed_attack_seed_rebuilds_the_sets(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("attack", cfg, out)
+    old_sets = (out / "sets.npz").read_bytes()
+    capsys.readouterr()
+    calls = count_rebuilds(monkeypatch)
+    stage("score", cfg, out, "--seed-attack", "7")
+    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+    assert f"rebuilt {out / 'sets.npz'} (stale fingerprint)" in capsys.readouterr().err
+    assert (out / "sets.npz").read_bytes() != old_sets
+    fresh = tmp_path / "fresh"
+    stage("score", cfg, fresh, "--seed-attack", "7")
+    assert_same_scores(out, fresh)
+    default_seed = tmp_path / "default-seed"
+    stage("score", cfg, default_seed)
+    assert (out / "scores_nc.csv").read_bytes() != (default_seed / "scores_nc.csv").read_bytes()
+
+
+def test_damaged_artifacts_are_rebuilt_not_trusted(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    reference = tmp_path / "reference"
+    stage("score", cfg, reference)
+    stage("score", cfg, out)
+    sets = (out / "sets.npz").read_bytes()
+    (out / "sets.npz").write_bytes(sets[:len(sets) // 2])
+    # well-formed, but under another fingerprint, with scores that would
+    # reorder every sweep if they were read
+    np.savez(out / "scores.npz", fingerprint=np.array("0" * 64),
+             scores_NC=np.zeros(180), seconds_NC=np.array(0.0),
+             scores_RANDOM=np.zeros(180), seconds_RANDOM=np.array(0.0))
+    capsys.readouterr()
+    calls = count_rebuilds(monkeypatch)
+    stage("score", cfg, out)
+    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'sets.npz'} (unreadable: " in err
+    assert f"rebuilt {out / 'scores.npz'} (stale fingerprint)" in err
+    assert_same_scores(out, reference)
+    assert (out / "sets.npz").read_bytes() == sets
+
+
+def test_retrained_m_makes_both_artifacts_stale(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("train", cfg, out)
+    stage("score", cfg, out)
+    stage("train", cfg, out, "--seed-init", "12")
+    capsys.readouterr()
+    calls = count_rebuilds(monkeypatch)
+    stage("score", cfg, out, "--seed-init", "12")
+    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+    err = capsys.readouterr().err
+    for name in ("sets.npz", "scores.npz"):
+        assert f"rebuilt {out / name} (stale fingerprint)" in err
+    fresh = tmp_path / "fresh"
+    stage("train", cfg, fresh, "--seed-init", "12")
+    stage("score", cfg, fresh, "--seed-init", "12")
+    assert_same_scores(out, fresh)
+
+
+def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("score", cfg, out)
+    capsys.readouterr()
+    calls = count_rebuilds(monkeypatch)
+    wider = tmp_path / "wider.cfg"
+    wider.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = RANDOM,NC,LSA"))
+    stage("score", wider, out)
+    assert calls == {"timed_scoring": 1}
+    assert f"rebuilt {out / 'scores.npz'} (lacked LSA)" in capsys.readouterr().err
+    with np.load(out / "scores.npz", allow_pickle=False) as stored:
+        assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
+                                        "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
 
 
 # each command runs on one OpenBLAS thread and restores the caller's count
@@ -292,21 +422,36 @@ def test_run_manifest_records_one_blas_thread(tmp_path, two_threads):
     assert lines[2] == f"numpy_version = {np.__version__}"  # right after the BLAS lines
 
 
-def test_cli_process_imports_no_scipy(tmp_path):
-    # LSA and DSA are numpy only; a fresh interpreter that scores must not
-    # load SciPy, whose import once took two thirds of every start-up
+def modules_of_a_score_process(tmp_path, package) -> list[str]:
+    """The modules of `package` that a fresh interpreter has loaded after
+    scoring all four metrics."""
     cfg = tmp_path / "score.cfg"
     cfg.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = NC,LSA,DSA,RANDOM"))
     code = ("import sys\n"
             "import guidedretrain.cli\n"
             f"status = guidedretrain.cli.main(['score', '--config', {str(cfg)!r}, "
             f"'--out', {str(tmp_path / 'out')!r}])\n"
-            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            f"print(status, *sorted(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r})))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    status, *loaded = done.stdout.splitlines()[-1].split()
+    assert status == "0"
     for metric in ("nc", "lsa", "dsa", "random"):
         assert (tmp_path / "out" / f"scores_{metric}.csv").is_file()
+    return loaded
+
+
+def test_cli_process_imports_no_scipy(tmp_path):
+    # LSA and DSA are numpy only; a fresh interpreter that scores must not
+    # load SciPy, whose import once took two thirds of every start-up
+    assert modules_of_a_score_process(tmp_path, "scipy") == []
+
+
+def test_score_process_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (about 15 ms, charged to
+    # LSA's seconds); the metrics find distinct classes without it
+    assert modules_of_a_score_process(tmp_path, "numpy.ma") == []

@@ -31,6 +31,7 @@ from guidedretrain.metrics import (
     order_inputs,
     random_score,
     SharedPass,
+    _present,
     score_metrics,
     scores_to_csv,
     scott_bandwidths,
@@ -578,3 +579,12 @@ def test_scores_csv_format(tmp_path):
     assert lines[0] == "input_id,metric,value"
     assert lines[1] == "1.23456789".join(["0,LSA,", ""])
     assert len(lines) == 3
+
+
+def test_distinct_values_and_inverse_match_np_unique():
+    rng = np.random.default_rng(3)
+    for values in (rng.integers(0, 50, 200), np.array([7]), np.array([4, 4, 0]),
+                   np.array([], dtype=np.int64)):
+        need, back = np.unique(values, return_inverse=True)
+        assert np.array_equal(_present(values), need)
+        assert np.array_equal(np.searchsorted(_present(values), values), back)

@@ -10,6 +10,7 @@ from guidedretrain.reports import (
     TIMING_CSV,
     compute_trend,
     consistency_problems,
+    read_points_csv,
     run_pipeline,
     sha256_file,
     write_summary_csv,
@@ -145,12 +146,13 @@ def test_consistency_detects_mismatch(tmp_path):
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.700,20,20,20/20,1.0000\n")
-    assert consistency_problems(points, summary) == []
+    records = read_points_csv(points)
+    assert consistency_problems(records, summary) == []
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.900,20,20,20/20,1.0000\n")
-    assert any("best_accuracy" in p for p in consistency_problems(points, summary))
+    assert any("best_accuracy" in p for p in consistency_problems(records, summary))
 
 
 def test_trend_report_smoke(tmp_path):

@@ -1,0 +1,81 @@
+import pytest
+
+from guidedretrain.config import ExperimentConfig, with_overrides
+from guidedretrain.data import generate_synthetic, save_idx_dataset
+from guidedretrain.model import build_model, desk_architecture
+from guidedretrain.stages import scores_fingerprint, sets_fingerprint
+
+MODEL = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
+BASE = ExperimentConfig()
+
+# (field, another value) of every config key the sets depend on
+SETS_FIELDS = [
+    ("dataset", "idx"), ("synthetic_classes", 3), ("synthetic_per_class_train", 7),
+    ("synthetic_per_class_test", 7), ("synthetic_image_size", 9),
+    ("synthetic_noise_sigma", 0.5), ("synthetic_seed", 1), ("attack_epsilon", 0.2),
+    ("attack_fraction", 0.5), ("seed_attack", 34),
+]
+SCORES_FIELDS = [
+    ("nc_threshold", 0.25), ("lsa_layer", "dense2"), ("lsa_variance_threshold", 1e-3),
+    ("dsa_layers", "conv1"), ("seed_random_metric", 45),
+]
+NEITHER_FIELDS = [
+    ("train_epochs", 1), ("train_lr", 0.1), ("retrain_epochs", 1), ("retrain_batch_size", 8),
+    ("metrics", ("NC",)), ("configs", ("C3",)), ("seed_init", 12), ("seed_shuffle", 23),
+    ("out", "elsewhere"),
+]
+
+
+def idx_config(tmp_path):
+    data = generate_synthetic(4, 3, 8, 1.0, seed=5)
+    paths = {}
+    for part in ("train", "test"):
+        paths[f"idx_{part}_images"] = tmp_path / f"{part}-images"
+        paths[f"idx_{part}_labels"] = tmp_path / f"{part}-labels"
+        save_idx_dataset(data, paths[f"idx_{part}_images"], paths[f"idx_{part}_labels"])
+    return with_overrides(BASE, dataset="idx", **{k: str(v) for k, v in paths.items()}), paths
+
+
+@pytest.mark.parametrize("field, value", SETS_FIELDS)
+def test_sets_follow_every_sets_key(tmp_path, field, value):
+    if field == "dataset":
+        cfg, _ = idx_config(tmp_path)
+    else:
+        cfg = with_overrides(BASE, **{field: value})
+    assert sets_fingerprint(cfg, MODEL) != sets_fingerprint(BASE, MODEL)
+
+
+@pytest.mark.parametrize("field, value", SCORES_FIELDS)
+def test_scores_follow_their_own_keys_and_sets_do_not(field, value):
+    cfg = with_overrides(BASE, **{field: value})
+    sets_fp = sets_fingerprint(cfg, MODEL)
+    assert sets_fp == sets_fingerprint(BASE, MODEL)
+    assert scores_fingerprint(cfg, sets_fp) != scores_fingerprint(BASE, sets_fp)
+
+
+@pytest.mark.parametrize("field, value", NEITHER_FIELDS)
+def test_other_keys_leave_both_fingerprints(field, value):
+    cfg = with_overrides(BASE, **{field: value})
+    sets_fp = sets_fingerprint(cfg, MODEL)
+    assert sets_fp == sets_fingerprint(BASE, MODEL)
+    assert scores_fingerprint(cfg, sets_fp) == scores_fingerprint(BASE, sets_fp)
+
+
+def test_model_weights_and_sets_feed_the_fingerprints():
+    other = build_model(MODEL.architecture, seed=4)
+    assert sets_fingerprint(BASE, other) != sets_fingerprint(BASE, MODEL)
+    assert scores_fingerprint(BASE, "a") != scores_fingerprint(BASE, "b")
+
+
+def test_idx_file_bytes_feed_the_sets_fingerprint(tmp_path):
+    cfg, paths = idx_config(tmp_path)
+    before = sets_fingerprint(cfg, MODEL)
+    assert sets_fingerprint(cfg, MODEL) == before
+    for name, path in paths.items():
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 1
+        path.write_bytes(bytes(raw))
+        assert sets_fingerprint(cfg, MODEL) != before, name
+        raw[-1] ^= 1
+        path.write_bytes(bytes(raw))
+    assert sets_fingerprint(cfg, MODEL) == before

@@ -1,6 +1,6 @@
 """Metric-guided retraining of small CNNs against FGSM adversarial inputs."""
 
-from .attack import AttackConfig, AugmentedSets, build_adv_train, build_augmented_sets, fgsm
+from .attack import AttackConfig, AugmentedSets, build_augmented_sets, fgsm
 from .autodiff import (
     Conv2D,
     Dense,
@@ -19,25 +19,20 @@ from .metrics import (
     GuidanceConfig,
     GuidanceScore,
     NCConfig,
-    dsa_score,
     fit_dsa,
     fit_lsa,
-    lsa_score,
-    nc_score,
     order_inputs,
     random_score,
     score_metrics,
     timed_scoring,
 )
 from .model import (
-    ActivationTrace,
     ArchitectureDescriptor,
     Dataset,
     ForwardPass,
     ModelState,
     TrainParams,
     accuracy,
-    activation_trace,
     build_model,
     desk_architecture,
     forward_pass,

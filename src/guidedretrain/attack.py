@@ -2,13 +2,16 @@
 
 The attack is the one-shot sign method: x* = clip(x + eps * sign(dJ/dx)),
 where J is the training cross-entropy at the input's true label. Train* and
-Test* concatenate the originals with their adversarial counterparts and keep
-per-row origin flags plus an adversarial-row -> source-row provenance map.
+Test* concatenate the originals with their adversarial counterparts in one
+row layout (see AugmentedSets). There is no row-to-row provenance map: the
+sets keep the training row behind each Adv-Train row, and the origin flags
+follow from the layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +35,54 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AugmentedSets:
-    adv_train: Dataset
+    """Train* and Test* in their one row layout.
+
+    Train* is the training set followed by Adv-Train: its row n + j is the
+    FGSM image of training row train_sources[j], with that row's label. Test*
+    is the test set followed by Adv-Test, the FGSM image of every test row in
+    order. Adv-Train, Adv-Test and the origin flags are derived from that.
+    """
+
     train_star: Dataset
-    adv_test: Dataset
     test_star: Dataset
-    train_star_is_adversarial: np.ndarray
-    test_star_is_adversarial: np.ndarray
-    train_provenance: dict = field(repr=False, default_factory=dict)
-    test_provenance: dict = field(repr=False, default_factory=dict)
+    train_sources: np.ndarray  # int64: the training row of each Adv-Train row
+
+    def __post_init__(self):
+        sources, n = self.train_sources, self.train_clean
+        if sources.dtype != np.int64 or sources.ndim != 1 or not 0 < len(sources) < len(self.train_star):
+            raise ValueError(f"train_sources must be 1 to {len(self.train_star) - 1} int64 row ids, "
+                             f"got {sources.dtype} {sources.shape}")
+        labels = self.train_star.labels
+        if sources.min() < 0 or sources.max() >= n or not np.array_equal(labels[n:], labels[sources]):
+            raise ValueError(f"Adv-Train rows do not follow the {n} clean Train* rows")
+        labels, half = self.test_star.labels, len(self.test_star) // 2
+        if len(labels) % 2 or not np.array_equal(labels[:half], labels[half:]):
+            raise ValueError(f"Test*'s {len(labels)} rows are not the test rows followed by their attacks")
+
+    @property
+    def train_clean(self) -> int:
+        """Rows of Train* that come from the training set."""
+        return len(self.train_star) - len(self.train_sources)
+
+    @cached_property
+    def adv_train(self) -> Dataset:
+        return _rows_from(self.train_star, self.train_clean)
+
+    @cached_property
+    def adv_test(self) -> Dataset:
+        return _rows_from(self.test_star, len(self.test_star) // 2)
+
+    @cached_property
+    def train_star_is_adversarial(self) -> np.ndarray:
+        return np.arange(len(self.train_star)) >= self.train_clean
+
+    @cached_property
+    def test_star_is_adversarial(self) -> np.ndarray:
+        return np.arange(len(self.test_star)) >= len(self.test_star) // 2
+
+
+def _rows_from(star: Dataset, start: int) -> Dataset:
+    return Dataset(star.images[start:], star.labels[start:], star.class_count)
 
 
 def fgsm(model: ModelState, images: np.ndarray, labels, cfg: AttackConfig,
@@ -84,55 +127,19 @@ def select_attack_sources(n: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(Pcg32(seed).choice(n, k))
 
 
-def build_adv_train(model: ModelState, train: Dataset, fraction: float,
-                    cfg: AttackConfig, seed: int) -> Dataset:
-    """FGSM images for a uniformly chosen fraction of the training set."""
-    sources = select_attack_sources(len(train), fraction, seed)
-    adv_images = fgsm(model, train.images[sources], train.labels[sources], cfg)
-    return Dataset(adv_images, train.labels[sources].copy(), train.class_count)
-
-
 def build_augmented_sets(model: ModelState, train: Dataset, test: Dataset,
                          fraction: float, cfg: AttackConfig, seed: int) -> AugmentedSets:
-    """Adv-Train / Train* / Adv-Test / Test* with origin flags and provenance."""
+    """Train* and Test*: the originals followed by their FGSM counterparts."""
     if train.class_count != test.class_count:
         raise ValueError("train and test disagree on class count")
     sources = select_attack_sources(len(train), fraction, seed)
-    adv_train = Dataset(
-        fgsm(model, train.images[sources], train.labels[sources], cfg),
-        train.labels[sources].copy(),
-        train.class_count,
-    )
-    train_star = Dataset(
-        np.concatenate([train.images, adv_train.images]),
-        np.concatenate([train.labels, adv_train.labels]),
-        train.class_count,
-    )
-    train_flags = np.zeros(len(train_star), dtype=bool)
-    train_flags[len(train):] = True
-    train_prov = {len(train) + j: int(src) for j, src in enumerate(sources)}
-
-    adv_test = Dataset(
-        fgsm(model, test.images, test.labels, cfg),
-        test.labels.copy(),
-        test.class_count,
-    )
-    test_star = Dataset(
-        np.concatenate([test.images, adv_test.images]),
-        np.concatenate([test.labels, adv_test.labels]),
-        test.class_count,
-    )
-    test_flags = np.zeros(len(test_star), dtype=bool)
-    test_flags[len(test):] = True
-    test_prov = {len(test) + j: j for j in range(len(test))}
-
+    adv_train = fgsm(model, train.images[sources], train.labels[sources], cfg)
+    adv_test = fgsm(model, test.images, test.labels, cfg)
     return AugmentedSets(
-        adv_train=adv_train,
-        train_star=train_star,
-        adv_test=adv_test,
-        test_star=test_star,
-        train_star_is_adversarial=train_flags,
-        test_star_is_adversarial=test_flags,
-        train_provenance=train_prov,
-        test_provenance=test_prov,
+        train_star=Dataset(np.concatenate([train.images, adv_train]),
+                           np.concatenate([train.labels, train.labels[sources]]),
+                           train.class_count),
+        test_star=Dataset(np.concatenate([test.images, adv_test]),
+                          np.concatenate([test.labels, test.labels]), test.class_count),
+        train_sources=sources.astype(np.int64),
     )

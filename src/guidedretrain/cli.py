@@ -6,21 +6,26 @@ Subcommands walk the pipeline end to end or stage by stage:
   attack   build the augmented sets, export them as IDX files
   score    compute guidance metrics over Train*, write score and timing CSVs
   retrain  run the requested (configuration, metric) sweeps, write points.csv
+           and its fingerprint to points.fingerprint
   run      full pipeline plus summary/comparison/plot reports and manifest
   report   rebuild summary/comparison/plot CSVs from an existing points.csv;
            --trend-seeds N additionally runs the multi-seed SA-vs-Random
-           comparison
+           comparison, one <out>/seed-<s>/ directory per seed plus
+           <out>/trend.csv and <out>/trend_summary.csv
 
-Stages are deterministic functions of the configuration. Each stage reads
+Stages are deterministic functions of the configuration, and each has one
+implementation that `run` shares (stages.py, reports.py). Each stage reads
 what an earlier one left in <out> instead of recomputing it: M from
 model.grcnn, the augmented sets from sets.npz and the metric scores from
 scores.npz. The .npz artifacts carry a fingerprint of M's bytes and the
 config keys they depend on; a stage rebuilds one that is missing, unreadable
-or stale and says so on stderr (see stages.py). GR_THREADS sets the number
-of processes that retrain the sweep points (default: every usable core; 1
-runs them in-process). That pool is the only parallelism: each command runs
-its numerics on one OpenBLAS thread and restores the caller's count on
-return.
+or stale and says so on stderr (see stages.py). `report` refuses, with exit
+status 1, a points.csv whose points.fingerprint is missing or does not match
+M and the config, since it cannot rebuild the points. GR_THREADS sets the
+number of processes that retrain the sweep points (default: every usable
+core; 1 runs them in-process). That pool is the only parallelism: each
+command runs its numerics on one OpenBLAS thread and restores the caller's
+count on return.
 """
 
 from __future__ import annotations
@@ -32,31 +37,24 @@ from pathlib import Path
 from ._blas import one_blas_thread
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .data import save_idx_dataset
-from .metrics import scores_to_csv
-from .model import accuracy, save_model
+from .model import accuracy
 from .reports import (
-    COMPARISON_CSV,
     POINTS_CSV,
-    SUMMARY_CSV,
-    TIMING_CSV,
     compute_trend,
-    consistency_problems,
-    read_points_csv,
+    report_stage,
+    retrain_stage,
     run_pipeline,
-    write_comparison_csv,
-    write_plot_csvs,
-    write_points_csv,
-    write_summary_csv,
-    write_timing_csv,
+    score_stage,
 )
-from .retrain import compare_records, run_experiments
 from .stages import (
     MODEL_FILE,
+    augmented_sets,
     metric_scores,
     model_and_sets,
+    points_staleness,
     prepare_data,
-    retrain_hp,
-    train_original,
+    stored_model,
+    train_stage,
 )
 
 
@@ -92,24 +90,16 @@ def _effective_config(args) -> ExperimentConfig:
     return with_overrides(cfg, **overrides) if overrides else cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_train(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     train_set, test_set = prepare_data(cfg)
-    model = train_original(cfg, train_set)
-    save_model(model, out / MODEL_FILE)
+    model = train_stage(cfg, train_set)
     print(f"trained M: clean test accuracy {accuracy(model, test_set):.3f}, "
-          f"saved {out / MODEL_FILE}")
+          f"saved {Path(cfg.out) / MODEL_FILE}")
     return 0
 
 
 def cmd_attack(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg.out)
     model, sets, _ = model_and_sets(cfg)
     for name, data in (("adv_train", sets.adv_train), ("adv_test", sets.adv_test)):
         save_idx_dataset(data, out / f"{name}-images-idx3-ubyte", out / f"{name}-labels-idx1-ubyte")
@@ -119,26 +109,19 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 
 def cmd_score(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    scored = metric_scores(cfg, cfg.metrics, *model_and_sets(cfg))
+    scored, _ = score_stage(cfg, *model_and_sets(cfg))
     for metric, (scores, seconds) in scored.items():
-        scores_to_csv(scores, out / f"scores_{metric.lower()}.csv")
         print(f"{metric}: {len(scores)} scores in {seconds:.3f}s")
-    write_timing_csv([(m, seconds) for m, (_, seconds) in scored.items()], out / TIMING_CSV)
     return 0
 
 
 def cmd_retrain(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     model, sets, sets_fp = model_and_sets(cfg)
     scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
-    records = run_experiments(model, sets,
-                              [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
-                              retrain_hp(cfg), scored).records
-    for record in records:
+    batch, _ = retrain_stage(cfg, model, sets, sets_fp, scored)
+    for record in batch.records:
         print(f"{record.kind}/{record.metric}: best {record.best_accuracy:.3f} "
               f"at {record.resource_string()}")
-    write_points_csv(records, out / POINTS_CSV)
     return 0
 
 
@@ -154,25 +137,25 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, trend_seeds: int = 0) -> int:
-    out = _out_dir(cfg)
-    points = out / POINTS_CSV
+    points = Path(cfg.out) / POINTS_CSV
     if not points.exists():
         print(f"error: {points} not found; run `retrain` or `run` first", file=sys.stderr)
         return 1
-    records = read_points_csv(points)
-    model, sets, _ = model_and_sets(cfg)
-    original_accuracy = accuracy(model, sets.test_star)
-    write_summary_csv(records, original_accuracy, out / SUMMARY_CSV)
-    write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
-    write_plot_csvs(records, out)
-    problems = consistency_problems(records, out / SUMMARY_CSV)
+    model, data = stored_model(cfg)
+    why = points_staleness(cfg, model)
+    if why is not None:
+        print(f"error: {points} was not retrained under this config and M ({why}); "
+              f"run `retrain` or `run` first", file=sys.stderr)
+        return 1
+    sets, _ = augmented_sets(cfg, model, data)
+    records, _, problems = report_stage(cfg, accuracy(model, sets.test_star))
     if problems:
         print("consistency check failed:", "; ".join(problems), file=sys.stderr)
         return 1
     print(f"summary rebuilt for {len(records)} experiment(s)")
     if trend_seeds > 0:
         seeds = [cfg.synthetic_seed + 100 * i for i in range(trend_seeds)]
-        report = compute_trend(cfg, seeds, out)
+        report = compute_trend(cfg, seeds, Path(cfg.out))
         print(f"trend over {trend_seeds} seeds: mean size@95% "
               f"SA-best {report.mean_sa_best:.1f} vs Random {report.mean_random:.1f} "
               f"({'SA reaches with fewer inputs' if report.sa_reaches_with_fewer_inputs else 'Random reached faster here'})")
@@ -188,19 +171,10 @@ def main(argv=None) -> int:
         return 2
     try:
         with one_blas_thread():
-            if args.command == "train":
-                return cmd_train(cfg)
-            if args.command == "attack":
-                return cmd_attack(cfg)
-            if args.command == "score":
-                return cmd_score(cfg)
-            if args.command == "retrain":
-                return cmd_retrain(cfg)
-            if args.command == "run":
-                return cmd_run(cfg)
             if args.command == "report":
                 return cmd_report(cfg, trend_seeds=args.trend_seeds)
-            raise AssertionError(f"unhandled command {args.command}")
+            return {"train": cmd_train, "attack": cmd_attack, "score": cmd_score,
+                    "retrain": cmd_retrain, "run": cmd_run}[args.command](cfg)
     except Exception as exc:  # pipeline failures map to a nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

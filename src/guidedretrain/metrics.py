@@ -159,10 +159,6 @@ def nc_scores(fp: ForwardPass, cfg: NCConfig) -> np.ndarray:
     return active / fp.traces.shape[1]
 
 
-def nc_score(model: ModelState, image: np.ndarray, cfg: NCConfig) -> float:
-    return float(nc_scores(forward_pass(model, image), cfg)[0])
-
-
 def _check_pass(fp: ForwardPass, train_star: Dataset) -> None:
     if len(fp.labels) != len(train_star):
         raise ValueError(f"forward pass has {len(fp.labels)} rows, Train* has {len(train_star)}")
@@ -269,12 +265,6 @@ def lsa_from_trace(est: LsaEstimator, trace: np.ndarray, predicted_class: int) -
         total += np.exp(-0.5 * float(u @ u))
     density = norm * total / len(refs)
     return float(-np.log(density + _DENSITY_FLOOR))
-
-
-def lsa_score(est: LsaEstimator, model: ModelState, image: np.ndarray) -> float:
-    """Surprise of one input: -log mean Gaussian-kernel density, direct sum."""
-    fp = forward_pass(model, image)
-    return lsa_from_trace(est, fp.block([est.layer])[0][est.retained], int(fp.labels[0]))
 
 
 @dataclass(frozen=True)
@@ -394,17 +384,6 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
         safe = np.where(dist_b > 0, dist_b, 1.0)
         out[mask] = np.where(dist_b > 0, dist_a / safe, DSA_ZERO_DENOMINATOR_SENTINEL)
     return out
-
-
-def dsa_from_trace(index: DsaIndex, trace: np.ndarray, predicted_class: int) -> float:
-    """DSA of one trace."""
-    trace = np.asarray(trace, dtype=np.float64)[None]
-    return float(dsa_from_traces(index, trace, np.array([predicted_class]))[0])
-
-
-def dsa_score(index: DsaIndex, model: ModelState, image: np.ndarray) -> float:
-    """DSA of one input (its own forward pass plus the search)."""
-    return float(dsa_scores(index, forward_pass(model, image))[0])
 
 
 def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:

@@ -185,15 +185,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ActivationTrace:
-    """Post-activation values of selected layers, concatenated in architecture order."""
-
-    input_id: int
-    layers: tuple[str, ...]
-    values: np.ndarray  # float64
-
-
-@dataclass(frozen=True)
 class TrainParams:
     epochs: int = 20
     batch_size: int = 32
@@ -304,13 +295,6 @@ def predict(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_B
 def accuracy(model: ModelState, data: Dataset) -> float:
     labels = _forward_batches(model, data.images, INFERENCE_BATCH, {})[0]
     return float(np.mean(labels == data.labels))
-
-
-def activation_trace(model: ModelState, image: np.ndarray, layers, input_id: int = 0) -> ActivationTrace:
-    """Trace of one input over the selected neuron layers (conv/dense names)."""
-    selected = _resolve_trace_layers(model.architecture, layers)
-    values = activation_traces(model, np.asarray(image, dtype=np.float32)[None], selected)[0]
-    return ActivationTrace(input_id=input_id, layers=selected, values=values)
 
 
 def _resolve_trace_layers(arch: ArchitectureDescriptor, layers) -> tuple[str, ...]:

@@ -7,6 +7,10 @@ and per-configuration plot data. Reports are byte-deterministic for a fixed
 configuration except timing.csv and the manifest. A consistency pass
 recomputes every summary figure from the per-point CSV before the manifest
 is sealed.
+
+The score, retrain and report stages below, with stages.py's train stage
+and artifacts, are the one implementation of each stage: `run_pipeline`,
+the CLI's stage commands and `compute_trend` all call them.
 """
 
 from __future__ import annotations
@@ -20,21 +24,29 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import blas_runtime
-from .attack import AttackConfig, build_augmented_sets
+from .attack import AugmentedSets
 from .config import ExperimentConfig, config_echo, with_overrides
-from .metrics import format_duration, score_metrics, scores_to_csv
-from .model import accuracy, save_model
-from .retrain import ExperimentRecord, RetrainRun, best_point, compare_records, run_experiments
+from .metrics import format_duration, scores_to_csv
+from .model import ModelState, accuracy
+from .retrain import (
+    ExperimentRecord,
+    RetrainBatch,
+    RetrainRun,
+    best_point,
+    compare_records,
+    run_experiments,
+)
 from .stages import (
     MODEL_FILE,
+    POINTS_FINGERPRINT,
     SCORES_FILE,
     SETS_FILE,
     augmented_sets,
-    guidance_config,
     metric_scores,
+    points_fingerprint,
     prepare_data,
     retrain_hp,
-    train_original,
+    train_stage,
 )
 
 POINTS_CSV = "points.csv"
@@ -115,11 +127,6 @@ def write_plot_csvs(records, out_dir: Path) -> dict:
                 fh.write(f"{metric},{size},{acc!r}\n")
         paths[kind] = path
     return paths
-
-
-def emit_plot_data(bundle: "ReportBundle") -> dict:
-    """Regenerate the per-configuration plot CSVs from a bundle's records."""
-    return write_plot_csvs(bundle.records, bundle.out_dir)
 
 
 def read_points_csv(path) -> list[ExperimentRecord]:
@@ -206,6 +213,57 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
     return path
 
 
+# ------------------------------------------------------------- the stages
+
+
+def score_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
+                sets_fp: str) -> tuple[dict, dict]:
+    """({metric: (scores, seconds)}, {file name: path}) of the configured
+    metrics (see stages.metric_scores), written to scores_<metric>.csv and
+    timing.csv."""
+    out = Path(cfg.out)
+    scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
+    files = {SCORES_FILE: out / SCORES_FILE}
+    for metric, (scores, _) in scored.items():
+        name = f"scores_{metric.lower()}.csv"
+        scores_to_csv(scores, out / name)
+        files[name] = out / name
+    write_timing_csv([(m, seconds) for m, (_, seconds) in scored.items()], out / TIMING_CSV)
+    files[TIMING_CSV] = out / TIMING_CSV
+    return scored, files
+
+
+def retrain_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets, sets_fp: str,
+                  scored: dict, workers: int | None = None) -> tuple[RetrainBatch, dict]:
+    """(batch, {file name: path}) of every configured (configuration,
+    metric) sweep, written to points.csv and points.fingerprint."""
+    out = Path(cfg.out)
+    batch = run_experiments(model, sets,
+                            [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
+                            retrain_hp(cfg), scored, workers=workers)
+    stamp = out / POINTS_FINGERPRINT
+    stamp.unlink(missing_ok=True)  # never left vouching for other points
+    write_points_csv(batch.records, out / POINTS_CSV)
+    stamp.write_text(points_fingerprint(cfg, sets_fp) + "\n", encoding="utf-8")
+    return batch, {POINTS_CSV: out / POINTS_CSV, POINTS_FINGERPRINT: stamp}
+
+
+def report_stage(cfg: ExperimentConfig, original_accuracy: float,
+                 records=None) -> tuple[list, dict, list[str]]:
+    """(records, {file name: path}, consistency problems): summary,
+    comparison and plot CSVs from `records` (default: parsed from
+    points.csv), then the summary checked against points.csv."""
+    out = Path(cfg.out)
+    parsed = read_points_csv(out / POINTS_CSV)
+    records = parsed if records is None else list(records)
+    write_summary_csv(records, original_accuracy, out / SUMMARY_CSV)
+    write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
+    files = {SUMMARY_CSV: out / SUMMARY_CSV, COMPARISON_CSV: out / COMPARISON_CSV}
+    for path in write_plot_csvs(records, out).values():
+        files[path.name] = path
+    return records, files, consistency_problems(parsed, out / SUMMARY_CSV)
+
+
 # ------------------------------------------------------------- pipeline
 
 
@@ -228,8 +286,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
 
         stage = "train"
         t = time.monotonic()
-        original = train_original(cfg, train_set)
-        save_model(original, out_dir / MODEL_FILE)
+        original = train_stage(cfg, train_set)
         files[MODEL_FILE] = out_dir / MODEL_FILE
         stage_seconds["train"] = time.monotonic() - t
 
@@ -242,38 +299,22 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
 
         stage = "score"
         t = time.monotonic()
-        scored = metric_scores(cfg, cfg.metrics, original, sets, sets_fp)
-        files[SCORES_FILE] = out_dir / SCORES_FILE
-        for metric in cfg.metrics:
-            score_file = f"scores_{metric.lower()}.csv"
-            scores_to_csv(scored[metric][0], out_dir / score_file)
-            files[score_file] = out_dir / score_file
-        write_timing_csv([(m, scored[m][1]) for m in cfg.metrics], out_dir / TIMING_CSV)
-        files[TIMING_CSV] = out_dir / TIMING_CSV
+        scored, written = score_stage(cfg, original, sets, sets_fp)
+        files.update(written)
         stage_seconds["score"] = time.monotonic() - t
 
         stage = "retrain"
         t = time.monotonic()
-        batch = run_experiments(original, sets,
-                                [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
-                                retrain_hp(cfg), scored, workers=workers)
-        records = list(batch.records)
+        batch, written = retrain_stage(cfg, original, sets, sets_fp, scored, workers)
+        files.update(written)
         runtime = {"retrain_workers": batch.workers,
                    "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
         stage_seconds["retrain"] = time.monotonic() - t
 
         stage = "report"
         t = time.monotonic()
-        write_points_csv(records, out_dir / POINTS_CSV)
-        files[POINTS_CSV] = out_dir / POINTS_CSV
-        write_summary_csv(records, original_accuracy, out_dir / SUMMARY_CSV)
-        files[SUMMARY_CSV] = out_dir / SUMMARY_CSV
-        write_comparison_csv(compare_records(records), out_dir / COMPARISON_CSV)
-        files[COMPARISON_CSV] = out_dir / COMPARISON_CSV
-        for kind, path in write_plot_csvs(records, out_dir).items():
-            files[path.name] = path
-        problems = consistency_problems(read_points_csv(out_dir / POINTS_CSV),
-                                        out_dir / SUMMARY_CSV)
+        records, written, problems = report_stage(cfg, original_accuracy, batch.records)
+        files.update(written)
         if problems:
             raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
         stage_seconds["report"] = time.monotonic() - t
@@ -326,10 +367,12 @@ def size_at_fraction_of_final(runs, fraction: float = 0.95) -> int:
 def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = None) -> TrendReport:
     """SA-vs-Random comparison under C2 across seeds.
 
-    For every seed, retrains C2 sweeps ordered by LSA, DSA and Random and
-    finds the smallest input size reaching 95% of each curve's final
-    accuracy. The report compares the mean over seeds of the better SA
-    metric against Random and is emitted regardless of which side wins.
+    For every seed, runs the stage spine in <out_dir>/seed-<seed>/ (train
+    M, the augmented sets, the LSA, DSA and Random scores, the C2 sweeps)
+    and finds the smallest input size reaching 95% of each curve's final
+    accuracy; fresh sets and scores found there are reused. The report
+    compares the mean over seeds of the better SA metric against Random and
+    is emitted regardless of which side wins.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -339,6 +382,7 @@ def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = N
     for seed in seeds:
         run_cfg = with_overrides(
             cfg,
+            out=str(out_dir / f"seed-{seed}"),
             metrics=("LSA", "DSA", "RANDOM"),
             configs=("C2",),
             synthetic_seed=seed,
@@ -348,14 +392,10 @@ def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = N
             seed_random_metric=seed + 4,
         )
         train_set, test_set = prepare_data(run_cfg)
-        original = train_original(run_cfg, train_set)
-        sets = build_augmented_sets(original, train_set, test_set, run_cfg.attack_fraction,
-                                    AttackConfig(epsilon=run_cfg.attack_epsilon),
-                                    seed=run_cfg.seed_attack)
-        scored = score_metrics(run_cfg.metrics, original, sets.train_star,
-                               guidance_config(run_cfg))
-        batch = run_experiments(original, sets, [("C2", m) for m in run_cfg.metrics],
-                                retrain_hp(run_cfg), scored, workers=workers)
+        original = train_stage(run_cfg, train_set)
+        sets, sets_fp = augmented_sets(run_cfg, original, (train_set, test_set))
+        scored = metric_scores(run_cfg, run_cfg.metrics, original, sets, sets_fp)
+        batch, _ = retrain_stage(run_cfg, original, sets, sets_fp, scored, workers)
         per_metric = {}
         for metric, record in zip(run_cfg.metrics, batch.records):
             size = size_at_fraction_of_final(record.runs)

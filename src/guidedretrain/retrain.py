@@ -144,11 +144,6 @@ def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> list:
     raise ValueError(f"unknown configuration {kind!r}")
 
 
-def ordered_pool(kind: str, sets: AugmentedSets, order) -> Dataset:
-    """The retraining pool in metric order: Train* for C1/C2, Adv-Train for C3."""
-    return sets.train_star.take(ordered_pool_ids(kind, sets, order))
-
-
 def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
                   hp: RetrainHP, point_index: int, eval_sets: AugmentedSets,
                   metric: str = "") -> RetrainRun:

@@ -1,20 +1,23 @@
 """The stage spine: data, M, the augmented sets and the metric scores of a run.
 
-`run` and the stage commands share M and two derived artifacts in the output
-directory:
+`run`, the stage commands and the trend report share M and the derived
+artifacts in their output directory:
 
-  model.grcnn  the original model M
-  sets.npz     Train*/Test* float32 images, labels, origin flags and the
-               attack's source rows
-  scores.npz   each metric's raw float64 scores over Train* and its seconds
+  model.grcnn         the original model M
+  sets.npz            Train*/Test* float32 images and labels, plus the
+                      attack's source row of each Adv-Train row
+  scores.npz          each metric's raw float64 scores over Train* and its seconds
+  points.fingerprint  the fingerprint of the sweep that wrote points.csv
 
 Each .npz carries a fingerprint: a sha256 over a format tag, the bytes of
 M's model file and the canonical config lines the artifact depends on (the
 scores' fingerprint covers the sets' fingerprint in place of M and the data
-lines). A stage loads an artifact whose fingerprint matches, without
-unpickling, and rebuilds one that is missing, unreadable or stale: it writes
-the new file through a temporary one and notes on stderr why it rebuilt it.
-scores.npz keeps the metrics it has; a stage scores only those it lacks.
+lines, and the points' fingerprint covers the scores'). A stage loads an
+artifact whose fingerprint matches, without unpickling, and rebuilds one
+that is missing, unreadable or stale: it writes the new file through a
+temporary one and notes on stderr why it rebuilt it. scores.npz keeps the
+metrics it has; a stage scores only those it lacks. The stages that write
+CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ from .retrain import RetrainHP
 MODEL_FILE = "model.grcnn"
 SETS_FILE = "sets.npz"
 SCORES_FILE = "scores.npz"
+POINTS_FINGERPRINT = "points.fingerprint"
 
 # config keys each artifact depends on; a key ending in "." names its section
 _SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
               "seed.attack")
 _SCORES_KEYS = ("nc.threshold", "lsa.layer", "lsa.variance_threshold", "dsa.layers",
                 "seed.random_metric")
+_POINTS_KEYS = ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle")
 _IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
 
 
@@ -123,12 +128,31 @@ def sets_fingerprint(cfg: ExperimentConfig, model: ModelState) -> str:
         for key in _IDX_KEYS:
             path = getattr(cfg, key.replace(".", "_"))
             digests.append(f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
-    return _fingerprint("guidedretrain sets v1", cfg, _SETS_KEYS, digests)
+    return _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
 
 
 def scores_fingerprint(cfg: ExperimentConfig, sets_fp: str) -> str:
     """Fingerprint of the metric scores over the sets fingerprinted `sets_fp`."""
     return _fingerprint("guidedretrain scores v1", cfg, _SCORES_KEYS, [f"sets = {sets_fp}"])
+
+
+def points_fingerprint(cfg: ExperimentConfig, sets_fp: str) -> str:
+    """Fingerprint of the sweep points retrained on the scores over the sets
+    fingerprinted `sets_fp`."""
+    return _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS,
+                        [f"scores = {scores_fingerprint(cfg, sets_fp)}"])
+
+
+def points_staleness(cfg: ExperimentConfig, model: ModelState) -> str | None:
+    """Why <out>/points.csv was not retrained from `model` under `cfg`, or
+    None when its fingerprint matches."""
+    path = Path(cfg.out) / POINTS_FINGERPRINT
+    if not path.exists():
+        return f"{POINTS_FINGERPRINT} missing"
+    expected = points_fingerprint(cfg, sets_fingerprint(cfg, model))
+    if path.read_text(encoding="utf-8").strip() != expected:
+        return f"stale {POINTS_FINGERPRINT}"
+    return None
 
 
 # ------------------------------------------------------------- artifact files
@@ -159,49 +183,12 @@ def _save(path: Path, fingerprint: str, arrays: dict, why: str) -> None:
     print(f"rebuilt {path} ({why})", file=sys.stderr)
 
 
-def _sets_arrays(sets: AugmentedSets) -> dict:
-    n = len(sets.train_star) - len(sets.adv_train)
-    return {
-        "class_count": np.array(sets.train_star.class_count),
-        "train_images": sets.train_star.images,
-        "train_labels": sets.train_star.labels,
-        "train_adversarial": sets.train_star_is_adversarial,
-        "train_sources": np.array([sets.train_provenance[n + j] for j in range(len(sets.adv_train))],
-                                  dtype=np.int64),
-        "test_images": sets.test_star.images,
-        "test_labels": sets.test_star.labels,
-        "test_adversarial": sets.test_star_is_adversarial,
-    }
-
-
-def _split(star: Dataset, adversarial: np.ndarray, adv_count: int) -> tuple[int, Dataset]:
-    """(clean row count, the adversarial tail) of a set whose last `adv_count`
-    rows, and only those, are flagged adversarial."""
-    n = len(star) - adv_count
-    expected = np.arange(len(star)) >= n
-    if adversarial.dtype != bool or not np.array_equal(adversarial, expected):
-        raise ValueError(f"origin flags are not {n} clean rows followed by {adv_count} adversarial")
-    return n, Dataset(star.images[n:], star.labels[n:], star.class_count)
-
-
 def _sets_from_arrays(arrays) -> AugmentedSets:
     classes = int(arrays["class_count"])
-    train_star = Dataset(arrays["train_images"], arrays["train_labels"], classes)
-    test_star = Dataset(arrays["test_images"], arrays["test_labels"], classes)
-    sources = arrays["train_sources"]
-    train_flags = arrays["train_adversarial"]
-    test_flags = arrays["test_adversarial"]
-    n_train, adv_train = _split(train_star, train_flags, len(sources))
-    n_test, adv_test = _split(test_star, test_flags, len(test_star) // 2)
     return AugmentedSets(
-        adv_train=adv_train,
-        train_star=train_star,
-        adv_test=adv_test,
-        test_star=test_star,
-        train_star_is_adversarial=train_flags,
-        test_star_is_adversarial=test_flags,
-        train_provenance={n_train + j: int(src) for j, src in enumerate(sources)},
-        test_provenance={n_test + j: j for j in range(len(adv_test))},
+        train_star=Dataset(arrays["train_images"], arrays["train_labels"], classes),
+        test_star=Dataset(arrays["test_images"], arrays["test_labels"], classes),
+        train_sources=arrays["train_sources"],
     )
 
 
@@ -236,23 +223,39 @@ def augmented_sets(cfg: ExperimentConfig, model: ModelState,
         sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
                                     AttackConfig(epsilon=cfg.attack_epsilon),
                                     seed=cfg.seed_attack)
-        _save(path, fingerprint, _sets_arrays(sets), why)
+        _save(path, fingerprint, {
+            "class_count": np.array(sets.train_star.class_count),
+            "train_images": sets.train_star.images,
+            "train_labels": sets.train_star.labels,
+            "train_sources": sets.train_sources,
+            "test_images": sets.test_star.images,
+            "test_labels": sets.test_star.labels,
+        }, why)
     return sets, fingerprint
 
 
-def model_and_sets(cfg: ExperimentConfig) -> tuple[ModelState, AugmentedSets, str]:
-    """M, the augmented sets and their fingerprint, for the stage commands.
+def train_stage(cfg: ExperimentConfig, train_set: Dataset) -> ModelState:
+    """M trained on `train_set` and saved to <out>/model.grcnn."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    model = train_original(cfg, train_set)
+    save_model(model, out / MODEL_FILE)
+    return model
 
-    M is loaded from <out>/model.grcnn when present, else trained and saved.
-    """
+
+def stored_model(cfg: ExperimentConfig) -> tuple[ModelState, tuple | None]:
+    """M from <out>/model.grcnn, or trained when absent; with the (train,
+    test) data when it had to be prepared, else None."""
     path = Path(cfg.out) / MODEL_FILE
-    data = None
     if path.exists():
-        model = load_model(path)
-    else:
-        data = prepare_data(cfg)
-        model = train_original(cfg, data[0])
-        save_model(model, path)
+        return load_model(path), None
+    data = prepare_data(cfg)
+    return train_stage(cfg, data[0]), data
+
+
+def model_and_sets(cfg: ExperimentConfig) -> tuple[ModelState, AugmentedSets, str]:
+    """M (see stored_model), the augmented sets and their fingerprint."""
+    model, data = stored_model(cfg)
     return (model, *augmented_sets(cfg, model, data))
 
 

@@ -21,11 +21,11 @@ from guidedretrain.metrics import (
     GuidanceConfig,
     NCConfig,
     active_fraction,
-    dsa_score,
+    dsa_scores,
     fit_dsa,
     fit_lsa,
-    lsa_score,
-    nc_score,
+    lsa_from_trace,
+    nc_scores,
     timed_scoring,
 )
 from guidedretrain.model import (
@@ -44,7 +44,7 @@ from guidedretrain.retrain import (
     RetrainHP,
     RetrainRun,
     initial_model,
-    ordered_pool,
+    ordered_pool_ids,
     resource_utilization,
     retrain_point,
     run_experiment,
@@ -281,7 +281,7 @@ def test_c04_metric_oracles():
     traces = activation_traces(model, queries, index.layers)
     pred, _ = predict(model, queries)
     for i in range(len(queries)):
-        got = dsa_score(index, model, queries[i])
+        got = float(dsa_scores(index, forward_pass(model, queries[i]))[0])
         cls = int(pred[i])
         best_a, dist_a = None, math.inf
         for row in index.class_traces[cls]:
@@ -306,7 +306,8 @@ def test_c04_metric_oracles():
     est = fit_lsa(forward_pass(model, images), train_star, layer="d1", variance_threshold=0.0)
     worst_lsa = 0.0
     for i in range(len(queries)):
-        got = lsa_score(est, model, queries[i])
+        fp = forward_pass(model, queries[i])
+        got = lsa_from_trace(est, fp.block([est.layer])[0][est.retained], int(fp.labels[0]))
         cls = int(pred[i])
         trace = activation_traces(model, queries[i][None], ["d1"])[0][est.retained]
         refs = est.class_traces[cls]
@@ -325,7 +326,7 @@ def test_c04_metric_oracles():
     # NC vs direct threshold count: exact equality
     cfg = NCConfig(threshold=0.5)
     for i in range(len(queries)):
-        got = nc_score(model, queries[i], cfg)
+        got = float(nc_scores(forward_pass(model, queries[i]), cfg)[0])
         scaled = []
         for name in arch.neuron_layers():
             vals = activation_traces(model, queries[i][None], [name])[0]
@@ -398,7 +399,8 @@ def test_c08_configuration_semantics(original_model, augmented):
         for key in reference.parameters:
             assert np.array_equal(start.parameters[key], reference.parameters[key]), (kind, key)
         # the zero-epoch retraining path returns exactly those weights
-        pool = ordered_pool(kind, augmented, range(len(augmented.train_star)))
+        pool = augmented.train_star.take(
+            ordered_pool_ids(kind, augmented, range(len(augmented.train_star))))
         run = retrain_point(kind, original_model, pool, min(32, len(pool)),
                             RetrainHP(epochs=0, fresh_init_seed=fresh_seed), 0, augmented)
         for key in reference.parameters:
@@ -406,10 +408,13 @@ def test_c08_configuration_semantics(original_model, augmented):
 
     # C3 pool is adversarial-provenance only
     order = list(range(len(augmented.train_star)))
-    pool = ordered_pool("C3", augmented, order)
-    adv_rows = [i for i in order if augmented.train_star_is_adversarial[i]]
+    pool = augmented.train_star.take(ordered_pool_ids("C3", augmented, order))
+    adversarial = augmented.train_star_is_adversarial
+    adv_rows = [i for i in order if adversarial[i]]
     assert len(pool) == len(adv_rows) == len(augmented.adv_train)
-    assert set(augmented.train_provenance.keys()) == set(adv_rows)
+    adv_train_rows = len(augmented.train_star) - len(augmented.train_sources) + np.arange(
+        len(augmented.train_sources))
+    assert set(adv_train_rows.tolist()) == set(adv_rows)
     assert np.array_equal(pool.images, augmented.train_star.images[adv_rows])
     report_line(8, "configuration semantics",
                 "(C1 fresh init, C2/C3 bit-equal to M, C3 pool adversarial only)")

@@ -3,7 +3,6 @@ import pytest
 
 from guidedretrain.attack import (
     AttackConfig,
-    build_adv_train,
     build_augmented_sets,
     fgsm,
     select_attack_sources,
@@ -104,8 +103,8 @@ def test_select_sources_deterministic():
 def test_adv_train_full_fraction():
     m = small_model()
     data = random_dataset(30)
-    adv = build_adv_train(m, data, fraction=1.0, cfg=AttackConfig(epsilon=0.1), seed=1)
-    assert len(adv) == len(data)
+    sets = build_augmented_sets(m, data, data, fraction=1.0, cfg=AttackConfig(epsilon=0.1), seed=1)
+    assert len(sets.adv_train) == len(data)
 
 
 def test_large_corpus_selection_counts():
@@ -142,17 +141,21 @@ def test_augmented_sets_shapes_and_provenance():
     assert not sets.test_star_is_adversarial[:25].any()
     assert sets.test_star_is_adversarial[25:].all()
 
-    # provenance is a bijection onto the selected sources
-    assert len(sets.train_provenance) == 30
-    assert len(set(sets.train_provenance.values())) == 30
-    for adv_row, src_row in sets.train_provenance.items():
+    # provenance: Train* row 60 + j is the attack of training row
+    # train_sources[j], a bijection onto the selected sources
+    assert len(sets.train_sources) == 30
+    assert len(set(sets.train_sources.tolist())) == 30
+    for j, src_row in enumerate(sets.train_sources):
+        adv_row = 60 + j
         assert sets.train_star_is_adversarial[adv_row]
         assert sets.train_star.labels[adv_row] == train.labels[src_row]
         dist = np.max(np.abs(sets.train_star.images[adv_row] - train.images[src_row]))
         assert dist <= cfg.epsilon + 1e-7
 
-    assert len(sets.test_provenance) == len(test)
-    for adv_row, src_row in sets.test_provenance.items():
+    # Test* row 25 + j is the attack of test row j
+    assert len(sets.test_star) - 25 == len(test)
+    for src_row in range(len(test)):
+        adv_row = 25 + src_row
         dist = np.max(np.abs(sets.test_star.images[adv_row] - test.images[src_row]))
         assert dist <= cfg.epsilon + 1e-7
 
@@ -166,7 +169,7 @@ def test_augmented_sets_deterministic():
     b = build_augmented_sets(m, train, test, 0.25, cfg, seed=4)
     assert np.array_equal(a.train_star.images, b.train_star.images)
     assert np.array_equal(a.test_star.images, b.test_star.images)
-    assert a.train_provenance == b.train_provenance
+    assert np.array_equal(a.train_sources, b.train_sources)
 
 
 def test_batching_does_not_change_attack():

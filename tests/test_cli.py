@@ -9,8 +9,10 @@ import pytest
 
 from guidedretrain import _blas, cli
 from guidedretrain.cli import main
+from guidedretrain.config import parse_config, with_overrides
 from guidedretrain.data import load_idx_dataset
 from guidedretrain.model import load_model
+from guidedretrain.reports import compute_trend, run_pipeline
 
 MINI_CONFIG = """
 synthetic.per_class_train = 30
@@ -295,21 +297,37 @@ def test_damaged_artifacts_are_rebuilt_not_trusted(tmp_path, monkeypatch, capsys
     stage("score", cfg, reference)
     stage("score", cfg, out)
     sets = (out / "sets.npz").read_bytes()
-    (out / "sets.npz").write_bytes(sets[:len(sets) // 2])
-    # well-formed, but under another fingerprint, with scores that would
-    # reorder every sweep if they were read
-    np.savez(out / "scores.npz", fingerprint=np.array("0" * 64),
-             scores_NC=np.zeros(180), seconds_NC=np.array(0.0),
-             scores_RANDOM=np.zeros(180), seconds_RANDOM=np.array(0.0))
-    capsys.readouterr()
+    with np.load(out / "sets.npz", allow_pickle=False) as stored:
+        arrays = dict(stored)
+    # the file cut in half, then arrays under the right fingerprint whose
+    # row layout does not hold: no attack sources, as many sources as Train*
+    # rows, and an odd Test*
+    damages = [
+        sets[:len(sets) // 2],
+        {"train_sources": np.zeros(0, dtype=np.int64)},
+        {"train_sources": np.arange(len(arrays["train_labels"]), dtype=np.int64)},
+        {"test_images": arrays["test_images"][:-1], "test_labels": arrays["test_labels"][:-1]},
+    ]
     calls = count_rebuilds(monkeypatch)
-    stage("score", cfg, out)
-    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
-    err = capsys.readouterr().err
-    assert f"rebuilt {out / 'sets.npz'} (unreadable: " in err
-    assert f"rebuilt {out / 'scores.npz'} (stale fingerprint)" in err
-    assert_same_scores(out, reference)
-    assert (out / "sets.npz").read_bytes() == sets
+    for damage in damages:
+        if isinstance(damage, bytes):
+            (out / "sets.npz").write_bytes(damage)
+        else:
+            np.savez(out / "sets.npz", **{**arrays, **damage})
+        # well-formed, but under another fingerprint, with scores that would
+        # reorder every sweep if they were read
+        np.savez(out / "scores.npz", fingerprint=np.array("0" * 64),
+                 scores_NC=np.zeros(180), seconds_NC=np.array(0.0),
+                 scores_RANDOM=np.zeros(180), seconds_RANDOM=np.array(0.0))
+        capsys.readouterr()
+        calls.clear()
+        stage("score", cfg, out)
+        assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+        err = capsys.readouterr().err
+        assert f"rebuilt {out / 'sets.npz'} (unreadable: " in err
+        assert f"rebuilt {out / 'scores.npz'} (stale fingerprint)" in err
+        assert_same_scores(out, reference)
+        assert (out / "sets.npz").read_bytes() == sets
 
 
 def test_retrained_m_makes_both_artifacts_stale(tmp_path, monkeypatch, capsys):
@@ -345,6 +363,55 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
     with np.load(out / "scores.npz", allow_pickle=False) as stored:
         assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
                                         "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
+
+
+def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    calls = count_rebuilds(monkeypatch)
+    capsys.readouterr()
+    # the points were retrained on the seed-33 sets, not on the seed-7 ones
+    assert main(["report", "--config", str(cfg), "--out", str(out), "--seed-attack", "7"]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'points.csv'}" in err and "(stale points.fingerprint)" in err
+    assert not (out / "summary.csv").exists()
+    assert calls == {}
+    stage("report", cfg, out)
+    (out / "summary.csv").unlink()
+    (out / "points.fingerprint").unlink()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "(points.fingerprint missing)" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+TREND_SEED = 5
+
+
+def trend_config(out):
+    return with_overrides(parse_config(MINI_CONFIG), out=str(out))
+
+
+def test_trend_seed_directory_holds_the_run_points(tmp_path):
+    compute_trend(trend_config(tmp_path / "unused"), [TREND_SEED], tmp_path / "trend")
+    # the overrides the trend applies to each seed
+    run_cfg = with_overrides(trend_config(tmp_path / "run"), configs=("C2",),
+                             metrics=("LSA", "DSA", "RANDOM"), synthetic_seed=TREND_SEED,
+                             seed_init=TREND_SEED + 1, seed_shuffle=TREND_SEED + 2,
+                             seed_attack=TREND_SEED + 3, seed_random_metric=TREND_SEED + 4)
+    run_pipeline(run_cfg)
+    seed_dir = tmp_path / "trend" / f"seed-{TREND_SEED}"
+    assert (seed_dir / "points.csv").read_bytes() == (tmp_path / "run" / "points.csv").read_bytes()
+
+
+def test_second_trend_call_rebuilds_and_rescores_nothing(tmp_path, monkeypatch):
+    cfg = trend_config(tmp_path / "unused")
+    compute_trend(cfg, [TREND_SEED], tmp_path / "trend")
+    trend = (tmp_path / "trend" / "trend.csv").read_bytes()
+    calls = count_rebuilds(monkeypatch)
+    compute_trend(cfg, [TREND_SEED], tmp_path / "trend")
+    assert calls == {}
+    assert (tmp_path / "trend" / "trend.csv").read_bytes() == trend
 
 
 # each command runs on one OpenBLAS thread and restores the caller's count

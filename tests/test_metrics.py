@@ -15,18 +15,14 @@ from guidedretrain.metrics import (
     NCConfig,
     active_fraction,
     default_lsa_layer,
-    dsa_from_trace,
     dsa_from_traces,
     dsa_index,
-    dsa_score,
     dsa_scores,
     fit_dsa,
     fit_lsa,
     format_duration,
     lsa_from_trace,
-    lsa_score,
     lsa_scores,
-    nc_score,
     nc_scores,
     order_inputs,
     random_score,
@@ -94,7 +90,7 @@ def test_nc_zero_when_network_dead():
     }
     m = ModelState(arch, params, init_seed=0)
     img = np.full((2, 2, 1), 0.5, dtype=np.float32)
-    assert nc_score(m, img, NCConfig(threshold=0.5)) == 0.0
+    assert float(nc_scores(forward_pass(m, img), NCConfig(threshold=0.5))[0]) == 0.0
 
 
 def test_nc_bounds_and_threshold_monotonicity():
@@ -123,7 +119,7 @@ def test_nc_matches_direct_count():
         lo, hi = vals.min(), vals.max()
         scaled.append((vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals))
     expected = active_fraction(scaled, cfg.threshold)
-    assert nc_score(m, img, cfg) == expected
+    assert float(nc_scores(forward_pass(m, img), cfg)[0]) == expected
 
 
 def test_nc_batching_invariant():
@@ -222,16 +218,22 @@ def test_lsa_minimal_at_single_training_trace():
         assert lsa_from_trace(est, np.array([1.0 + off, 2.0]), 0) > at_ref
 
 
+def lsa_direct(est, model, image):
+    """LSA of one input by the direct kernel sum over its own forward pass."""
+    fp = forward_pass(model, image)
+    return lsa_from_trace(est, fp.block([est.layer])[0][est.retained], int(fp.labels[0]))
+
+
 def test_lsa_determinism_and_bulk_consistency():
     m = tiny_cnn(classes=2, seed=1)
     data = random_dataset(30, classes=2, seed=7)
     est = fit_lsa(forward_pass(m, data.images), data, layer="d1", variance_threshold=0.0)
     img = data.images[3]
-    a = lsa_score(est, m, img)
-    b = lsa_score(est, m, img)
+    a = lsa_direct(est, m, img)
+    b = lsa_direct(est, m, img)
     assert a == b
     bulk = lsa_scores(est, forward_pass(m, data.images))
-    singles = np.array([lsa_score(est, m, data.images[i]) for i in range(len(data))])
+    singles = np.array([lsa_direct(est, m, data.images[i]) for i in range(len(data))])
     assert np.allclose(bulk, singles, rtol=1e-9, atol=1e-12)
 
 
@@ -286,14 +288,20 @@ def index_of(class_traces, layers=("d1",)):
     return dsa_index(traces, labels, len(classes), layers)
 
 
+def dsa_of(index, trace, cls):
+    """DSA of one trace through the bulk routine."""
+    trace = np.asarray(trace, dtype=np.float64)[None]
+    return float(dsa_from_traces(index, trace, np.array([cls]))[0])
+
+
 def test_dsa_one_dimensional_case():
     index = index_of({0: np.array([[1.0]]), 1: np.array([[3.0]])})
-    assert dsa_from_trace(index, np.array([0.0]), 0) == 0.5
+    assert dsa_of(index, np.array([0.0]), 0) == 0.5
 
 
 def test_dsa_zero_at_matching_trace():
     index = index_of({0: np.array([[1.0, 2.0], [3.0, 4.0]]), 1: np.array([[9.0, 9.0]])})
-    assert dsa_from_trace(index, np.array([3.0, 4.0]), 0) == 0.0
+    assert dsa_of(index, np.array([3.0, 4.0]), 0) == 0.0
 
 
 def test_dsa_scaling_invariance():
@@ -302,12 +310,12 @@ def test_dsa_scaling_invariance():
     index1 = index_of(traces)
     index2 = index_of({c: 2.0 * t for c, t in traces.items()})
     q = np.array([0.3, -0.2])
-    assert dsa_from_trace(index1, q, 0) == pytest.approx(dsa_from_trace(index2, 2.0 * q, 0), rel=1e-12)
+    assert dsa_of(index1, q, 0) == pytest.approx(dsa_of(index2, 2.0 * q, 0), rel=1e-12)
 
 
 def test_dsa_zero_denominator_sentinel():
     index = index_of({0: np.array([[1.0]]), 1: np.array([[1.0]])})  # duplicate across classes
-    assert dsa_from_trace(index, np.array([5.0]), 0) == DSA_ZERO_DENOMINATOR_SENTINEL
+    assert dsa_of(index, np.array([5.0]), 0) == DSA_ZERO_DENOMINATOR_SENTINEL
 
 
 def test_dsa_matches_brute_force_exactly():
@@ -321,7 +329,7 @@ def test_dsa_matches_brute_force_exactly():
     traces = activation_traces(m, queries.images, index.layers)
     pred, _ = predict(m, queries.images)
     for i in range(len(queries)):
-        got = dsa_score(index, m, queries.images[i])
+        got = float(dsa_scores(index, forward_pass(m, queries.images[i]))[0])
         want = brute_force_dsa(index, traces[i], int(pred[i]))
         assert got == want, i
 
@@ -332,7 +340,8 @@ def test_dsa_bulk_matches_single():
     index = fit_dsa(forward_pass(m, train.images), train)
     queries = random_dataset(12, classes=3, seed=10)
     bulk = dsa_scores(index, forward_pass(m, queries.images))
-    singles = np.array([dsa_score(index, m, queries.images[i]) for i in range(len(queries))])
+    singles = np.array([float(dsa_scores(index, forward_pass(m, queries.images[i]))[0])
+                        for i in range(len(queries))])
     assert np.array_equal(bulk, singles)
 
 
@@ -359,8 +368,8 @@ def test_dsa_shortlist_duplicates_and_first_index_ties():
     assert_bulk_dsa_is_brute_force(index, queries, [0, 0, 0, 0, 2, 1, 1])
     swapped = index_of({0: class0[[0, 2, 1, 3, 4]], 1: class1, 2: class2})
     assert_bulk_dsa_is_brute_force(swapped, queries, [0, 0, 0, 0, 2, 1, 1])
-    assert dsa_from_trace(index, q, 0) != dsa_from_trace(swapped, q, 0)  # the tie decides
-    assert dsa_from_trace(index, w[1], 0) == DSA_ZERO_DENOMINATOR_SENTINEL
+    assert dsa_of(index, q, 0) != dsa_of(swapped, q, 0)  # the tie decides
+    assert dsa_of(index, w[1], 0) == DSA_ZERO_DENOMINATOR_SENTINEL
 
 
 def test_dsa_shortlist_separates_one_ulp():

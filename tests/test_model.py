@@ -11,7 +11,6 @@ from guidedretrain.model import (
     TruncatedFileError,
     VersionMismatchError,
     accuracy,
-    activation_trace,
     activation_traces,
     build_model,
     desk_architecture,
@@ -153,12 +152,12 @@ def test_trace_lengths():
     arch = desk_architecture()
     m = build_model(arch, seed=0)
     img = np.zeros((16, 16, 1), dtype=np.float32)
-    tr = activation_trace(m, img, ["dense1"])
-    assert tr.values.shape == (32,)
+    tr = activation_traces(m, img, ["dense1"])[0]
+    assert tr.shape == (32,)
     all_layers = arch.neuron_layers()
-    tr_all = activation_trace(m, img, all_layers)
+    tr_all = activation_traces(m, img, all_layers)[0]
     # conv1 16*16*8 + conv2 8*8*16 + dense1 32 + dense2 4
-    assert tr_all.values.shape == (2048 + 1024 + 32 + 4,)
+    assert tr_all.shape == (2048 + 1024 + 32 + 4,)
     assert neuron_count(arch) == 3108
     assert neuron_count(arch, ["dense1"]) == 32
 
@@ -166,21 +165,21 @@ def test_trace_lengths():
 def test_trace_deterministic_and_bulk_consistent():
     m = build_model(desk_architecture(), seed=4)
     img = Pcg32(9).uniforms(16 * 16).reshape(16, 16, 1).astype(np.float32)
-    a = activation_trace(m, img, ["conv1", "dense1"])
-    b = activation_trace(m, img, ["dense1", "conv1"])  # order of request irrelevant
-    assert np.array_equal(a.values, b.values)
-    assert a.layers == ("conv1", "dense1")
+    a = activation_traces(m, img, ["conv1", "dense1"])[0]
+    b = activation_traces(m, img, ["dense1", "conv1"])[0]  # order of request irrelevant
+    assert np.array_equal(a, b)
+    assert tuple(trace_columns(m.architecture, ["conv1", "dense1"])) == ("conv1", "dense1")
     bulk = activation_traces(m, img[None], ["conv1", "dense1"])
-    assert np.array_equal(bulk[0], a.values)
+    assert np.array_equal(bulk[0], a)
 
 
 def test_trace_rejects_unknown_and_neuronless_layers():
     m = build_model(desk_architecture(), seed=0)
     img = np.zeros((16, 16, 1), dtype=np.float32)
     with pytest.raises(KeyError):
-        activation_trace(m, img, ["nope"])
+        activation_traces(m, img, ["nope"])
     with pytest.raises(KeyError):
-        activation_trace(m, img, ["pool1"])
+        activation_traces(m, img, ["pool1"])
 
 
 def test_save_load_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from guidedretrain.config import ConfigError, ExperimentConfig, parse_config
 from guidedretrain.reports import (
     COMPARISON_CSV,
-    emit_plot_data,
     POINTS_CSV,
     SUMMARY_CSV,
     TIMING_CSV,
@@ -13,6 +12,7 @@ from guidedretrain.reports import (
     read_points_csv,
     run_pipeline,
     sha256_file,
+    write_plot_csvs,
     write_summary_csv,
 )
 from guidedretrain.retrain import ExperimentRecord, RetrainRun
@@ -202,11 +202,11 @@ def test_config_rejects_unknown_and_bad_values():
         parse_config("out = a\nout = b")
 
 
-def test_emit_plot_data_four_metrics_c1(tmp_path):
+def test_plot_csvs_four_metrics_c1(tmp_path):
     cfg = mini_config(tmp_path / "out", metrics=("LSA", "DSA", "NC", "RANDOM"), configs=("C1",),
                       synthetic_per_class_train=20, synthetic_per_class_test=8, train_epochs=2)
     bundle = run_pipeline(cfg, workers=1)
-    paths = emit_plot_data(bundle)
+    paths = write_plot_csvs(bundle.records, bundle.out_dir)
     rows = (paths["C1"]).read_text().splitlines()
     assert len(rows) == 1 + 4 * 20  # 4 metrics x 20 points
 

@@ -15,7 +15,7 @@ from guidedretrain.retrain import (
     SweepPlan,
     compare_records,
     initial_model,
-    ordered_pool,
+    ordered_pool_ids,
     resource_utilization,
     retrain_point,
     run_experiment,
@@ -90,6 +90,11 @@ def test_resource_utilization_formula():
     assert resource_utilization(5, 10) == 0.5
     with pytest.raises(ValueError):
         resource_utilization(11, 10)
+
+
+def ordered_pool(kind, sets, order):
+    """The retraining pool in metric order: Train* for C1/C2, Adv-Train for C3."""
+    return sets.train_star.take(ordered_pool_ids(kind, sets, order))
 
 
 def test_initial_model_semantics():

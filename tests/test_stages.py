@@ -3,7 +3,7 @@ import pytest
 from guidedretrain.config import ExperimentConfig, with_overrides
 from guidedretrain.data import generate_synthetic, save_idx_dataset
 from guidedretrain.model import build_model, desk_architecture
-from guidedretrain.stages import scores_fingerprint, sets_fingerprint
+from guidedretrain.stages import points_fingerprint, scores_fingerprint, sets_fingerprint
 
 MODEL = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
 BASE = ExperimentConfig()
@@ -18,6 +18,11 @@ SETS_FIELDS = [
 SCORES_FIELDS = [
     ("nc_threshold", 0.25), ("lsa_layer", "dense2"), ("lsa_variance_threshold", 1e-3),
     ("dsa_layers", "conv1"), ("seed_random_metric", 45),
+]
+POINTS_FIELDS = [
+    ("retrain_epochs", 1), ("retrain_batch_size", 8), ("retrain_lr", 0.1),
+    ("retrain_momentum", 0.5), ("metrics", ("NC",)), ("configs", ("C3",)), ("seed_init", 12),
+    ("seed_shuffle", 23),
 ]
 NEITHER_FIELDS = [
     ("train_epochs", 1), ("train_lr", 0.1), ("retrain_epochs", 1), ("retrain_batch_size", 8),
@@ -61,10 +66,26 @@ def test_other_keys_leave_both_fingerprints(field, value):
     assert scores_fingerprint(cfg, sets_fp) == scores_fingerprint(BASE, sets_fp)
 
 
+@pytest.mark.parametrize("field, value", POINTS_FIELDS)
+def test_points_follow_their_own_keys_and_scores_do_not(field, value):
+    cfg = with_overrides(BASE, **{field: value})
+    sets_fp = sets_fingerprint(cfg, MODEL)
+    assert scores_fingerprint(cfg, sets_fp) == scores_fingerprint(BASE, sets_fp)
+    assert points_fingerprint(cfg, sets_fp) != points_fingerprint(BASE, sets_fp)
+
+
+@pytest.mark.parametrize("field, value", SCORES_FIELDS + [("train_epochs", 1), ("out", "x")])
+def test_points_follow_the_scores_and_no_other_key(field, value):
+    cfg = with_overrides(BASE, **{field: value})
+    moved = points_fingerprint(cfg, "a") != points_fingerprint(BASE, "a")
+    assert moved == ((field, value) in SCORES_FIELDS)
+
+
 def test_model_weights_and_sets_feed_the_fingerprints():
     other = build_model(MODEL.architecture, seed=4)
     assert sets_fingerprint(BASE, other) != sets_fingerprint(BASE, MODEL)
     assert scores_fingerprint(BASE, "a") != scores_fingerprint(BASE, "b")
+    assert points_fingerprint(BASE, "a") != points_fingerprint(BASE, "b")
 
 
 def test_idx_file_bytes_feed_the_sets_fingerprint(tmp_path):

@@ -45,6 +45,9 @@ _DENSITY_FLOOR = 1e-300
 # about 512-1024 pairs whatever d)
 _COLUMN_LOOP_PAIRS = 1024
 
+# rows nc_scores scales at a time
+_NC_BLOCK_ROWS = 64
+
 
 def cdist(XA, XB, metric: str = "euclidean") -> np.ndarray:
     """(len(XA), len(XB)) squared or plain Euclidean distances between rows.
@@ -155,7 +158,11 @@ def nc_scores(fp: ForwardPass, cfg: NCConfig) -> np.ndarray:
     """Neuron coverage of each pass row over all conv/dense post-activation neurons."""
     active = np.zeros(len(fp.labels), dtype=np.int64)
     for cols in trace_columns(fp.architecture).values():
-        active += (_scale_minmax(fp.traces[:, cols]) > cfg.threshold).sum(axis=1)
+        # scaling is per row, so a block of rows at a time gives the same
+        # bits without a copy of the layer's whole column block
+        for start in range(0, len(active), _NC_BLOCK_ROWS):
+            rows = slice(start, start + _NC_BLOCK_ROWS)
+            active[rows] += (_scale_minmax(fp.traces[rows, cols]) > cfg.threshold).sum(axis=1)
     return active / fp.traces.shape[1]
 
 

@@ -139,7 +139,7 @@ def read_points_csv(path) -> list[ExperimentRecord]:
             row = dict(zip(header, line.strip().split(",")))
             key = (row["config"], row["metric"])
             groups.setdefault(key, []).append(RetrainRun(
-                key[0], key[1], int(row["point_index"]), int(row["input_size"]), None,
+                key[0], key[1], int(row["point_index"]), int(row["input_size"]),
                 float(row["accuracy_test_star"]), float(row["accuracy_test"]),
                 float(row["accuracy_adv_test"]), 0.0))
             totals[key] = int(row["pool_total"])

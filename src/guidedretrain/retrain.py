@@ -5,9 +5,12 @@ Train*, C2 from the original model's weights on the same pool, C3 from the
 original weights on the adversarial inputs only. Every data point restarts
 from its configuration's initial weights, so points are independent:
 `run_experiments` runs every point of a run as one job on a fork-based
-process pool. GR_THREADS sets its process count (default: every usable core;
-1 runs the points in-process). The record keeps the best Test* accuracy, the
-smallest input size attaining it (u), and u/Tn as resource utilization.
+process pool, handing the jobs out in chunks. GR_THREADS sets its process
+count (default: every usable core; 1 runs the points in-process). A point
+sends back its accuracies and wall time, never its trained weights, which
+only an in-process `retrain_point` call returns. The record keeps the best
+Test* accuracy, the smallest input size attaining it (u), and u/Tn as
+resource utilization.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .model import (
     ModelState,
     TrainParams,
     _forward_batches,
-    _freeze,
     build_model,
     train,
 )
@@ -82,11 +84,12 @@ class RetrainHP:
 
 @dataclass(frozen=True)
 class RetrainRun:
+    """One data point's results; the trained weights are not kept."""
+
     kind: str
     metric: str
     point_index: int
     input_size: int
-    model: ModelState
     accuracy_test_star: float
     accuracy_test: float
     accuracy_adv_test: float
@@ -146,9 +149,10 @@ def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> list:
 
 def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
                   hp: RetrainHP, point_index: int, eval_sets: AugmentedSets,
-                  metric: str = "") -> RetrainRun:
-    """One data point: restart from the configuration's initial weights and
-    train on the first `size` ordered pool inputs."""
+                  metric: str = "") -> tuple[RetrainRun, ModelState]:
+    """(run, trained model) of one data point: restart from the
+    configuration's initial weights and train on the first `size` ordered
+    pool inputs."""
     if size > len(pool):
         raise ValueError(f"size {size} exceeds pool of {len(pool)}")
     start_model = initial_model(kind, original, hp.fresh_init_seed)
@@ -171,17 +175,17 @@ def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
     test_star = eval_sets.test_star
     hits = _forward_batches(trained, test_star.images, INFERENCE_BATCH, {})[0] == test_star.labels
     adversarial = eval_sets.test_star_is_adversarial
-    return RetrainRun(
+    run = RetrainRun(
         kind=kind,
         metric=metric,
         point_index=point_index,
         input_size=size,
-        model=trained,
         accuracy_test_star=float(np.mean(hits)),
         accuracy_test=float(np.mean(hits[~adversarial])),
         accuracy_adv_test=float(np.mean(hits[adversarial])),
         wall_seconds=time.monotonic() - t0,
     )
+    return run, trained
 
 
 def max_workers() -> int:
@@ -217,10 +221,11 @@ def _point_job(call: int, pair: int, point: int) -> RetrainRun:
     original, sets, hp, plans = _SHARED[call]
     kind, metric, pool, plan = plans[pair]
     try:
-        return retrain_point(kind, original, pool, plan.sizes[point], hp, point, sets,
-                             metric=metric)
+        run, _ = retrain_point(kind, original, pool, plan.sizes[point], hp, point, sets,
+                               metric=metric)
     except Exception as exc:
         raise RuntimeError(f"retraining {kind}/{metric} point {point} failed: {exc!r}") from exc
+    return run
 
 
 def _pooled(ctx, workers: int, call: int, jobs) -> tuple[dict, float]:
@@ -228,18 +233,20 @@ def _pooled(ctx, workers: int, call: int, jobs) -> tuple[dict, float]:
     import resource
     from concurrent.futures import ProcessPoolExecutor
 
+    # about 8 chunks per worker: few round trips, and the small jobs at the
+    # end of the largest-first list still even out the workers' loads
+    chunksize = max(1, len(jobs) // (8 * workers))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     pool_exec = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                     initializer=pin_one_blas_thread)
     try:
-        futures = [(job, pool_exec.submit(_point_job, call, *job)) for job in jobs]
-        runs = {job: future.result() for job, future in futures}
+        pairs, points = zip(*jobs)
+        runs = dict(zip(jobs, pool_exec.map(_point_job, itertools.repeat(call), pairs, points,
+                                            chunksize=chunksize)))
     finally:
         pool_exec.shutdown(wait=True, cancel_futures=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    for run in runs.values():  # unpickled arrays are writeable; train returns them frozen
-        _freeze(run.model.parameters)
     return runs, cpu
 
 

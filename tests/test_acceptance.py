@@ -346,7 +346,7 @@ def test_c04_metric_oracles():
 def test_c05_resource_utilization_formula(tmp_path):
     ratio = resource_utilization(14400, 36366)
     assert abs(ratio - 0.3960) < 1e-4
-    runs = tuple(RetrainRun("C2", "DSA", i, s, None, a, a, a, 0.0)
+    runs = tuple(RetrainRun("C2", "DSA", i, s, a, a, a, 0.0)
                  for i, (s, a) in enumerate([(14400, 0.953), (36366, 0.95)]))
     record = ExperimentRecord("C2", "DSA", runs, 0.953, 14400, 36366, ratio, 95.0)
     path = tmp_path / "summary.csv"
@@ -401,10 +401,10 @@ def test_c08_configuration_semantics(original_model, augmented):
         # the zero-epoch retraining path returns exactly those weights
         pool = augmented.train_star.take(
             ordered_pool_ids(kind, augmented, range(len(augmented.train_star))))
-        run = retrain_point(kind, original_model, pool, min(32, len(pool)),
-                            RetrainHP(epochs=0, fresh_init_seed=fresh_seed), 0, augmented)
+        _, model = retrain_point(kind, original_model, pool, min(32, len(pool)),
+                                 RetrainHP(epochs=0, fresh_init_seed=fresh_seed), 0, augmented)
         for key in reference.parameters:
-            assert np.array_equal(run.model.parameters[key], reference.parameters[key]), (kind, key)
+            assert np.array_equal(model.parameters[key], reference.parameters[key]), (kind, key)
 
     # C3 pool is adversarial-provenance only
     order = list(range(len(augmented.train_star)))

@@ -36,10 +36,12 @@ from guidedretrain.metrics import (
 from guidedretrain.model import (
     ArchitectureDescriptor,
     Dataset,
+    ForwardPass,
     ModelState,
     build_model,
     desk_architecture,
     forward_pass,
+    trace_columns,
 )
 from guidedretrain.rng import Pcg32
 
@@ -128,6 +130,28 @@ def test_nc_batching_invariant():
     a = nc_scores(forward_pass(m, images, batch_size=256), NCConfig())
     b = nc_scores(forward_pass(m, images, batch_size=4), NCConfig())
     assert np.array_equal(a, b)
+
+
+def test_nc_row_blocks_score_as_the_whole_pass():
+    m = tiny_cnn(seed=2)
+    fp = forward_pass(m, random_dataset(150).images)
+    traces = fp.traces.copy()
+    traces[70] = 0.25  # a constant row, in the second block of 64
+    traces[3, trace_columns(m.architecture)["c1"]] = -1.5  # constant within one layer
+    cfg = NCConfig(threshold=0.3)
+    # the unblocked formula: each layer's whole column block scaled at once
+    active = np.zeros(len(traces), dtype=np.int64)
+    for cols in trace_columns(m.architecture).values():
+        block = traces[:, cols]
+        lo = block.min(axis=1, keepdims=True)
+        span = block.max(axis=1, keepdims=True) - lo
+        scaled = block - lo
+        np.divide(scaled, span, out=scaled, where=span > 0)
+        active += (scaled > cfg.threshold).sum(axis=1)
+    want = active / traces.shape[1]
+    got = nc_scores(ForwardPass(m.architecture, fp.labels, traces), cfg)
+    assert got.tobytes() == want.tobytes()
+    assert got[70] == 0.0
 
 
 # ---------------------------------------------------------------- LSA

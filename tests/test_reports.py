@@ -120,7 +120,7 @@ def test_pipeline_failure_marker(tmp_path):
 def test_summary_renders_resource_both_ways(tmp_path):
     # a hand-built record renders its ratio as "14400/36366" and 0.3960
     runs = tuple(
-        RetrainRun("C2", "DSA", i, size, None, acc, acc, acc, 0.0)
+        RetrainRun("C2", "DSA", i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate([(10800, 0.91), (14400, 0.953), (36366, 0.95)])
     )
     record = ExperimentRecord("C2", "DSA", runs, 0.953, 14400, 36366,

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from guidedretrain.attack import AttackConfig, build_augmented_sets
 from guidedretrain.autodiff import Dense, Relu
 from guidedretrain.metrics import GuidanceConfig, timed_scoring
-from guidedretrain.model import ArchitectureDescriptor, Dataset, accuracy, build_model
+from guidedretrain.model import (
+    ArchitectureDescriptor,
+    Dataset,
+    ModelState,
+    accuracy,
+    build_model,
+    model_bytes,
+)
 from guidedretrain.retrain import (
     ComparisonRow,
     ExperimentRecord,
@@ -135,21 +143,21 @@ def test_retrain_point_epochs_zero_keeps_model_accuracy():
     m, sets = toy_sets()
     pool = ordered_pool("C2", sets, range(len(sets.train_star)))
     hp = RetrainHP(epochs=0)
-    run = retrain_point("C2", m, pool, len(pool), hp, point_index=0, eval_sets=sets)
+    run, model = retrain_point("C2", m, pool, len(pool), hp, point_index=0, eval_sets=sets)
     assert run.accuracy_test_star == accuracy(m, sets.test_star)
     for key in m.parameters:
-        assert np.array_equal(run.model.parameters[key], m.parameters[key])
+        assert np.array_equal(model.parameters[key], m.parameters[key])
 
 
 def test_retrain_point_deterministic():
     m, sets = toy_sets()
     pool = ordered_pool("C3", sets, range(len(sets.train_star)))
     hp = RetrainHP(epochs=2, shuffle_seed=5)
-    a = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
-    b = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
+    a, model_a = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
+    b, model_b = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
     assert a.accuracy_test_star == b.accuracy_test_star
-    for key in a.model.parameters:
-        assert np.array_equal(a.model.parameters[key], b.model.parameters[key])
+    for key in model_a.parameters:
+        assert np.array_equal(model_a.parameters[key], model_b.parameters[key])
 
 
 def test_retrain_point_splits_one_test_star_pass():
@@ -159,12 +167,12 @@ def test_retrain_point_splits_one_test_star_pass():
     m, sets = toy_sets(n_train=40, n_test=150)
     assert len(sets.test_star) > 256
     pool = ordered_pool("C2", sets, range(len(sets.train_star)))
-    run = retrain_point("C2", m, pool, len(pool), RetrainHP(epochs=1, shuffle_seed=2),
-                        point_index=1, eval_sets=sets)
+    run, model = retrain_point("C2", m, pool, len(pool), RetrainHP(epochs=1, shuffle_seed=2),
+                               point_index=1, eval_sets=sets)
     clean = sets.test_star.take(np.flatnonzero(~sets.test_star_is_adversarial))
-    assert run.accuracy_test_star == accuracy(run.model, sets.test_star)
-    assert run.accuracy_test == accuracy(run.model, clean)
-    assert run.accuracy_adv_test == accuracy(run.model, sets.adv_test)
+    assert run.accuracy_test_star == accuracy(model, sets.test_star)
+    assert run.accuracy_test == accuracy(model, clean)
+    assert run.accuracy_adv_test == accuracy(model, sets.adv_test)
 
 
 def test_retrain_point_rejects_oversized_request():
@@ -211,7 +219,7 @@ def test_run_experiment_parallel_matches_sequential():
 
 def _record(kind, metric, sizes_accs, pool_total, metric_seconds=1.0):
     runs = tuple(
-        RetrainRun(kind, metric, i, size, None, acc, acc, acc, 0.0)
+        RetrainRun(kind, metric, i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate(sizes_accs)
     )
     best = max(a for _, a in sizes_accs)
@@ -272,13 +280,35 @@ def random_scored(m, sets):
     return {"RANDOM": timed_scoring("RANDOM", m, sets.train_star, GuidanceConfig())}
 
 
-def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch):
+def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch, tmp_path):
+    # the pool sends back no weights, so every trained model is written out,
+    # by process, where it was trained
+    from guidedretrain import retrain
+
+    real = retrain.retrain_point
+    parent = os.getpid()
+
+    def writing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
+        run, model = real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+        assert not any(p.flags.writeable for p in model.parameters.values())
+        where = tmp_path / ("parent" if os.getpid() == parent else "worker")
+        where.mkdir(exist_ok=True)
+        (where / f"{kind}-{metric}-{point_index}").write_bytes(model_bytes(model))
+        return run, model
+
+    monkeypatch.setattr(retrain, "retrain_point", writing)  # forked workers inherit it
     m, sets = toy_sets(n_train=50, n_test=8)
     pairs = [("C1", "RANDOM"), ("C3", "RANDOM")]
     scored = random_scored(m, sets)
     seq = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored, workers=1)
     monkeypatch.setenv("GR_THREADS", "2")
     par = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored)
+    names = sorted(path.name for path in (tmp_path / "parent").iterdir())
+    assert len(names) == 40
+    assert sorted(path.name for path in (tmp_path / "worker").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "worker" / name).read_bytes() == \
+            (tmp_path / "parent" / name).read_bytes(), name
     assert (seq.workers, seq.worker_cpu_seconds) == (1, 0.0)
     assert par.workers == 2 and par.worker_cpu_seconds > 0
     assert [(r.kind, r.metric) for r in par.records] == pairs
@@ -291,12 +321,55 @@ def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch):
                     ra.accuracy_test, ra.accuracy_adv_test) == \
                 (rb.kind, rb.metric, rb.input_size, rb.accuracy_test_star,
                  rb.accuracy_test, rb.accuracy_adv_test)
-            assert ra.model.parameters.keys() == rb.model.parameters.keys()
-            for key, want in ra.model.parameters.items():
-                got = rb.model.parameters[key]
-                assert not got.flags.writeable, key
-                assert got.dtype == want.dtype and got.shape == want.shape, key
-                assert got.tobytes() == want.tobytes(), key
+
+
+def reachable(root) -> list:
+    """Every object reachable from `root` through dataclass fields and containers."""
+    found, stack = [], [root]
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        if dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, field.name) for field in dataclasses.fields(obj))
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+    return found
+
+
+def test_batch_records_hold_no_weights():
+    m, sets = toy_sets(n_train=50, n_test=8)
+    pairs = [("C2", "RANDOM"), ("C3", "RANDOM")]
+    for workers in (1, 2):
+        batch = run_experiments(m, sets, pairs, RetrainHP(epochs=1), random_scored(m, sets),
+                                workers=workers)
+        assert batch.workers == workers
+        found = reachable(batch)
+        assert sum(isinstance(obj, RetrainRun) for obj in found) == 40
+        assert not [obj for obj in found if isinstance(obj, (ModelState, np.ndarray))], workers
+
+
+def test_failing_pooled_point_is_named_and_leaves_no_worker(monkeypatch):
+    import multiprocessing
+
+    from guidedretrain import retrain
+
+    real = retrain.retrain_point
+
+    def failing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
+        if (kind, point_index) == ("C3", 7):
+            raise ValueError("broken point")
+        return real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+
+    monkeypatch.setattr(retrain, "retrain_point", failing)  # forked workers inherit it
+    monkeypatch.setenv("GR_THREADS", "2")
+    m, sets = toy_sets(n_train=50, n_test=8)
+    with pytest.raises(RuntimeError, match="retraining C3/RANDOM point 7 failed"):
+        run_experiments(m, sets, [("C1", "RANDOM"), ("C3", "RANDOM")], RetrainHP(epochs=1),
+                        random_scored(m, sets))
+    assert multiprocessing.active_children() == []
 
 
 def test_points_run_largest_input_first(monkeypatch):
@@ -320,8 +393,6 @@ def test_points_run_largest_input_first(monkeypatch):
 
 
 def test_workers_run_on_one_blas_thread(monkeypatch):
-    import dataclasses
-
     from guidedretrain import _blas, retrain
 
     lib = _blas._openblas()
@@ -331,7 +402,8 @@ def test_workers_run_on_one_blas_thread(monkeypatch):
     real = retrain.retrain_point
 
     def reporting(*args, **kwargs):  # the worker's BLAS thread count as its wall time
-        return dataclasses.replace(real(*args, **kwargs), wall_seconds=float(get()))
+        run, model = real(*args, **kwargs)
+        return dataclasses.replace(run, wall_seconds=float(get())), model
 
     monkeypatch.setattr(retrain, "retrain_point", reporting)
     m, sets = toy_sets(n_train=40, n_test=8)

@@ -17,12 +17,11 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .data import generate_synthetic, load_idx_dataset, save_idx_dataset
 from .metrics import (
     GuidanceConfig,
-    GuidanceScore,
     NCConfig,
     fit_dsa,
     fit_lsa,
     order_inputs,
-    random_score,
+    random_scores,
     score_metrics,
     timed_scoring,
 )
@@ -47,7 +46,6 @@ from .retrain import (
     RetrainBatch,
     RetrainHP,
     RetrainRun,
-    SweepPlan,
     compare_records,
     retrain_point,
     run_experiment,

@@ -110,8 +110,8 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 def cmd_score(cfg: ExperimentConfig) -> int:
     scored, _ = score_stage(cfg, *model_and_sets(cfg))
-    for metric, (scores, seconds) in scored.items():
-        print(f"{metric}: {len(scores)} scores in {seconds:.3f}s")
+    for metric, (values, seconds) in scored.items():
+        print(f"{metric}: {len(values)} scores in {seconds:.3f}s")
     return 0
 
 

@@ -6,7 +6,9 @@ Gaussian kernel density (Scott bandwidths) of the input's trace under the
 training traces of its predicted class. DSA is the distance to the nearest
 same-predicted-class training trace divided by the distance from that trace
 to the nearest trace of any other class. Random assigns a seeded permutation
-rank. Ordering for retraining is descending score, ties broken by input id.
+rank. A metric's scores are one float64 array indexed by Train* row id;
+the retraining order is that array sorted by descending score, ties broken
+by ascending row id.
 
 NC, LSA and DSA are functions of one ForwardPass over Train*: predict's
 labels plus the post-activation traces of every conv/dense layer.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Dense
-from .model import INFERENCE_BATCH, Dataset, ForwardPass, ModelState, forward_pass, trace_columns
+from .model import Dataset, ForwardPass, ModelState, forward_pass, trace_columns
 from .rng import Pcg32
 
 METRICS = ("NC", "LSA", "DSA", "RANDOM")
@@ -109,13 +111,6 @@ class NCConfig:
 
 
 @dataclass(frozen=True)
-class GuidanceScore:
-    input_id: int
-    metric: str
-    value: float
-
-
-@dataclass(frozen=True)
 class GuidanceConfig:
     """Per-metric knobs used by timed_scoring and the pipeline."""
 
@@ -124,7 +119,6 @@ class GuidanceConfig:
     lsa_variance_threshold: float = 1e-5
     dsa_layers: tuple | None = None  # default: every conv/dense layer
     random_seed: int = 0
-    batch_size: int = INFERENCE_BATCH
 
 
 def active_fraction(scaled_layers, threshold: float) -> float:
@@ -404,47 +398,38 @@ def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:
     return dsa_from_traces(index, fp.block(index.layers), fp.labels)
 
 
-def random_score(ids, seed: int) -> list[GuidanceScore]:
-    """Permutation ranks from PCG32(seed); ordering by value is a uniform shuffle."""
-    ids = list(ids)
-    n = len(ids)
-    perm = Pcg32(seed).permutation(n)
-    values = np.empty(n, dtype=np.int64)
-    values[perm] = np.arange(n - 1, -1, -1)
-    return [GuidanceScore(input_id=ids[i], metric="RANDOM", value=float(values[i]))
-            for i in range(n)]
+def random_scores(n: int, seed: int) -> np.ndarray:
+    """Permutation ranks n-1 .. 0 from PCG32(seed) as float64; ordering by
+    value is a uniform shuffle."""
+    values = np.empty(n, dtype=np.float64)
+    values[Pcg32(seed).permutation(n)] = np.arange(n - 1, -1, -1)
+    return values
 
 
-def order_inputs(scores) -> list:
-    """Input ids sorted by descending score; ties break by ascending id."""
-    metrics = {s.metric for s in scores}
-    if len(metrics) > 1:
-        raise ValueError(f"scores mix metrics: {sorted(metrics)}")
-    seen = set()
-    for s in scores:
-        if s.input_id in seen:
-            raise ValueError(f"duplicate score for input {s.input_id}")
-        seen.add(s.input_id)
-        if not np.isfinite(s.value):
-            raise ValueError(f"non-finite score for input {s.input_id}")
-    return [s.input_id for s in sorted(scores, key=lambda s: (-s.value, s.input_id))]
+def order_inputs(values) -> np.ndarray:
+    """Row ids sorted by descending score; ties (-0.0 equals 0.0) break by
+    ascending id."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite score {values[bad[0]]} for input {bad[0]}")
+    return np.argsort(-values, kind="stable")
 
 
 class SharedPass:
     """The forward pass of one model over Train*, run when a metric first
     needs it and read by every trace-based metric after that."""
 
-    def __init__(self, model: ModelState, train_star: Dataset, batch_size: int = INFERENCE_BATCH):
+    def __init__(self, model: ModelState, train_star: Dataset):
         self.model = model
         self.train_star = train_star
-        self.batch_size = batch_size
         self.seconds = 0.0  # wall time of the pass, 0 until it has run
         self._pass = None
 
     def get(self) -> ForwardPass:
         if self._pass is None:
             t0 = time.monotonic()
-            self._pass = forward_pass(self.model, self.train_star.images, self.batch_size)
+            self._pass = forward_pass(self.model, self.train_star.images)
             self.seconds = time.monotonic() - t0
         return self._pass
 
@@ -464,7 +449,8 @@ def _trace_metric_values(metric: str, fp: ForwardPass, train_star: Dataset,
 
 def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
                   cfg: GuidanceConfig, shared: SharedPass | None = None):
-    """(scores, seconds) for one metric over all of train_star.
+    """(values, seconds) for one metric: values is the float64 score of
+    each train_star row.
 
     NC, LSA and DSA read `shared`, the forward pass of `model` over
     train_star (a pass of their own when None). Their seconds are the whole
@@ -474,27 +460,24 @@ def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
     """
     t0 = time.monotonic()
     if metric == "RANDOM":
-        scores = random_score(range(len(train_star)), cfg.random_seed)
-        return scores, time.monotonic() - t0
+        return random_scores(len(train_star), cfg.random_seed), time.monotonic() - t0
     if metric not in TRACE_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if shared is None:
-        shared = SharedPass(model, train_star, cfg.batch_size)
+        shared = SharedPass(model, train_star)
     elif shared.model is not model or shared.train_star is not train_star:
         raise ValueError("the shared pass belongs to another model or dataset")
     pass_before = shared.seconds
     values = _trace_metric_values(metric, shared.get(), train_star, cfg)
-    scores = [GuidanceScore(input_id=i, metric=metric, value=float(v))
-              for i, v in enumerate(values)]
     own = time.monotonic() - t0 - (shared.seconds - pass_before)
-    return scores, own + shared.seconds
+    return values, own + shared.seconds
 
 
 def score_metrics(metrics, model: ModelState, train_star: Dataset,
                   cfg: GuidanceConfig) -> dict:
-    """{metric: (scores, seconds)}; the trace-based metrics share one
+    """{metric: (values, seconds)}; the trace-based metrics share one
     forward pass, which is freed when scoring ends."""
-    shared = SharedPass(model, train_star, cfg.batch_size)
+    shared = SharedPass(model, train_star)
     return {metric: timed_scoring(metric, model, train_star, cfg, shared) for metric in metrics}
 
 
@@ -506,9 +489,9 @@ def format_duration(seconds: float) -> str:
     return f"{total // 3600:02d}:{total % 3600 // 60:02d}:{total % 60:02d}"
 
 
-def scores_to_csv(scores, path) -> None:
-    """input_id,metric,value rows, values at 9 significant digits."""
+def scores_to_csv(metric: str, values, path) -> None:
+    """input_id,metric,value rows, one per row id, values at 9 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("input_id,metric,value\n")
-        for s in scores:
-            fh.write(f"{s.input_id},{s.metric},{s.value:.9g}\n")
+        for i, v in enumerate(np.asarray(values, dtype=np.float64).tolist()):
+            fh.write(f"{i},{metric},{v:.9g}\n")

@@ -148,7 +148,7 @@ def read_points_csv(path) -> list[ExperimentRecord]:
         runs = tuple(sorted(runs, key=lambda r: r.point_index))
         best, u = best_point(runs)
         records.append(ExperimentRecord(kind, metric, runs, best, u, totals[kind, metric],
-                                        u / totals[kind, metric], 0.0))
+                                        u / totals[kind, metric]))
     return records
 
 
@@ -218,15 +218,15 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
 
 def score_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
                 sets_fp: str) -> tuple[dict, dict]:
-    """({metric: (scores, seconds)}, {file name: path}) of the configured
+    """({metric: (values, seconds)}, {file name: path}) of the configured
     metrics (see stages.metric_scores), written to scores_<metric>.csv and
     timing.csv."""
     out = Path(cfg.out)
     scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
     files = {SCORES_FILE: out / SCORES_FILE}
-    for metric, (scores, _) in scored.items():
+    for metric, (values, _) in scored.items():
         name = f"scores_{metric.lower()}.csv"
-        scores_to_csv(scores, out / name)
+        scores_to_csv(metric, values, out / name)
         files[name] = out / name
     write_timing_csv([(m, seconds) for m, (_, seconds) in scored.items()], out / TIMING_CSV)
     files[TIMING_CSV] = out / TIMING_CSV

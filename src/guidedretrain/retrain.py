@@ -2,8 +2,10 @@
 
 C1 retrains from a fresh fixed-seed initialization on the metric-ordered
 Train*, C2 from the original model's weights on the same pool, C3 from the
-original weights on the adversarial inputs only. Every data point restarts
-from its configuration's initial weights, so points are independent:
+original weights on the adversarial inputs only. A metric's scores are one
+float64 array indexed by Train* row id; `order_inputs` sorts it and
+`ordered_pool_ids` keeps the pool's rows in that order. Every data point
+restarts from its configuration's initial weights, so points are independent:
 `run_experiments` runs every point of a run as one job on a fork-based
 process pool, handing the jobs out in chunks. GR_THREADS sets its process
 count (default: every usable core; 1 runs the points in-process). A point
@@ -56,21 +58,6 @@ def sweep_sizes(total: int, points: int = SWEEP_POINTS) -> list[int]:
 
 
 @dataclass(frozen=True)
-class SweepPlan:
-    total: int
-    sizes: tuple[int, ...]
-    order: tuple[int, ...]  # pool-relative input ids, best first
-
-    def __post_init__(self):
-        if len(self.order) != self.total:
-            raise ValueError("ordering must cover the whole pool")
-        if self.sizes[-1] != self.total:
-            raise ValueError("last sweep size must equal the pool size")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("sweep sizes must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class RetrainHP:
     """Hyperparameters of one retraining run (one data point)."""
 
@@ -105,7 +92,6 @@ class ExperimentRecord:
     best_input_size: int  # u: the smallest size attaining best_accuracy
     pool_total: int  # Tn
     resource_utilization: float  # u / Tn
-    metric_seconds: float
 
     def resource_string(self) -> str:
         return f"{self.best_input_size}/{self.pool_total}"
@@ -132,18 +118,18 @@ def initial_model(kind: str, original: ModelState, fresh_init_seed: int) -> Mode
     raise ValueError(f"unknown configuration {kind!r}")
 
 
-def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> list:
+def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> np.ndarray:
     """Train* row ids forming the retraining pool, in metric order.
 
     C1/C2 draw from all of Train*; C3 keeps only the adversarial rows.
     """
-    order = list(order)
-    if sorted(order) != list(range(len(sets.train_star))):
+    order = np.asarray(order, dtype=np.int64)
+    if not np.array_equal(np.sort(order), np.arange(len(sets.train_star))):
         raise ValueError("ordering is not a permutation of Train* ids")
     if kind in ("C1", "C2"):
         return order
     if kind == "C3":
-        return [i for i in order if sets.train_star_is_adversarial[i]]
+        return order[sets.train_star_is_adversarial[order]]
     raise ValueError(f"unknown configuration {kind!r}")
 
 
@@ -219,9 +205,9 @@ _calls = itertools.count()
 
 def _point_job(call: int, pair: int, point: int) -> RetrainRun:
     original, sets, hp, plans = _SHARED[call]
-    kind, metric, pool, plan = plans[pair]
+    kind, metric, pool, sizes = plans[pair]
     try:
-        run, _ = retrain_point(kind, original, pool, plan.sizes[point], hp, point, sets,
+        run, _ = retrain_point(kind, original, pool, sizes[point], hp, point, sets,
                                metric=metric)
     except Exception as exc:
         raise RuntimeError(f"retraining {kind}/{metric} point {point} failed: {exc!r}") from exc
@@ -254,21 +240,24 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
                     scored: dict, workers: int | None = None) -> RetrainBatch:
     """Every data point of every (configuration, metric) pair in `pairs`.
 
-    `scored` maps each metric to its (scores, seconds). All points are
-    independent jobs, run largest input first on a fork-based process pool
-    of `workers` processes (default: `max_workers()`, capped at the job
-    count). With one worker, or without `fork`, they run in-process.
-    Records come back in `pairs` order, runs in point order.
+    `scored` maps each metric to its (values, seconds), values being the
+    float64 score of each Train* row. A pool smaller than the sweep is
+    refused, naming its pair. All points are independent jobs, run largest
+    input first on a fork-based process pool of `workers` processes
+    (default: `max_workers()`, capped at the job count). With one worker, or
+    without `fork`, they run in-process. Records come back in `pairs` order,
+    runs in point order.
     """
     plans = []
     for kind, metric in pairs:
-        pool_ids = ordered_pool_ids(kind, sets, order_inputs(scored[metric][0]))
-        pool = sets.train_star.take(pool_ids)
-        plan = SweepPlan(total=len(pool), sizes=tuple(sweep_sizes(len(pool))),
-                         order=tuple(pool_ids))
-        plans.append((kind, metric, pool, plan))
-    sizes = {(p, i): size for p, (*_, plan) in enumerate(plans)
-             for i, size in enumerate(plan.sizes)}
+        pool = sets.train_star.take(ordered_pool_ids(kind, sets, order_inputs(scored[metric][0])))
+        if len(pool) < SWEEP_POINTS:
+            source = "Adv-Train, set by attack.fraction" if kind == "C3" else "all of Train*"
+            raise ValueError(f"{kind}/{metric} pool has {len(pool)} inputs; a {SWEEP_POINTS}-point "
+                             f"sweep needs at least {SWEEP_POINTS} ({kind} retrains on {source})")
+        plans.append((kind, metric, pool, sweep_sizes(len(pool))))
+    sizes = {(p, i): size for p, (*_, pair_sizes) in enumerate(plans)
+             for i, size in enumerate(pair_sizes)}
     jobs = sorted(sizes, key=lambda job: -sizes[job])  # largest first, ties in record order
     workers = min(workers or max_workers(), max(1, len(jobs)))
     ctx = None
@@ -288,8 +277,8 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
     finally:
         del _SHARED[call]
     records = []
-    for p, (kind, metric, pool, plan) in enumerate(plans):
-        point_runs = tuple(runs[p, i] for i in range(len(plan.sizes)))
+    for p, (kind, metric, pool, pair_sizes) in enumerate(plans):
+        point_runs = tuple(runs[p, i] for i in range(len(pair_sizes)))
         best, u = best_point(point_runs)
         records.append(ExperimentRecord(
             kind=kind,
@@ -297,9 +286,8 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
             runs=point_runs,
             best_accuracy=best,
             best_input_size=u,
-            pool_total=plan.total,
-            resource_utilization=resource_utilization(u, plan.total),
-            metric_seconds=scored[metric][1],
+            pool_total=len(pool),
+            resource_utilization=resource_utilization(u, len(pool)),
         ))
     return RetrainBatch(records=tuple(records), workers=workers, worker_cpu_seconds=cpu)
 
@@ -309,7 +297,7 @@ def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind:
                    scored=None, workers: int | None = None) -> ExperimentRecord:
     """All 20 data points of one (configuration, metric) pair.
 
-    `scored` may carry a precomputed (scores, seconds) pair so several
+    `scored` may carry a precomputed (values, seconds) pair so several
     configurations can share one timed metric computation.
     """
     if scored is None:

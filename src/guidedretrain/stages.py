@@ -33,7 +33,7 @@ import numpy as np
 from .attack import AttackConfig, AugmentedSets, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import generate_synthetic, load_idx_dataset
-from .metrics import GuidanceConfig, GuidanceScore, score_metrics
+from .metrics import GuidanceConfig, score_metrics
 from .model import (
     Dataset,
     ModelState,
@@ -201,9 +201,7 @@ def _scores_from_arrays(arrays, rows: int) -> dict:
         values = arrays[name]
         if values.dtype != np.float64 or values.shape != (rows,):
             raise ValueError(f"{name} is {values.dtype} {values.shape}, expected float64 ({rows},)")
-        scores = [GuidanceScore(input_id=i, metric=metric, value=v)
-                  for i, v in enumerate(values.tolist())]
-        scored[metric] = (scores, float(arrays[f"seconds_{metric}"]))
+        scored[metric] = (values, float(arrays[f"seconds_{metric}"]))
     return scored
 
 
@@ -261,7 +259,7 @@ def model_and_sets(cfg: ExperimentConfig) -> tuple[ModelState, AugmentedSets, st
 
 def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: AugmentedSets,
                   sets_fp: str) -> dict:
-    """{metric: (scores, seconds)} over Train*: read from <out>/scores.npz
+    """{metric: (values, seconds)} over Train*: read from <out>/scores.npz
     when fresh; metrics it lacks are scored and added to it."""
     path = Path(cfg.out) / SCORES_FILE
     fingerprint = scores_fingerprint(cfg, sets_fp)
@@ -272,8 +270,8 @@ def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: Augme
     if missing:
         stored.update(score_metrics(missing, model, sets.train_star, guidance_config(cfg)))
         arrays = {}
-        for metric, (scores, seconds) in stored.items():
-            arrays[f"scores_{metric}"] = np.array([s.value for s in scores], dtype=np.float64)
+        for metric, (values, seconds) in stored.items():
+            arrays[f"scores_{metric}"] = values
             arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
         _save(path, fingerprint, arrays, why or f"lacked {', '.join(missing)}")
     return {m: stored[m] for m in metrics}

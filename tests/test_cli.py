@@ -11,8 +11,10 @@ from guidedretrain import _blas, cli
 from guidedretrain.cli import main
 from guidedretrain.config import parse_config, with_overrides
 from guidedretrain.data import load_idx_dataset
+from guidedretrain.metrics import score_metrics
 from guidedretrain.model import load_model
 from guidedretrain.reports import compute_trend, run_pipeline
+from guidedretrain.stages import guidance_config, model_and_sets
 
 MINI_CONFIG = """
 synthetic.per_class_train = 30
@@ -209,6 +211,17 @@ def test_failing_point_in_a_worker_is_named(tmp_path, monkeypatch, capsys):
     assert "status = failed: retrain" in (out / "manifest.txt").read_text()
 
 
+def test_too_small_sweep_pool_is_named(tmp_path, capsys):
+    # 5 % of the mini config's 120 Train rows is a 6-row Adv-Train, C3's pool
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(MINI_CONFIG.replace("attack.fraction = 0.5", "attack.fraction = 0.05"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "C3/RANDOM pool has 6 inputs" in err and "attack.fraction" in err
+    assert "status = failed: retrain" in (out / "manifest.txt").read_text()
+
+
 def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
     cfg = tmp_path / "all.cfg"
     cfg.write_text(ALL_CONFIG)
@@ -360,9 +373,19 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
     stage("score", wider, out)
     assert calls == {"timed_scoring": 1}
     assert f"rebuilt {out / 'scores.npz'} (lacked LSA)" in capsys.readouterr().err
+    # the retraining order reads every bit of a score, not its 9 CSV digits
+    run_cfg = with_overrides(parse_config(wider.read_text()), out=str(out))
+    model, sets, _ = model_and_sets(run_cfg)
+    with _blas.one_blas_thread():
+        fresh = score_metrics(("RANDOM", "NC", "LSA"), model, sets.train_star,
+                              guidance_config(run_cfg))
     with np.load(out / "scores.npz", allow_pickle=False) as stored:
         assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
                                         "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
+        for metric, (values, _) in fresh.items():
+            loaded = stored[f"scores_{metric}"]
+            assert loaded.dtype == np.float64 and np.array_equal(
+                loaded.view(np.uint64), values.view(np.uint64)), metric
 
 
 def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):

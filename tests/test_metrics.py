@@ -10,7 +10,6 @@ from guidedretrain.metrics import (
     DSA_ZERO_DENOMINATOR_SENTINEL,
     METRICS,
     GuidanceConfig,
-    GuidanceScore,
     LsaEstimator,
     NCConfig,
     active_fraction,
@@ -25,7 +24,7 @@ from guidedretrain.metrics import (
     lsa_scores,
     nc_scores,
     order_inputs,
-    random_score,
+    random_scores,
     SharedPass,
     _present,
     score_metrics,
@@ -481,18 +480,19 @@ def test_fit_dsa_rejects_empty_class():
 
 
 def test_random_score_is_permutation():
-    scores = random_score(range(100), seed=5)
-    values = sorted(s.value for s in scores)
+    scores = random_scores(100, seed=5)
+    assert scores.dtype == np.float64
+    values = sorted(scores.tolist())
     assert values == [float(v) for v in range(100)]
-    again = random_score(range(100), seed=5)
-    assert [s.value for s in scores] == [s.value for s in again]
+    again = random_scores(100, seed=5)
+    assert scores.tolist() == again.tolist()
 
 
 def test_random_seeds_nearly_uncorrelated():
     stats = pytest.importorskip("scipy.stats")
-    a = random_score(range(1000), seed=1)
-    b = random_score(range(1000), seed=2)
-    tau, _ = stats.kendalltau([s.value for s in a], [s.value for s in b])
+    a = random_scores(1000, seed=1)
+    b = random_scores(1000, seed=2)
+    tau, _ = stats.kendalltau(a, b)
     assert abs(tau) < 0.1
 
 
@@ -500,33 +500,41 @@ def test_random_seeds_nearly_uncorrelated():
 
 
 def test_order_inputs_descending():
-    scores = [
-        GuidanceScore("a", "NC", 0.2),
-        GuidanceScore("b", "NC", 0.9),
-        GuidanceScore("c", "NC", 0.5),
-    ]
-    assert order_inputs(scores) == ["b", "c", "a"]
+    assert order_inputs(np.array([0.2, 0.9, 0.5])).tolist() == [1, 2, 0]
 
 
 def test_order_inputs_ties_by_id():
-    scores = [GuidanceScore(i, "NC", 1.0) for i in (3, 1, 2)]
-    assert order_inputs(scores) == [1, 2, 3]
+    assert order_inputs(np.array([1.0, 1.0, 1.0])).tolist() == [0, 1, 2]
 
 
 def test_order_inputs_reverse_is_ascending():
     rng = Pcg32(2)
     vals = rng.uniforms(50)
-    scores = [GuidanceScore(i, "DSA", float(v)) for i, v in enumerate(vals)]
-    descending = order_inputs(scores)
-    ascending = [s.input_id for s in sorted(scores, key=lambda s: (s.value, -s.input_id))]
+    descending = order_inputs(vals).tolist()
+    ascending = sorted(range(len(vals)), key=lambda i: (vals[i], -i))
     assert descending == ascending[::-1]
 
 
-def test_order_inputs_rejects_duplicates_and_mixed_metrics():
-    with pytest.raises(ValueError):
-        order_inputs([GuidanceScore(1, "NC", 0.1), GuidanceScore(1, "NC", 0.2)])
-    with pytest.raises(ValueError):
-        order_inputs([GuidanceScore(1, "NC", 0.1), GuidanceScore(2, "DSA", 0.2)])
+def _reference_order(values) -> list:
+    """The retraining order by definition: descending value, then ascending id."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))
+
+
+def test_order_inputs_matches_reference_sort():
+    rng = np.random.default_rng(7)
+    mixed = np.array([0.0, -0.0, 1e12, 0.5, -0.0, 1e12, 0.0, -1.0, 1e12, 0.5])
+    for values in (rng.standard_normal(500), rng.integers(0, 5, 500).astype(np.float64),
+                   mixed):
+        assert order_inputs(values).tolist() == _reference_order(values.tolist())
+    # -0.0 ties with 0.0, so the signed zeros keep their id order
+    assert order_inputs(mixed).tolist() == [2, 5, 8, 3, 9, 0, 1, 4, 6, 7]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_order_inputs_rejects_non_finite_by_row(bad):
+    values = np.array([0.1, 0.2, 0.3, bad, 0.5, bad])
+    with pytest.raises(ValueError, match=r"non-finite score .* for input 3$"):
+        order_inputs(values)
 
 
 # ---------------------------------------------------------------- timing
@@ -541,8 +549,8 @@ def test_timed_scoring_deterministic_scores():
     for metric in ("NC", "LSA", "DSA", "RANDOM"):
         s1, t1 = timed_scoring(metric, m, sets.train_star, cfg)
         s2, t2 = timed_scoring(metric, m, sets.train_star, cfg)
-        assert [s.value for s in s1] == [s.value for s in s2], metric
-        assert len(s1) == len(sets.train_star)
+        assert s1.dtype == np.float64 and s1.shape == (len(sets.train_star),), metric
+        assert np.array_equal(s1, s2), metric
         assert t1 >= 0 and t2 >= 0
 
 
@@ -560,7 +568,7 @@ def test_shared_pass_scores_equal_single_metric_calls():
     assert list(shared) == list(METRICS)
     for metric in METRICS:
         fresh, _ = timed_scoring(metric, m, sets.train_star, cfg)
-        assert [s.value for s in shared[metric][0]] == [s.value for s in fresh], metric
+        assert np.array_equal(shared[metric][0], fresh), metric
 
 
 def test_shared_pass_runs_once_and_is_charged_to_each_trace_metric(monkeypatch):
@@ -605,9 +613,8 @@ def test_format_duration():
 
 
 def test_scores_csv_format(tmp_path):
-    scores = [GuidanceScore(0, "LSA", 1.23456789012345), GuidanceScore(1, "LSA", 690.7755)]
     path = tmp_path / "scores.csv"
-    scores_to_csv(scores, path)
+    scores_to_csv("LSA", np.array([1.23456789012345, 690.7755]), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "input_id,metric,value"
     assert lines[1] == "1.23456789".join(["0,LSA,", ""])

@@ -123,8 +123,7 @@ def test_summary_renders_resource_both_ways(tmp_path):
         RetrainRun("C2", "DSA", i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate([(10800, 0.91), (14400, 0.953), (36366, 0.95)])
     )
-    record = ExperimentRecord("C2", "DSA", runs, 0.953, 14400, 36366,
-                              14400 / 36366, metric_seconds=95.0)
+    record = ExperimentRecord("C2", "DSA", runs, 0.953, 14400, 36366, 14400 / 36366)
     path = tmp_path / "summary.csv"
     write_summary_csv([record], original_accuracy=0.589, path=path)
     text = path.read_text()

@@ -20,7 +20,6 @@ from guidedretrain.retrain import (
     ExperimentRecord,
     RetrainHP,
     RetrainRun,
-    SweepPlan,
     compare_records,
     initial_model,
     ordered_pool_ids,
@@ -83,14 +82,6 @@ def test_sweep_sizes_strictly_increasing():
 def test_sweep_sizes_rejects_small_pool():
     with pytest.raises(ValueError):
         sweep_sizes(19)
-
-
-def test_sweep_plan_validation():
-    SweepPlan(total=20, sizes=tuple(sweep_sizes(20)), order=tuple(range(20)))
-    with pytest.raises(ValueError):
-        SweepPlan(total=20, sizes=(1, 1, 20), order=tuple(range(20)))
-    with pytest.raises(ValueError):
-        SweepPlan(total=20, sizes=tuple(sweep_sizes(20)), order=tuple(range(19)))
 
 
 def test_resource_utilization_formula():
@@ -217,15 +208,14 @@ def test_run_experiment_parallel_matches_sequential():
     assert accuracies(seq) == accuracies(par)
 
 
-def _record(kind, metric, sizes_accs, pool_total, metric_seconds=1.0):
+def _record(kind, metric, sizes_accs, pool_total):
     runs = tuple(
         RetrainRun(kind, metric, i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate(sizes_accs)
     )
     best = max(a for _, a in sizes_accs)
     u = min(s for s, a in sizes_accs if a == best)
-    return ExperimentRecord(kind, metric, runs, best, u, pool_total,
-                            u / pool_total, metric_seconds)
+    return ExperimentRecord(kind, metric, runs, best, u, pool_total, u / pool_total)
 
 
 def test_compare_records_exact_budget_match():

@@ -44,7 +44,6 @@ from .reports import ReportBundle, compute_trend, run_pipeline
 from .retrain import (
     ExperimentRecord,
     RetrainBatch,
-    RetrainHP,
     RetrainRun,
     compare_records,
     retrain_point,

@@ -23,14 +23,10 @@ from .rng import Pcg32
 @dataclass(frozen=True)
 class AttackConfig:
     epsilon: float = 0.1
-    clip_min: float = 0.0
-    clip_max: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.clip_min >= self.clip_max:
-            raise ValueError("clip_min must be below clip_max")
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ def fgsm(model: ModelState, images: np.ndarray, labels, cfg: AttackConfig,
     """Adversarial counterpart(s) of `images` under the true `labels`.
 
     Accepts a single (H, W, C) input or a batch; returns the same shape.
-    The output stays within epsilon (sup-norm) of the input and in
-    [clip_min, clip_max]; epsilon = 0 returns the input bit-exactly.
+    The output stays within epsilon (sup-norm) of the input and in the
+    [0, 1] pixel range of a Dataset; epsilon = 0 returns the input bit-exactly.
     """
     images = np.asarray(images, dtype=np.float32)
     single = images.shape == model.architecture.input_shape
@@ -111,20 +107,23 @@ def fgsm(model: ModelState, images: np.ndarray, labels, cfg: AttackConfig,
         g = grads.input_grad
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite input gradient during FGSM")
-        out[start:start + len(x)] = np.clip(
-            x + eps * np.sign(g), np.float32(cfg.clip_min), np.float32(cfg.clip_max)
-        )
+        out[start:start + len(x)] = np.clip(x + eps * np.sign(g), np.float32(0), np.float32(1))
     return out[0] if single else out
 
 
-def select_attack_sources(n: int, fraction: float, seed: int) -> np.ndarray:
-    """round(fraction*n) source indices, uniform without replacement, sorted."""
+def attack_count(n: int, fraction: float) -> int:
+    """round(fraction*n): the number of training rows the attack perturbs."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = int(np.floor(fraction * n + 0.5))
     if k < 1:
         raise ValueError(f"fraction {fraction} of {n} inputs selects nothing")
-    return np.sort(Pcg32(seed).choice(n, k))
+    return k
+
+
+def select_attack_sources(n: int, fraction: float, seed: int) -> np.ndarray:
+    """round(fraction*n) source indices, uniform without replacement, sorted."""
+    return np.sort(Pcg32(seed).choice(n, attack_count(n, fraction)))
 
 
 def build_augmented_sets(model: ModelState, train: Dataset, test: Dataset,

@@ -279,7 +279,6 @@ class ForwardState:
     loss: float | None
     activations: dict[str, np.ndarray]
     caches: dict[str, object] = field(repr=False, default_factory=dict)
-    input: np.ndarray | None = field(repr=False, default=None)
     dlogits: np.ndarray | None = field(repr=False, default=None)
 
 
@@ -355,7 +354,6 @@ def forward_eval(graph: Graph, x: np.ndarray, labels=None) -> ForwardState:
         loss=loss,
         activations=activations,
         caches=caches,
-        input=x,
         dlogits=dlogits,
     )
 

@@ -8,6 +8,7 @@ plain mini-batch SGD with momentum and a PCG32-shuffled batch order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,9 @@ FORMAT_VERSION = 1
 # Rows per inference forward. Larger batches only add memory traffic:
 # a row's outputs do not depend on its batch.
 INFERENCE_BATCH = 32
+# each layer kind of the descriptor JSON and its dataclass, whose fields are
+# the kind's JSON fields
+_LAYER_KINDS = {"conv": Conv2D, "maxpool": MaxPool2D, "dense": Dense, "relu": Relu}
 
 
 class ModelFileError(ValueError):
@@ -82,21 +86,12 @@ class ArchitectureDescriptor:
         raise KeyError(f"unknown layer {name!r}")
 
     def to_json(self) -> str:
+        kinds = {cls: kind for kind, cls in _LAYER_KINDS.items()}
         entries = []
         for layer in self.layers:
-            if isinstance(layer, Conv2D):
-                entries.append({
-                    "kind": "conv", "name": layer.name, "filters": layer.filters,
-                    "kernel": layer.kernel, "stride": layer.stride, "padding": layer.padding,
-                })
-            elif isinstance(layer, MaxPool2D):
-                entries.append({"kind": "maxpool", "name": layer.name, "size": layer.size})
-            elif isinstance(layer, Dense):
-                entries.append({"kind": "dense", "name": layer.name, "units": layer.units})
-            elif isinstance(layer, Relu):
-                entries.append({"kind": "relu", "name": layer.name})
-            else:
+            if type(layer) not in kinds:
                 raise ValueError(f"unknown layer {layer!r}")
+            entries.append({"kind": kinds[type(layer)], **dataclasses.asdict(layer)})
         doc = {"input_shape": list(self.input_shape), "classes": self.classes, "layers": entries}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -104,18 +99,13 @@ class ArchitectureDescriptor:
     def from_json(text: str) -> "ArchitectureDescriptor":
         doc = json.loads(text)
         layers = []
-        for e in doc["layers"]:
-            kind = e["kind"]
-            if kind == "conv":
-                layers.append(Conv2D(e["name"], e["filters"], e["kernel"], e["stride"], e["padding"]))
-            elif kind == "maxpool":
-                layers.append(MaxPool2D(e["name"], e["size"]))
-            elif kind == "dense":
-                layers.append(Dense(e["name"], e["units"]))
-            elif kind == "relu":
-                layers.append(Relu(e["name"]))
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
+        for i, entry in enumerate(doc["layers"]):
+            fields = dict(entry)
+            cls = _LAYER_KINDS.get(fields.pop("kind", None))
+            names = {f.name for f in dataclasses.fields(cls)} if cls else set()
+            if cls is None or set(fields) != names:
+                raise ValueError(f"malformed layer {i} ({entry.get('name')!r}): {entry}")
+            layers.append(cls(**fields))
         return ArchitectureDescriptor(tuple(doc["input_shape"]), doc["classes"], tuple(layers))
 
 

@@ -46,6 +46,7 @@ from .stages import (
     points_fingerprint,
     prepare_data,
     retrain_hp,
+    sweep_pairs,
     train_stage,
 )
 
@@ -238,9 +239,9 @@ def retrain_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
     """(batch, {file name: path}) of every configured (configuration,
     metric) sweep, written to points.csv and points.fingerprint."""
     out = Path(cfg.out)
-    batch = run_experiments(model, sets,
-                            [(kind, metric) for kind in cfg.configs for metric in cfg.metrics],
-                            retrain_hp(cfg), scored, workers=workers)
+    batch = run_experiments(model, sets, sweep_pairs(cfg), retrain_hp(cfg), scored,
+                            fresh_init_seed=cfg.seed_init + 1,  # C1 differs from M's init
+                            workers=workers)
     stamp = out / POINTS_FINGERPRINT
     stamp.unlink(missing_ok=True)  # never left vouching for other points
     write_points_csv(batch.records, out / POINTS_CSV)

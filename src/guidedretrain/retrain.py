@@ -12,7 +12,8 @@ count (default: every usable core; 1 runs the points in-process). A point
 sends back its accuracies and wall time, never its trained weights, which
 only an in-process `retrain_point` call returns. The record keeps the best
 Test* accuracy, the smallest input size attaining it (u), and u/Tn as
-resource utilization.
+resource utilization. Every point trains with the run's one TrainParams, the
+point index being its shuffle stream.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,18 +56,6 @@ def sweep_sizes(total: int, points: int = SWEEP_POINTS) -> list[int]:
     if sizes[-1] != total:
         raise ValueError(f"sweep overflow: {sizes[-1]} > {total}")
     return sizes
-
-
-@dataclass(frozen=True)
-class RetrainHP:
-    """Hyperparameters of one retraining run (one data point)."""
-
-    epochs: int = 5
-    batch_size: int = 32
-    lr: float = 0.01
-    momentum: float = 0.9
-    shuffle_seed: int = 0
-    fresh_init_seed: int = 0  # C1 initialization, shared by all 20 points
 
 
 @dataclass(frozen=True)
@@ -109,6 +98,20 @@ def resource_utilization(u: int, total: int) -> float:
     return u / total
 
 
+def sweep_pool_size(kind: str, metric: str, clean_rows: int, adversarial_rows: int) -> int:
+    """Rows of the pool a (kind, metric) sweep retrains on: Train* (the clean
+    rows and Adv-Train) for C1/C2, Adv-Train for C3. A pool smaller than the
+    sweep is refused, naming the pair and where its size comes from."""
+    if kind not in CONFIG_KINDS:
+        raise ValueError(f"unknown configuration {kind!r}")
+    size = adversarial_rows if kind == "C3" else clean_rows + adversarial_rows
+    if size < SWEEP_POINTS:
+        source = "Adv-Train, set by attack.fraction" if kind == "C3" else "all of Train*"
+        raise ValueError(f"{kind}/{metric} pool has {size} inputs; a {SWEEP_POINTS}-point "
+                         f"sweep needs at least {SWEEP_POINTS} ({kind} retrains on {source})")
+    return size
+
+
 def initial_model(kind: str, original: ModelState, fresh_init_seed: int) -> ModelState:
     """The weights a data point starts from: fresh init for C1, M for C2/C3."""
     if kind == "C1":
@@ -133,28 +136,17 @@ def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> np.ndarray:
     raise ValueError(f"unknown configuration {kind!r}")
 
 
-def retrain_point(kind: str, original: ModelState, pool: Dataset, size: int,
-                  hp: RetrainHP, point_index: int, eval_sets: AugmentedSets,
+def retrain_point(kind: str, start: ModelState, pool: Dataset, size: int, hp: TrainParams,
+                  point_index: int, eval_sets: AugmentedSets,
                   metric: str = "") -> tuple[RetrainRun, ModelState]:
-    """(run, trained model) of one data point: restart from the
-    configuration's initial weights and train on the first `size` ordered
-    pool inputs."""
+    """(run, trained model) of one data point: train `start`, the
+    configuration's initial weights (see initial_model), on the first `size`
+    ordered pool inputs, shuffled by stream `point_index`."""
     if size > len(pool):
         raise ValueError(f"size {size} exceeds pool of {len(pool)}")
-    start_model = initial_model(kind, original, hp.fresh_init_seed)
     t0 = time.monotonic()
-    trained = train(
-        start_model,
-        pool.take(range(size)),
-        TrainParams(
-            epochs=hp.epochs,
-            batch_size=hp.batch_size,
-            lr=hp.lr,
-            momentum=hp.momentum,
-            shuffle_seed=hp.shuffle_seed,
-            shuffle_stream=point_index,  # isolates parallel points
-        ),
-    )
+    # the point's own shuffle stream keeps parallel points independent
+    trained = train(start, pool.take(range(size)), replace(hp, shuffle_stream=point_index))
     # one labels-only pass over Test*: its clean rows are Test, its
     # adversarial rows are Adv-Test in order, and a row's prediction does not
     # depend on its batch
@@ -204,11 +196,10 @@ _calls = itertools.count()
 
 
 def _point_job(call: int, pair: int, point: int) -> RetrainRun:
-    original, sets, hp, plans = _SHARED[call]
-    kind, metric, pool, sizes = plans[pair]
+    sets, hp, plans = _SHARED[call]
+    kind, metric, start, pool, sizes = plans[pair]
     try:
-        run, _ = retrain_point(kind, original, pool, sizes[point], hp, point, sets,
-                               metric=metric)
+        run, _ = retrain_point(kind, start, pool, sizes[point], hp, point, sets, metric=metric)
     except Exception as exc:
         raise RuntimeError(f"retraining {kind}/{metric} point {point} failed: {exc!r}") from exc
     return run
@@ -236,26 +227,26 @@ def _pooled(ctx, workers: int, call: int, jobs) -> tuple[dict, float]:
     return runs, cpu
 
 
-def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: RetrainHP,
-                    scored: dict, workers: int | None = None) -> RetrainBatch:
+def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainParams,
+                    scored: dict, fresh_init_seed: int = 0,
+                    workers: int | None = None) -> RetrainBatch:
     """Every data point of every (configuration, metric) pair in `pairs`.
 
     `scored` maps each metric to its (values, seconds), values being the
-    float64 score of each Train* row. A pool smaller than the sweep is
-    refused, naming its pair. All points are independent jobs, run largest
-    input first on a fork-based process pool of `workers` processes
-    (default: `max_workers()`, capped at the job count). With one worker, or
-    without `fork`, they run in-process. Records come back in `pairs` order,
-    runs in point order.
+    float64 score of each Train* row. C1 starts from `build_model` at
+    `fresh_init_seed`; each pair's start weights are resolved once. A pool
+    smaller than the sweep is refused (see sweep_pool_size). All points are
+    independent jobs, run largest input first on a fork-based process pool
+    of `workers` processes (default: `max_workers()`, capped at the job
+    count). With one worker, or without `fork`, they run in-process. Records
+    come back in `pairs` order, runs in point order.
     """
     plans = []
     for kind, metric in pairs:
+        size = sweep_pool_size(kind, metric, sets.train_clean, len(sets.train_sources))
         pool = sets.train_star.take(ordered_pool_ids(kind, sets, order_inputs(scored[metric][0])))
-        if len(pool) < SWEEP_POINTS:
-            source = "Adv-Train, set by attack.fraction" if kind == "C3" else "all of Train*"
-            raise ValueError(f"{kind}/{metric} pool has {len(pool)} inputs; a {SWEEP_POINTS}-point "
-                             f"sweep needs at least {SWEEP_POINTS} ({kind} retrains on {source})")
-        plans.append((kind, metric, pool, sweep_sizes(len(pool))))
+        plans.append((kind, metric, initial_model(kind, original, fresh_init_seed), pool,
+                      sweep_sizes(size)))
     sizes = {(p, i): size for p, (*_, pair_sizes) in enumerate(plans)
              for i, size in enumerate(pair_sizes)}
     jobs = sorted(sizes, key=lambda job: -sizes[job])  # largest first, ties in record order
@@ -267,7 +258,7 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
     call = next(_calls)
-    _SHARED[call] = (original, sets, hp, plans)
+    _SHARED[call] = (sets, hp, plans)
     try:
         if ctx is None:
             workers, cpu = 1, 0.0
@@ -277,7 +268,7 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
     finally:
         del _SHARED[call]
     records = []
-    for p, (kind, metric, pool, pair_sizes) in enumerate(plans):
+    for p, (kind, metric, _, pool, pair_sizes) in enumerate(plans):
         point_runs = tuple(runs[p, i] for i in range(len(pair_sizes)))
         best, u = best_point(point_runs)
         records.append(ExperimentRecord(
@@ -293,8 +284,8 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: Retrai
 
 
 def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind: str,
-                   hp: RetrainHP, guidance: GuidanceConfig,
-                   scored=None, workers: int | None = None) -> ExperimentRecord:
+                   hp: TrainParams, guidance: GuidanceConfig, scored=None,
+                   fresh_init_seed: int = 0, workers: int | None = None) -> ExperimentRecord:
     """All 20 data points of one (configuration, metric) pair.
 
     `scored` may carry a precomputed (values, seconds) pair so several
@@ -303,7 +294,7 @@ def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind:
     if scored is None:
         scored = timed_scoring(metric, original, sets.train_star, guidance)
     return run_experiments(original, sets, [(kind, metric)], hp, {metric: scored},
-                           workers=workers).records[0]
+                           fresh_init_seed, workers).records[0]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackConfig, AugmentedSets, build_augmented_sets
+from .attack import AttackConfig, AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import generate_synthetic, load_idx_dataset
 from .metrics import GuidanceConfig, score_metrics
@@ -45,7 +45,7 @@ from .model import (
     save_model,
     train,
 )
-from .retrain import RetrainHP
+from .retrain import sweep_pool_size
 
 MODEL_FILE = "model.grcnn"
 SETS_FILE = "sets.npz"
@@ -61,7 +61,14 @@ _POINTS_KEYS = ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle")
 _IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
 
 
+def sweep_pairs(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """The (configuration, metric) pairs of a run's sweeps, in record order."""
+    return [(kind, metric) for kind in cfg.configs for metric in cfg.metrics]
+
+
 def prepare_data(cfg: ExperimentConfig):
+    """(train, test) datasets; a config whose sweep pools would be too small
+    is refused here, before M is trained."""
     if cfg.dataset == "synthetic":
         train_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_train,
                                        cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
@@ -69,10 +76,13 @@ def prepare_data(cfg: ExperimentConfig):
         test_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_test,
                                       cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
                                       seed=cfg.synthetic_seed + 1)
-        return train_set, test_set
-    train_set = load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels)
-    test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
-                                class_count=train_set.class_count)
+    else:
+        train_set = load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels)
+        test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
+                                    class_count=train_set.class_count)
+    adversarial = attack_count(len(train_set), cfg.attack_fraction)
+    for kind, metric in sweep_pairs(cfg):
+        sweep_pool_size(kind, metric, len(train_set), adversarial)
     return train_set, test_set
 
 
@@ -99,13 +109,10 @@ def guidance_config(cfg: ExperimentConfig) -> GuidanceConfig:
     )
 
 
-def retrain_hp(cfg: ExperimentConfig) -> RetrainHP:
-    return RetrainHP(
+def retrain_hp(cfg: ExperimentConfig) -> TrainParams:
+    return TrainParams(
         epochs=cfg.retrain_epochs, batch_size=cfg.retrain_batch_size,
-        lr=cfg.retrain_lr, momentum=cfg.retrain_momentum,
-        shuffle_seed=cfg.seed_shuffle,
-        fresh_init_seed=cfg.seed_init + 1,  # C1 restarts differ from M's init
-    )
+        lr=cfg.retrain_lr, momentum=cfg.retrain_momentum, shuffle_seed=cfg.seed_shuffle)
 
 
 # ------------------------------------------------------------- fingerprints

@@ -41,7 +41,6 @@ from guidedretrain.model import (
 from guidedretrain.reports import compute_trend, write_summary_csv, write_timing_csv
 from guidedretrain.retrain import (
     ExperimentRecord,
-    RetrainHP,
     RetrainRun,
     initial_model,
     ordered_pool_ids,
@@ -378,7 +377,7 @@ def test_c07_retraining_recovery(desk_data, original_model, augmented):
     guidance = GuidanceConfig()
     scored = timed_scoring("DSA", original_model, augmented.train_star, guidance)
     record = run_experiment(original_model, augmented, "DSA", "C2",
-                            RetrainHP(epochs=10, shuffle_seed=44), guidance,
+                            TrainParams(epochs=10, shuffle_seed=44), guidance,
                             scored=scored)
     gain = record.best_accuracy - star0
     elapsed = time.monotonic() - t0
@@ -401,8 +400,8 @@ def test_c08_configuration_semantics(original_model, augmented):
         # the zero-epoch retraining path returns exactly those weights
         pool = augmented.train_star.take(
             ordered_pool_ids(kind, augmented, range(len(augmented.train_star))))
-        _, model = retrain_point(kind, original_model, pool, min(32, len(pool)),
-                                 RetrainHP(epochs=0, fresh_init_seed=fresh_seed), 0, augmented)
+        _, model = retrain_point(kind, start, pool, min(32, len(pool)), TrainParams(epochs=0), 0,
+                                 augmented)
         for key in reference.parameters:
             assert np.array_equal(model.parameters[key], reference.parameters[key]), (kind, key)
 

@@ -196,10 +196,10 @@ def test_failing_point_in_a_worker_is_named(tmp_path, monkeypatch, capsys):
 
     real = retrain.retrain_point
 
-    def failing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
+    def failing(kind, start, pool, size, hp, point_index, eval_sets, metric=""):
         if (kind, metric, point_index) == ("C3", "NC", 7):
             raise ValueError(f"broken in process {os.getpid()}")
-        return real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+        return real(kind, start, pool, size, hp, point_index, eval_sets, metric=metric)
 
     monkeypatch.setattr(retrain, "retrain_point", failing)  # forked workers inherit it
     monkeypatch.setenv("GR_THREADS", "2")
@@ -211,15 +211,24 @@ def test_failing_point_in_a_worker_is_named(tmp_path, monkeypatch, capsys):
     assert "status = failed: retrain" in (out / "manifest.txt").read_text()
 
 
-def test_too_small_sweep_pool_is_named(tmp_path, capsys):
-    # 5 % of the mini config's 120 Train rows is a 6-row Adv-Train, C3's pool
+def test_too_small_sweep_pool_is_named(tmp_path, monkeypatch, capsys):
+    # 5 % of the mini config's 120 Train rows is a 6-row Adv-Train, C3's pool;
+    # the data stage refuses it before M is trained
+    from guidedretrain import stages
+
+    trained = []
+    real = stages.train_original
+    monkeypatch.setattr(stages, "train_original",
+                        lambda *args: trained.append(args) or real(*args))
     cfg = tmp_path / "small.cfg"
     cfg.write_text(MINI_CONFIG.replace("attack.fraction = 0.5", "attack.fraction = 0.05"))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "C3/RANDOM pool has 6 inputs" in err and "attack.fraction" in err
-    assert "status = failed: retrain" in (out / "manifest.txt").read_text()
+    assert "status = failed: data" in (out / "manifest.txt").read_text()
+    assert not (out / "model.grcnn").exists()
+    assert trained == []
 
 
 def test_stage_commands_write_the_run_bytes(tmp_path, capsys):

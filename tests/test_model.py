@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from guidedretrain.model import (
     desk_architecture,
     forward_pass,
     load_model,
+    model_bytes,
     neuron_count,
     predict,
     save_model,
@@ -282,6 +286,39 @@ def test_architecture_json_round_trip():
     again = ArchitectureDescriptor.from_json(arch.to_json())
     assert again == arch
     assert again.to_json() == arch.to_json()
+
+
+# the model file format: the desk descriptor's JSON and a whole file's digest
+DESK_JSON = (
+    '{"classes":4,"input_shape":[16,16,1],"layers":['
+    '{"filters":8,"kernel":3,"kind":"conv","name":"conv1","padding":"same","stride":1},'
+    '{"kind":"relu","name":"relu1"},{"kind":"maxpool","name":"pool1","size":2},'
+    '{"filters":16,"kernel":3,"kind":"conv","name":"conv2","padding":"same","stride":1},'
+    '{"kind":"relu","name":"relu2"},{"kind":"maxpool","name":"pool2","size":2},'
+    '{"kind":"dense","name":"dense1","units":32},{"kind":"relu","name":"relu3"},'
+    '{"kind":"dense","name":"dense2","units":4}]}'
+)
+
+
+def test_desk_descriptor_and_model_bytes_are_pinned():
+    assert desk_architecture().to_json() == DESK_JSON
+    raw = model_bytes(build_model(desk_architecture(), seed=11))
+    assert len(raw) == 38911
+    assert hashlib.sha256(raw).hexdigest() == \
+        "267bb6259b07bff8ec5f73dafcae8b0a3aabd587353425594a2b36d3d5e8902e"
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "pool", "name": "bad", "size": 2},  # unknown kind
+    {"name": "bad", "units": 2},  # no kind
+    {"kind": "conv", "name": "bad", "filters": 8, "kernel": 3},  # missing fields
+    {"kind": "relu", "name": "bad", "units": 2},  # a field relu does not have
+])
+def test_malformed_layer_is_named(entry):
+    doc = json.loads(DESK_JSON)
+    doc["layers"][1] = entry
+    with pytest.raises(ValueError, match="layer 1 \\('bad'\\)"):
+        ArchitectureDescriptor.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256, 300])

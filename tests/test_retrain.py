@@ -4,13 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from guidedretrain.attack import AttackConfig, build_augmented_sets
+from guidedretrain.attack import AttackConfig, attack_count, build_augmented_sets
 from guidedretrain.autodiff import Dense, Relu
-from guidedretrain.metrics import GuidanceConfig, timed_scoring
+from guidedretrain.metrics import GuidanceConfig, order_inputs, timed_scoring
 from guidedretrain.model import (
     ArchitectureDescriptor,
     Dataset,
     ModelState,
+    TrainParams,
     accuracy,
     build_model,
     model_bytes,
@@ -18,7 +19,6 @@ from guidedretrain.model import (
 from guidedretrain.retrain import (
     ComparisonRow,
     ExperimentRecord,
-    RetrainHP,
     RetrainRun,
     compare_records,
     initial_model,
@@ -27,6 +27,7 @@ from guidedretrain.retrain import (
     retrain_point,
     run_experiment,
     run_experiments,
+    sweep_pool_size,
     sweep_sizes,
 )
 from guidedretrain.rng import Pcg32
@@ -40,7 +41,7 @@ def tiny_model(classes=2, seed=0):
     return build_model(arch, seed=seed)
 
 
-def toy_sets(n_train=40, n_test=12, classes=2, model=None, seed=0):
+def toy_sets(n_train=40, n_test=12, classes=2, model=None, seed=0, fraction=0.5):
     rng = Pcg32(seed)
     def make(n, s):
         r = Pcg32(s)
@@ -50,7 +51,7 @@ def toy_sets(n_train=40, n_test=12, classes=2, model=None, seed=0):
     train_set = make(n_train, seed)
     test_set = make(n_test, seed + 1)
     m = model if model is not None else tiny_model(classes)
-    sets = build_augmented_sets(m, train_set, test_set, 0.5, AttackConfig(epsilon=0.1), seed=seed)
+    sets = build_augmented_sets(m, train_set, test_set, fraction, AttackConfig(epsilon=0.1), seed=seed)
     return m, sets
 
 
@@ -133,7 +134,7 @@ def test_ordered_pool_c1_c2_use_full_train_star():
 def test_retrain_point_epochs_zero_keeps_model_accuracy():
     m, sets = toy_sets()
     pool = ordered_pool("C2", sets, range(len(sets.train_star)))
-    hp = RetrainHP(epochs=0)
+    hp = TrainParams(epochs=0)
     run, model = retrain_point("C2", m, pool, len(pool), hp, point_index=0, eval_sets=sets)
     assert run.accuracy_test_star == accuracy(m, sets.test_star)
     for key in m.parameters:
@@ -143,7 +144,7 @@ def test_retrain_point_epochs_zero_keeps_model_accuracy():
 def test_retrain_point_deterministic():
     m, sets = toy_sets()
     pool = ordered_pool("C3", sets, range(len(sets.train_star)))
-    hp = RetrainHP(epochs=2, shuffle_seed=5)
+    hp = TrainParams(epochs=2, shuffle_seed=5)
     a, model_a = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
     b, model_b = retrain_point("C3", m, pool, len(pool), hp, point_index=3, eval_sets=sets)
     assert a.accuracy_test_star == b.accuracy_test_star
@@ -158,7 +159,7 @@ def test_retrain_point_splits_one_test_star_pass():
     m, sets = toy_sets(n_train=40, n_test=150)
     assert len(sets.test_star) > 256
     pool = ordered_pool("C2", sets, range(len(sets.train_star)))
-    run, model = retrain_point("C2", m, pool, len(pool), RetrainHP(epochs=1, shuffle_seed=2),
+    run, model = retrain_point("C2", m, pool, len(pool), TrainParams(epochs=1, shuffle_seed=2),
                                point_index=1, eval_sets=sets)
     clean = sets.test_star.take(np.flatnonzero(~sets.test_star_is_adversarial))
     assert run.accuracy_test_star == accuracy(model, sets.test_star)
@@ -166,16 +167,57 @@ def test_retrain_point_splits_one_test_star_pass():
     assert run.accuracy_adv_test == accuracy(model, sets.adv_test)
 
 
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 1.0])
+def test_sweep_pool_size_matches_the_pools(fraction):
+    m, sets = toy_sets(n_train=40, n_test=4, fraction=fraction)
+    n = sets.train_clean
+    for kind in ("C1", "C2", "C3"):
+        pool = len(ordered_pool_ids(kind, sets, range(len(sets.train_star))))
+        if pool < 20:
+            with pytest.raises(ValueError, match=f"{kind}/NC pool has {pool} inputs"):
+                sweep_pool_size(kind, "NC", n, attack_count(n, fraction))
+        else:
+            assert sweep_pool_size(kind, "NC", n, attack_count(n, fraction)) == pool
+
+
 def test_retrain_point_rejects_oversized_request():
     m, sets = toy_sets()
     pool = ordered_pool("C3", sets, range(len(sets.train_star)))
     with pytest.raises(ValueError):
-        retrain_point("C3", m, pool, len(pool) + 1, RetrainHP(), 0, sets)
+        retrain_point("C3", m, pool, len(pool) + 1, TrainParams(), 0, sets)
+
+
+def test_c1_start_is_built_once_per_pair(monkeypatch):
+    from guidedretrain import retrain
+
+    built = []
+    real = retrain.build_model
+
+    def counting(arch, seed):
+        built.append(seed)
+        return real(arch, seed)
+
+    monkeypatch.setattr(retrain, "build_model", counting)
+    m, sets = toy_sets(n_train=40, n_test=8)
+    pairs = [("C1", "RANDOM"), ("C2", "RANDOM"), ("C1", "NC"), ("C3", "NC")]
+    scored = {metric: timed_scoring(metric, m, sets.train_star, GuidanceConfig())
+              for metric in ("RANDOM", "NC")}
+    hp = TrainParams(epochs=1, shuffle_seed=3)
+    batch = run_experiments(m, sets, pairs, hp, scored, fresh_init_seed=7, workers=1)
+    assert built == [7, 7]
+    # each point equals one trained from a start of its own
+    record = batch.records[2]
+    pool = ordered_pool("C1", sets, order_inputs(scored["NC"][0]))
+    for run in (record.runs[0], record.runs[-1]):
+        alone, _ = retrain_point("C1", real(m.architecture, 7), pool, run.input_size, hp,
+                                 run.point_index, sets, metric="NC")
+        assert (alone.accuracy_test_star, alone.accuracy_test, alone.accuracy_adv_test) == \
+            (run.accuracy_test_star, run.accuracy_test, run.accuracy_adv_test)
 
 
 def test_run_experiment_record_shape():
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1),
+    record = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1),
                             GuidanceConfig(), workers=1)
     assert len(record.runs) == 20
     sizes = [r.input_size for r in record.runs]
@@ -191,7 +233,7 @@ def test_run_experiment_record_shape():
 
 def test_run_experiment_c3_pool_total_is_adv_count():
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C3", RetrainHP(epochs=1),
+    record = run_experiment(m, sets, "RANDOM", "C3", TrainParams(epochs=1),
                             GuidanceConfig(), workers=1)
     assert record.pool_total == len(sets.adv_train)
     assert record.runs[-1].input_size == len(sets.adv_train)
@@ -199,8 +241,8 @@ def test_run_experiment_c3_pool_total_is_adv_count():
 
 def test_run_experiment_parallel_matches_sequential():
     m, sets = toy_sets(n_train=50, n_test=8)
-    seq = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig(), workers=1)
-    par = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig(), workers=4)
+    seq = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=1)
+    par = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=4)
 
     def accuracies(record):
         return [(r.accuracy_test_star, r.accuracy_test, r.accuracy_adv_test) for r in record.runs]
@@ -260,9 +302,9 @@ def test_gr_threads_env_controls_fanout(monkeypatch):
 
 def test_gr_threads_used_by_run_experiment(monkeypatch):
     m, sets = toy_sets(n_train=40, n_test=8)
-    ref = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig(), workers=1)
+    ref = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=1)
     monkeypatch.setenv("GR_THREADS", "2")
-    env = run_experiment(m, sets, "RANDOM", "C2", RetrainHP(epochs=1), GuidanceConfig())
+    env = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
     assert [r.accuracy_test_star for r in ref.runs] == [r.accuracy_test_star for r in env.runs]
 
 
@@ -278,8 +320,8 @@ def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch, tmp_p
     real = retrain.retrain_point
     parent = os.getpid()
 
-    def writing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
-        run, model = real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+    def writing(kind, start, pool, size, hp, point_index, eval_sets, metric=""):
+        run, model = real(kind, start, pool, size, hp, point_index, eval_sets, metric=metric)
         assert not any(p.flags.writeable for p in model.parameters.values())
         where = tmp_path / ("parent" if os.getpid() == parent else "worker")
         where.mkdir(exist_ok=True)
@@ -290,9 +332,9 @@ def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch, tmp_p
     m, sets = toy_sets(n_train=50, n_test=8)
     pairs = [("C1", "RANDOM"), ("C3", "RANDOM")]
     scored = random_scored(m, sets)
-    seq = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored, workers=1)
+    seq = run_experiments(m, sets, pairs, TrainParams(epochs=1), scored, workers=1)
     monkeypatch.setenv("GR_THREADS", "2")
-    par = run_experiments(m, sets, pairs, RetrainHP(epochs=1), scored)
+    par = run_experiments(m, sets, pairs, TrainParams(epochs=1), scored)
     names = sorted(path.name for path in (tmp_path / "parent").iterdir())
     assert len(names) == 40
     assert sorted(path.name for path in (tmp_path / "worker").iterdir()) == names
@@ -333,7 +375,7 @@ def test_batch_records_hold_no_weights():
     m, sets = toy_sets(n_train=50, n_test=8)
     pairs = [("C2", "RANDOM"), ("C3", "RANDOM")]
     for workers in (1, 2):
-        batch = run_experiments(m, sets, pairs, RetrainHP(epochs=1), random_scored(m, sets),
+        batch = run_experiments(m, sets, pairs, TrainParams(epochs=1), random_scored(m, sets),
                                 workers=workers)
         assert batch.workers == workers
         found = reachable(batch)
@@ -348,16 +390,16 @@ def test_failing_pooled_point_is_named_and_leaves_no_worker(monkeypatch):
 
     real = retrain.retrain_point
 
-    def failing(kind, original, pool, size, hp, point_index, eval_sets, metric=""):
+    def failing(kind, start, pool, size, hp, point_index, eval_sets, metric=""):
         if (kind, point_index) == ("C3", 7):
             raise ValueError("broken point")
-        return real(kind, original, pool, size, hp, point_index, eval_sets, metric=metric)
+        return real(kind, start, pool, size, hp, point_index, eval_sets, metric=metric)
 
     monkeypatch.setattr(retrain, "retrain_point", failing)  # forked workers inherit it
     monkeypatch.setenv("GR_THREADS", "2")
     m, sets = toy_sets(n_train=50, n_test=8)
     with pytest.raises(RuntimeError, match="retraining C3/RANDOM point 7 failed"):
-        run_experiments(m, sets, [("C1", "RANDOM"), ("C3", "RANDOM")], RetrainHP(epochs=1),
+        run_experiments(m, sets, [("C1", "RANDOM"), ("C3", "RANDOM")], TrainParams(epochs=1),
                         random_scored(m, sets))
     assert multiprocessing.active_children() == []
 
@@ -368,14 +410,14 @@ def test_points_run_largest_input_first(monkeypatch):
     seen = []
     real = retrain.retrain_point
 
-    def recording(kind, original, pool, size, *args, **kwargs):
+    def recording(kind, start, pool, size, *args, **kwargs):
         seen.append(size)
-        return real(kind, original, pool, size, *args, **kwargs)
+        return real(kind, start, pool, size, *args, **kwargs)
 
     monkeypatch.setattr(retrain, "retrain_point", recording)
     m, sets = toy_sets(n_train=40, n_test=8)
     batch = run_experiments(m, sets, [("C3", "RANDOM"), ("C2", "RANDOM")],
-                            RetrainHP(epochs=0), random_scored(m, sets), workers=1)
+                            TrainParams(epochs=0), random_scored(m, sets), workers=1)
     assert len(seen) == 40 and seen == sorted(seen, reverse=True)
     for record in batch.records:
         sizes = [r.input_size for r in record.runs]
@@ -400,7 +442,7 @@ def test_workers_run_on_one_blas_thread(monkeypatch):
     saved = get()
     put(2)
     try:
-        batch = run_experiments(m, sets, [("C2", "RANDOM")], RetrainHP(epochs=0),
+        batch = run_experiments(m, sets, [("C2", "RANDOM")], TrainParams(epochs=0),
                                 random_scored(m, sets), workers=2)
         assert get() == 2  # the caller's count is its own
     finally:

@@ -19,6 +19,14 @@ LSA's kernel distances and DSA's exact rechecks come from this module's
 cdist, an in-order sum of each pair's squared differences, and LSA's
 log-density from _logsumexp. Both use numpy only and return the bits of
 SciPy's `cdist` and `logsumexp` (1.17), which the tests keep as oracles.
+
+When Train* scores itself, a row predicted into its true class is its own
+reference, at cdist distance 0, the least there is. Its DSA is decided
+without a search (_self_match_scores): +0.0, or the sentinel when a row of
+another class is at distance exactly 0 from its nearest same-class
+reference. That distance is 0 only when every column's squared difference
+is 0.0, since a sum of non-negative terms is 0 only when every term is.
+Only the other rows search (_nearest).
 """
 
 from __future__ import annotations
@@ -276,6 +284,7 @@ class DsaIndex:
     traces: np.ndarray  # (n, d) float64
     class_rows: dict  # class -> ascending int64 row indices into traces
     sq_norms: np.ndarray  # (n,) squared row norms of traces
+    labels: np.ndarray  # (n,) true class of each row
 
     @property
     def dim(self) -> int:
@@ -309,7 +318,8 @@ def dsa_index(traces: np.ndarray, labels: np.ndarray, class_count: int, layers) 
         class_rows[cls] = rows
     if len(class_rows) < 2:
         raise ValueError("DSA needs at least 2 classes")
-    return DsaIndex(layers=tuple(layers), traces=traces, class_rows=class_rows, sq_norms=sq)
+    return DsaIndex(layers=tuple(layers), traces=traces, class_rows=class_rows, sq_norms=sq,
+                    labels=labels)
 
 
 def fit_dsa(fp: ForwardPass, train_star: Dataset, layers=None) -> DsaIndex:
@@ -361,20 +371,118 @@ def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
     return best, dist
 
 
+def _zero_distance_groups(traces: np.ndarray):
+    """Groups of rows that hold every pair of rows at cdist distance exactly 0.
+
+    Returns (rows, group, clique): rows sorted by group id, and per row
+    whether every pair of its group is at distance 0. In a group that is not
+    a clique, a pair may or may not be (see _zero_distance_pairs).
+
+    That distance is 0 only when each column's squared difference is 0.0,
+    since a sum of non-negative terms is 0 only when every term is. Rows
+    that differ by less than about 1e-162 per column qualify, which == on
+    values would miss, and so do -0.0 and +0.0, which a byte compare would.
+    Columns are read one at a time, last (the head's, rarely 0 after ReLU)
+    first, and only at the rows still in question. All rows start as one
+    group. A column sorts each group by value and splits it where the
+    squared step between neighbours is not 0; singletons drop out. Rounding
+    is monotone, so a pair at squared difference 0 has squared step 0 to
+    every row sorted between them and is never split, and a pair inside a
+    group whose squared spread (last value less first) is 0 is at squared
+    difference 0. Once the groups hold no more pairs than rows, testing
+    their pairs is cheaper, and no group is called a clique.
+    """
+    rows = np.arange(len(traces))
+    group = np.zeros(len(rows), dtype=np.int64)
+    clique = np.ones(len(rows), dtype=bool)
+    for col in range(traces.shape[1] - 1, -1, -1):
+        sizes = np.bincount(group)
+        if (sizes * (sizes - 1)).sum() <= 2 * len(rows):
+            return rows, group, np.zeros(len(rows), dtype=bool)
+        values = traces[rows, col]
+        order = np.lexsort((values, group))
+        rows, group, clique, values = rows[order], group[order], clique[order], values[order]
+        step = np.diff(values)
+        split = np.concatenate(([True], (group[1:] != group[:-1]) | (step * step != 0.0)))
+        group = np.cumsum(split) - 1
+        starts = np.flatnonzero(split)
+        spread = values[np.append(starts[1:], len(values)) - 1] - values[starts]
+        clique &= (spread * spread == 0.0)[group]
+        keep = np.bincount(group)[group] > 1
+        rows, group, clique = rows[keep], group[keep], clique[keep]
+    return rows, group, clique
+
+
+def _zero_distance_pairs(traces: np.ndarray, rows: np.ndarray, group: np.ndarray):
+    """(i, j) with i < j: the pairs inside each group at cdist distance exactly 0.
+
+    `rows` are sorted by `group`. Each pair is tested column by column, last
+    first, and dropped at the first column whose squared difference is not 0.
+    """
+    bounds = np.flatnonzero(np.diff(group, prepend=-1, append=-1))
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pairs.append(rows[lo + np.array(np.triu_indices(hi - lo, 1))])
+    i, j = np.sort(np.concatenate(pairs, axis=1), axis=0)
+    for col in range(traces.shape[1] - 1, -1, -1):
+        if len(i) == 0:
+            break
+        diff = traces[i, col] - traces[j, col]
+        keep = diff * diff == 0.0
+        i, j = i[keep], j[keep]
+    return i, j
+
+
+def _self_match_scores(index: DsaIndex, rows: np.ndarray) -> np.ndarray:
+    """DSA of index rows, each scored under its own true class, without a search.
+
+    A row is at cdist distance 0 from itself, the least there is, so its
+    nearest same-class reference a is the first row of its class (in
+    class_rows order) at distance exactly 0 from it: the row itself unless
+    an earlier row qualifies. Its DSA is 0 / dist(a, nearest other-class
+    row): +0.0, or the sentinel when a row of another class is at distance
+    0 from a. _nearest would return the same a and distances.
+    """
+    labels = index.labels
+    first = np.arange(len(labels))  # class_rows are ascending
+    clash = np.zeros(len(labels), dtype=bool)
+    members, group, clique = _zero_distance_groups(index.traces)
+    # a clique row's a is in its clique, at distance 0 from every row there:
+    # all of them clash when the clique holds two classes
+    m, g = members[clique], group[clique]
+    other = labels[m] != labels[m[np.searchsorted(g, g)]]  # than the group's first row
+    clash[m] = np.bincount(g, weights=other)[g] > 0
+    i, j = _zero_distance_pairs(index.traces, members[~clique], group[~clique])
+    same = labels[i] == labels[j]
+    np.minimum.at(first, j[same], i[same])
+    clash[i[~same]] = True
+    clash[j[~same]] = True
+    return np.where(clash[first[rows]], DSA_ZERO_DENOMINATOR_SENTINEL, 0.0)
+
+
 def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """DSA of each trace row (n, d) given its predicted class."""
+    """DSA of each trace row (n, d) given its predicted class.
+
+    A row that is an index row of its predicted class is scored by
+    _self_match_scores; only the others search with _nearest.
+    """
     if traces.shape[1] != index.dim:
         raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
+    # the query-to-index row map: the index row each query row is, or -1
     if traces.__array_interface__ == index.traces.__array_interface__:
-        sq = index.sq_norms  # the index's own rows, as when Train* scores itself
+        sq, ref_rows = index.sq_norms, np.arange(len(traces))  # Train* scores itself
     else:
-        sq = _squared_norms(traces)
+        sq, ref_rows = _squared_norms(traces), np.full(len(traces), -1)
+    # a -1 reads the last label, which the first test masks
+    own = (ref_rows >= 0) & (index.labels[ref_rows] == classes)
     out = np.empty(len(traces), dtype=np.float64)
-    for cls in _present(classes):
+    if own.any():
+        out[own] = _self_match_scores(index, ref_rows[own])
+    for cls in _present(classes[~own]):
         cls = int(cls)
         if cls not in index.class_rows:
             raise KeyError(f"predicted class {cls} absent from the index")
-        mask = classes == cls
+        mask = (classes == cls) & ~own
         a_rows, dist_a = _nearest(traces[mask], sq[mask], index, [index.class_rows[cls]])
         # nearest other-class distance, once per distinct nearest reference
         need = _present(a_rows)
@@ -390,10 +498,11 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
 def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:
     """DSA of every row of a forward pass.
 
-    Exact: each nearest-trace search shortlists by GEMM distances and
-    decides by the in-order sum of squared differences (cdist, see
-    _nearest), so the scores equal an exhaustive search over those exact
-    distances bit for bit.
+    Exact: a row that is its own reference needs no search (see
+    _self_match_scores), and each nearest-trace search shortlists by GEMM
+    distances and decides by the in-order sum of squared differences
+    (cdist, see _nearest), so the scores equal an exhaustive search over
+    those exact distances bit for bit.
     """
     return dsa_from_traces(index, fp.block(index.layers), fp.labels)
 

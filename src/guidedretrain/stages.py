@@ -67,8 +67,9 @@ def sweep_pairs(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def prepare_data(cfg: ExperimentConfig):
-    """(train, test) datasets; a config whose sweep pools would be too small
-    is refused here, before M is trained."""
+    """(train, test) datasets; a config whose sweep pools would be too small,
+    or whose SA metrics name a layer without neurons, is refused here,
+    before M is trained."""
     if cfg.dataset == "synthetic":
         train_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_train,
                                        cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
@@ -83,7 +84,21 @@ def prepare_data(cfg: ExperimentConfig):
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
     for kind, metric in sweep_pairs(cfg):
         sweep_pool_size(kind, metric, len(train_set), adversarial)
+    _check_guidance_layers(cfg, architecture_for(cfg, train_set).neuron_layers())
     return train_set, test_set
+
+
+def _check_guidance_layers(cfg: ExperimentConfig, neuron_layers) -> None:
+    guidance = guidance_config(cfg)
+    lsa_layers = (guidance.lsa_layer,) if guidance.lsa_layer else ()
+    for metric, key, names in (("LSA", "lsa.layer", lsa_layers),
+                               ("DSA", "dsa.layers", guidance.dsa_layers or ())):
+        if metric not in cfg.metrics:
+            continue
+        for name in names:
+            if name not in neuron_layers:
+                raise ValueError(f"{key} names {name!r}, not a neuron layer "
+                                 f"(neuron layers: {', '.join(neuron_layers)})")
 
 
 def architecture_for(cfg: ExperimentConfig, data: Dataset):

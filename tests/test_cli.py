@@ -231,6 +231,30 @@ def test_too_small_sweep_pool_is_named(tmp_path, monkeypatch, capsys):
     assert trained == []
 
 
+@pytest.mark.parametrize("line, named", [
+    ("dsa.layers = conv1,dense9", "dsa.layers names 'dense9'"),
+    ("lsa.layer = relu3", "lsa.layer names 'relu3'"),
+])
+def test_bad_guidance_layer_is_named(tmp_path, monkeypatch, capsys, line, named):
+    # the data stage checks the SA metrics' layer names before M is trained
+    from guidedretrain import stages
+
+    trained = []
+    real = stages.train_original
+    monkeypatch.setattr(stages, "train_original",
+                        lambda *args: trained.append(args) or real(*args))
+    cfg = tmp_path / "layers.cfg"
+    cfg.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = RANDOM,NC,LSA,DSA")
+                   + line + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "conv1, conv2, dense1, dense2" in err
+    assert "status = failed: data" in (out / "manifest.txt").read_text()
+    assert not (out / "model.grcnn").exists()
+    assert trained == []
+
+
 def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
     cfg = tmp_path / "all.cfg"
     cfg.write_text(ALL_CONFIG)

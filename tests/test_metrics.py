@@ -456,6 +456,107 @@ def test_dsa_shortlist_rechecks_few_rows(recheck_sizes):
     assert max(recheck_sizes) == 1  # well-separated traces: one candidate per row
 
 
+def assert_self_scored_dsa_is_brute_force(index, predicted):
+    """Train* scoring itself: the index's own rows, bit for bit the oracle's."""
+    got = dsa_from_traces(index, index.traces, np.asarray(predicted))
+    want = [brute_force_dsa(index, t, int(c)) for t, c in zip(index.traces, predicted)]
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    return got
+
+
+def test_dsa_self_scored_zero_distance_cases():
+    tiny = 1e-162  # its square rounds to 0.0, the square of twice it does not
+    rng = np.random.default_rng(13)
+    b = rng.integers(-4, 5, size=(6, 8)).astype(np.float64)
+    b[:, 0] = 0.0
+    b[1, -1] = 0.0
+    b[4, -1] = b[3, -1]  # rows 7, 8 and 9 share the head column only
+    b[5, -1] = 4.5
+    rows = np.array([
+        b[0],                   # 0 class 0
+        b[0],                   # 1 class 0: duplicate, its a is row 0
+        b[1],                   # 2 class 0
+        b[1],                   # 3 class 0: head column tiny below, its a is row 2
+        b[2],                   # 4 class 0: a -0.0 twin of row 6
+        b[1],                   # 5 class 1: head column tiny above, at 0 from 2, not 3
+        b[2],                   # 6 class 1
+        b[3],                   # 7 class 1
+        b[3],                   # 8 class 1: 1e-170 off row 7 in column 0
+        b[4],                   # 9 class 2
+        b[5],                   # 10 class 2
+        b[0],                   # 11 class 2: an exact twin of rows 0 and 1
+    ])
+    rows[3, -1] -= tiny
+    rows[5, -1] += tiny
+    rows[4, 3], rows[6, 3] = -0.0, 0.0
+    rows[8, 0] = 1e-170
+    labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2])
+    index = dsa_index(rows, labels, 3, ("d1",))
+    got = assert_self_scored_dsa_is_brute_force(index, labels)
+    sentinel = DSA_ZERO_DENOMINATOR_SENTINEL
+    # row 3 alone has no twin in class 1, but its a, row 2, has row 5
+    assert got.tolist() == [sentinel, sentinel, sentinel, sentinel, sentinel, sentinel,
+                            sentinel, 0.0, 0.0, 0.0, 0.0, sentinel]
+    # predicted classes other than the true ones, identical traces included
+    predicted = labels.copy()
+    predicted[[1, 3, 8, 10]] = [2, 1, 0, 0]
+    assert_self_scored_dsa_is_brute_force(index, predicted)
+    swapped = dsa_index(rows[[1, 0, 3, 2, *range(4, 12)]], labels, 3, ("d1",))
+    got = assert_self_scored_dsa_is_brute_force(swapped, labels)
+    # now row 3 has row 5 in class 1 at distance 0, but its a, row 2, has not
+    assert got[2] == got[3] == 0.0
+    assert_self_scored_dsa_is_brute_force(swapped, predicted)
+
+
+def test_dsa_self_scored_many_duplicates():
+    # rows drawn from a few patterns, some nudged by amounts whose squares
+    # are 0.0 or not, under random true and predicted classes
+    rng = np.random.default_rng(21)
+    patterns = rng.integers(-2, 3, size=(5, 6)).astype(np.float64)
+    patterns[:, 2] = 0.0
+    rows = patterns[rng.integers(0, 5, size=60)]
+    rows[:, 2] = rng.choice([0.0, -0.0, 1e-170, 1e-162, -1e-162, 3e-162], size=60)
+    labels = np.arange(60) % 3
+    index = dsa_index(rows, labels, 3, ("d1",))
+    assert_self_scored_dsa_is_brute_force(index, labels)
+    predicted = np.where(rng.random(60) < 0.2, rng.integers(0, 3, size=60), labels)
+    assert_self_scored_dsa_is_brute_force(index, predicted)
+    # one group too large to test pair by pair, with -1e-162 and +1e-162
+    # rows, which are not at distance 0 from each other
+    chain = np.tile(patterns[0], (7, 1))
+    chain[:, 2] = [-1e-162, 0.0, 1e-162, -1e-162, -1e-162, -1e-162, 0.0]
+    index = dsa_index(np.vstack([chain, patterns[1:3]]),
+                      np.array([0, 0, 1, 0, 0, 0, 0, 1, 0]), 2, ("d1",))
+    got = assert_self_scored_dsa_is_brute_force(index, index.labels)
+    # row 1 is at distance 0 from row 2, but its a, row 0, is not
+    assert got[:7].tolist() == [0.0, 0.0, DSA_ZERO_DENOMINATOR_SENTINEL, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_dsa_self_scored_searches_only_mispredicted_rows(monkeypatch):
+    from guidedretrain import metrics
+
+    rng = np.random.default_rng(17)
+    labels = np.arange(30) % 3
+    index = dsa_index(rng.normal(size=(30, 6)), labels, 3, ("d1",))
+    predicted = labels.copy()
+    predicted[[4, 7, 20, 11]] = [0, 0, 0, 1]  # rows of classes 1, 1, 2 and 2
+    searches = []
+    nearest = metrics._nearest
+
+    def recording(queries, q_sq, index, blocks):
+        searches.append((queries.copy(), [rows.copy() for rows in blocks]))
+        return nearest(queries, q_sq, index, blocks)
+
+    monkeypatch.setattr(metrics, "_nearest", recording)
+    dsa_from_traces(index, index.traces, predicted)
+    # one same-class search per class with mispredicted rows, none for class 2
+    same_class = [(queries, blocks[0]) for queries, blocks in searches if len(blocks) == 1]
+    assert len(same_class) == 2 and len(searches) == 4
+    for (queries, block), cls, rows in zip(same_class, (0, 1), ([4, 7, 20], [11])):
+        assert np.array_equal(block, index.class_rows[cls])
+        assert np.array_equal(queries, index.traces[rows])
+
+
 def test_dsa_rejects_non_finite_rows():
     refs = np.ones((4, 3))
     refs[2, 1] = np.nan

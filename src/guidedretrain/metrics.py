@@ -372,45 +372,37 @@ def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
 
 
 def _zero_distance_groups(traces: np.ndarray):
-    """Groups of rows that hold every pair of rows at cdist distance exactly 0.
-
-    Returns (rows, group, clique): rows sorted by group id, and per row
-    whether every pair of its group is at distance 0. In a group that is not
-    a clique, a pair may or may not be (see _zero_distance_pairs).
+    """(rows, group): the rows that may be at cdist distance exactly 0 from
+    another row, sorted by group id. Two rows at that distance share a group;
+    two rows in one group may or may not be (see _zero_distance_pairs).
 
     That distance is 0 only when each column's squared difference is 0.0,
     since a sum of non-negative terms is 0 only when every term is. Rows
     that differ by less than about 1e-162 per column qualify, which == on
     values would miss, and so do -0.0 and +0.0, which a byte compare would.
-    Columns are read one at a time, last (the head's, rarely 0 after ReLU)
-    first, and only at the rows still in question. All rows start as one
-    group. A column sorts each group by value and splits it where the
-    squared step between neighbours is not 0; singletons drop out. Rounding
-    is monotone, so a pair at squared difference 0 has squared step 0 to
-    every row sorted between them and is never split, and a pair inside a
-    group whose squared spread (last value less first) is 0 is at squared
-    difference 0. Once the groups hold no more pairs than rows, testing
-    their pairs is cheaper, and no group is called a clique.
+    Columns are read one at a time, last first, and only at the rows still in
+    question. All rows start as one group. A column sorts each group by value
+    and splits it where the squared step between neighbours is not 0;
+    singletons drop out. Rounding is monotone, so a pair at squared
+    difference 0 has squared step 0 to every row sorted between them and is
+    never split. When the last column is the output layer's, as with every
+    layer selected, it is rarely 0 and leaves few rows; under a subset of
+    conv layers it may leave more.
     """
     rows = np.arange(len(traces))
     group = np.zeros(len(rows), dtype=np.int64)
-    clique = np.ones(len(rows), dtype=bool)
     for col in range(traces.shape[1] - 1, -1, -1):
-        sizes = np.bincount(group)
-        if (sizes * (sizes - 1)).sum() <= 2 * len(rows):
-            return rows, group, np.zeros(len(rows), dtype=bool)
+        if len(rows) == 0:
+            break
         values = traces[rows, col]
         order = np.lexsort((values, group))
-        rows, group, clique, values = rows[order], group[order], clique[order], values[order]
+        rows, group, values = rows[order], group[order], values[order]
         step = np.diff(values)
         split = np.concatenate(([True], (group[1:] != group[:-1]) | (step * step != 0.0)))
         group = np.cumsum(split) - 1
-        starts = np.flatnonzero(split)
-        spread = values[np.append(starts[1:], len(values)) - 1] - values[starts]
-        clique &= (spread * spread == 0.0)[group]
         keep = np.bincount(group)[group] > 1
-        rows, group, clique = rows[keep], group[keep], clique[keep]
-    return rows, group, clique
+        rows, group = rows[keep], group[keep]
+    return rows, group
 
 
 def _zero_distance_pairs(traces: np.ndarray, rows: np.ndarray, group: np.ndarray):
@@ -446,13 +438,7 @@ def _self_match_scores(index: DsaIndex, rows: np.ndarray) -> np.ndarray:
     labels = index.labels
     first = np.arange(len(labels))  # class_rows are ascending
     clash = np.zeros(len(labels), dtype=bool)
-    members, group, clique = _zero_distance_groups(index.traces)
-    # a clique row's a is in its clique, at distance 0 from every row there:
-    # all of them clash when the clique holds two classes
-    m, g = members[clique], group[clique]
-    other = labels[m] != labels[m[np.searchsorted(g, g)]]  # than the group's first row
-    clash[m] = np.bincount(g, weights=other)[g] > 0
-    i, j = _zero_distance_pairs(index.traces, members[~clique], group[~clique])
+    i, j = _zero_distance_pairs(index.traces, *_zero_distance_groups(index.traces))
     same = labels[i] == labels[j]
     np.minimum.at(first, j[same], i[same])
     clash[i[~same]] = True

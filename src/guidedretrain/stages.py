@@ -43,6 +43,7 @@ from .model import (
     load_model,
     model_bytes,
     save_model,
+    trace_columns,
     train,
 )
 from .retrain import sweep_pool_size
@@ -84,11 +85,11 @@ def prepare_data(cfg: ExperimentConfig):
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
     for kind, metric in sweep_pairs(cfg):
         sweep_pool_size(kind, metric, len(train_set), adversarial)
-    _check_guidance_layers(cfg, architecture_for(cfg, train_set).neuron_layers())
+    _check_guidance_layers(cfg, architecture_for(cfg, train_set))
     return train_set, test_set
 
 
-def _check_guidance_layers(cfg: ExperimentConfig, neuron_layers) -> None:
+def _check_guidance_layers(cfg: ExperimentConfig, arch) -> None:
     guidance = guidance_config(cfg)
     lsa_layers = (guidance.lsa_layer,) if guidance.lsa_layer else ()
     for metric, key, names in (("LSA", "lsa.layer", lsa_layers),
@@ -96,9 +97,11 @@ def _check_guidance_layers(cfg: ExperimentConfig, neuron_layers) -> None:
         if metric not in cfg.metrics:
             continue
         for name in names:
-            if name not in neuron_layers:
-                raise ValueError(f"{key} names {name!r}, not a neuron layer "
-                                 f"(neuron layers: {', '.join(neuron_layers)})")
+            try:
+                trace_columns(arch, [name])
+            except KeyError as e:
+                raise ValueError(f"{key} names {name!r}: {e.args[0]}; the neuron layers are "
+                                 f"{', '.join(arch.neuron_layers())}") from None
 
 
 def architecture_for(cfg: ExperimentConfig, data: Dataset):

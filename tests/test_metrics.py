@@ -521,8 +521,8 @@ def test_dsa_self_scored_many_duplicates():
     assert_self_scored_dsa_is_brute_force(index, labels)
     predicted = np.where(rng.random(60) < 0.2, rng.integers(0, 3, size=60), labels)
     assert_self_scored_dsa_is_brute_force(index, predicted)
-    # one group too large to test pair by pair, with -1e-162 and +1e-162
-    # rows, which are not at distance 0 from each other
+    # one group that no column splits, with -1e-162 and +1e-162 rows, which
+    # are not at distance 0 from each other
     chain = np.tile(patterns[0], (7, 1))
     chain[:, 2] = [-1e-162, 0.0, 1e-162, -1e-162, -1e-162, -1e-162, 0.0]
     index = dsa_index(np.vstack([chain, patterns[1:3]]),

@@ -10,7 +10,7 @@ Subcommands walk the pipeline end to end or stage by stage:
   run      full pipeline plus summary/comparison/plot reports and manifest
   report   rebuild summary/comparison/plot CSVs from an existing points.csv;
            --trend-seeds N additionally runs the multi-seed SA-vs-Random
-           comparison, one <out>/seed-<s>/ directory per seed plus
+           comparison, one <out>/seed-<s>/ run directory per seed plus
            <out>/trend.csv and <out>/trend_summary.csv
 
 Stages are deterministic functions of the configuration, and each has one
@@ -21,8 +21,8 @@ scores.npz. The .npz artifacts carry a fingerprint of M's bytes and the
 config keys they depend on; a stage rebuilds one that is missing, unreadable
 or stale and says so on stderr (see stages.py). `report` refuses, with exit
 status 1, a points.csv whose points.fingerprint is missing or does not match
-M and the config, since it cannot rebuild the points. GR_THREADS sets the
-number of processes that retrain the sweep points (default: every usable
+M and the config, since it cannot rebuild the points. GR_THREADS alone sets
+the number of processes that retrain the sweep points (default: every usable
 core; 1 runs them in-process). That pool is the only parallelism: each
 command runs its numerics on one OpenBLAS thread and restores the caller's
 count on return.
@@ -81,10 +81,8 @@ def _effective_config(args) -> ExperimentConfig:
     overrides = {}
     if args.out is not None:
         overrides["out"] = str(args.out)
-    for attr, field_name in (("seed_init", "seed_init"), ("seed_shuffle", "seed_shuffle"),
-                             ("seed_attack", "seed_attack"),
-                             ("seed_random_metric", "seed_random_metric")):
-        value = getattr(args, attr)
+    for field_name in ("seed_init", "seed_shuffle", "seed_attack", "seed_random_metric"):
+        value = getattr(args, field_name)  # the flag's argparse name is the field's
         if value is not None:
             overrides[field_name] = value
     return with_overrides(cfg, **overrides) if overrides else cfg

@@ -6,7 +6,7 @@ the four named seeds (plus the synthetic data seed), never the wall clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .metrics import METRICS
 from .retrain import CONFIG_KINDS
@@ -97,46 +97,22 @@ def _require(cfg: ExperimentConfig, field_name: str, ok, bound: str) -> None:
     """ConfigError naming the config key unless ok(value); NaN never passes."""
     value = getattr(cfg, field_name)
     if not ok(value):
-        raise ConfigError(f"{_FIELD_TO_KEY[field_name]} must be {bound}, got {value!r}")
+        raise ConfigError(f"{_key(field_name)} must be {bound}, got {value!r}")
 
 
-# config-file key -> (field, parser)
-_KEYS = {
-    "dataset": ("dataset", str),
-    "synthetic.classes": ("synthetic_classes", int),
-    "synthetic.per_class_train": ("synthetic_per_class_train", int),
-    "synthetic.per_class_test": ("synthetic_per_class_test", int),
-    "synthetic.image_size": ("synthetic_image_size", int),
-    "synthetic.noise_sigma": ("synthetic_noise_sigma", float),
-    "synthetic.seed": ("synthetic_seed", int),
-    "idx.train_images": ("idx_train_images", str),
-    "idx.train_labels": ("idx_train_labels", str),
-    "idx.test_images": ("idx_test_images", str),
-    "idx.test_labels": ("idx_test_labels", str),
-    "train.epochs": ("train_epochs", int),
-    "train.batch_size": ("train_batch_size", int),
-    "train.lr": ("train_lr", float),
-    "train.momentum": ("train_momentum", float),
-    "retrain.epochs": ("retrain_epochs", int),
-    "retrain.batch_size": ("retrain_batch_size", int),
-    "retrain.lr": ("retrain_lr", float),
-    "retrain.momentum": ("retrain_momentum", float),
-    "attack.epsilon": ("attack_epsilon", float),
-    "attack.fraction": ("attack_fraction", float),
-    "nc.threshold": ("nc_threshold", float),
-    "lsa.layer": ("lsa_layer", str),
-    "lsa.variance_threshold": ("lsa_variance_threshold", float),
-    "dsa.layers": ("dsa_layers", str),
-    "metrics": ("metrics", lambda v: tuple(p.strip().upper() for p in v.split(",") if p.strip())),
-    "configs": ("configs", lambda v: tuple(p.strip().upper() for p in v.split(",") if p.strip())),
-    "seed.init": ("seed_init", int),
-    "seed.shuffle": ("seed_shuffle", int),
-    "seed.attack": ("seed_attack", int),
-    "seed.random_metric": ("seed_random_metric", int),
-    "out": ("out", str),
-}
+def _parse_list(value: str) -> tuple:
+    """Comma-separated names, upper-cased; empty entries dropped."""
+    return tuple(p.strip().upper() for p in value.split(",") if p.strip())
 
-_FIELD_TO_KEY = {f: k for k, (f, _) in _KEYS.items()}
+
+def _key(field_name: str) -> str:
+    """A field's config-file key: its name with the first '_' made a '.'."""
+    return field_name.replace("_", ".", 1)
+
+
+# config-file key -> (field, parser); the parser follows the field's annotation
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _parse_list}
+_KEYS = {_key(f.name): (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -242,14 +242,13 @@ def train(model: ModelState, data: Dataset, hp: TrainParams) -> ModelState:
     return ModelState(model.architecture, _freeze(graph.params), model.init_seed, tuple(history))
 
 
-def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int,
-                    columns: dict, with_probs: bool = False):
+def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int, columns: dict):
     """The batched inference loop behind predict, activation_traces and forward_pass.
 
     `images` is a batch (N, H, W, C) or one input (H, W, C). Returns
-    (argmax labels, softmax probabilities or None, traces or None);
-    `columns` maps each traced neuron layer to its slice of trace columns, as
-    trace_columns builds it. A row's outputs do not depend on its batch.
+    (argmax labels, traces or None); `columns` maps each traced neuron layer
+    to its slice of trace columns, as trace_columns builds it. A row's
+    outputs do not depend on its batch.
     """
     arch = model.architecture
     images = np.asarray(images, dtype=np.float32)
@@ -259,27 +258,29 @@ def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int,
     graph = model.graph()
     sources = [(arch.post_activation_source(name), cols) for name, cols in columns.items()]
     labels = np.empty(n, dtype=np.int64)
-    probs = np.empty((n, arch.classes), dtype=np.float32) if with_probs else None
     width = max((cols.stop for cols in columns.values()), default=0)
     traces = np.empty((n, width), dtype=np.float64) if columns else None
     for start in range(0, n, batch_size):
         state = forward_eval(graph, images[start:start + batch_size])
         rows = slice(start, start + state.batch)
-        logits = state.logits.astype(np.float64)
-        logits -= logits.max(axis=1, keepdims=True)
-        labels[rows] = logits.argmax(axis=1)
-        if probs is not None:
-            e = np.exp(logits)
-            probs[rows] = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+        labels[rows] = state.logits.argmax(axis=1)
         for src, cols in sources:
             traces[rows, cols] = state.activations[src].reshape(state.batch, -1)
-    return labels, probs, traces
+    return labels, traces
 
 
 def predict(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_BATCH):
-    """(argmax labels, softmax probabilities); ties resolve to the lowest class."""
-    labels, probs, _ = _forward_batches(model, images, batch_size, {}, with_probs=True)
-    return labels, probs
+    """(argmax labels, softmax probabilities); ties resolve to the lowest class.
+
+    The dense head has no relu after it, so its trace is the logits widened
+    to float64.
+    """
+    head = model.architecture.layers[-1].name
+    labels, logits = _forward_batches(model, images, batch_size,
+                                      trace_columns(model.architecture, [head]))
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return labels, (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
 def accuracy(model: ModelState, data: Dataset) -> float:
@@ -329,7 +330,7 @@ def activation_traces(model: ModelState, images: np.ndarray, layers=None,
     columns = trace_columns(model.architecture, layers)
     if not columns:
         raise ValueError("no layers selected")
-    return _forward_batches(model, images, batch_size, columns)[2]
+    return _forward_batches(model, images, batch_size, columns)[1]
 
 
 @dataclass(frozen=True)
@@ -361,8 +362,8 @@ class ForwardPass:
 
 def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_BATCH) -> ForwardPass:
     """Labels plus the traces of every conv/dense layer, from one batched pass."""
-    labels, _, traces = _forward_batches(model, images, batch_size,
-                                         trace_columns(model.architecture))
+    labels, traces = _forward_batches(model, images, batch_size,
+                                      trace_columns(model.architecture))
     return ForwardPass(model.architecture, labels, traces)
 
 

@@ -9,8 +9,9 @@ recomputes every summary figure from the per-point CSV before the manifest
 is sealed.
 
 The score, retrain and report stages below, with stages.py's train stage
-and artifacts, are the one implementation of each stage: `run_pipeline`,
-the CLI's stage commands and `compute_trend` all call them.
+and artifacts, are the one implementation of each stage: `run_pipeline` and
+the CLI's stage commands call them, and `compute_trend` makes one
+`run_pipeline` call per seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .retrain import (
     ExperimentRecord,
     RetrainBatch,
     RetrainRun,
-    best_point,
     compare_records,
     run_experiments,
 )
@@ -84,13 +84,14 @@ def write_points_csv(records, path) -> None:
 
 
 def write_summary_csv(records, original_accuracy: float, path) -> None:
+    # every row first: a record refused for a bad ratio leaves no partial file
+    rows = [f"{rec.kind},{rec.metric},{original_accuracy:.3f},"
+            f"{rec.best_accuracy:.3f},{rec.best_input_size},{rec.pool_total},"
+            f"{rec.resource_string()},{rec.resource_utilization:.4f}\n" for rec in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("config,metric,original_accuracy,best_accuracy,inputs_at_best,"
                  "pool_total,resource,resource_utilization\n")
-        for rec in records:
-            fh.write(f"{rec.kind},{rec.metric},{original_accuracy:.3f},"
-                     f"{rec.best_accuracy:.3f},{rec.best_input_size},{rec.pool_total},"
-                     f"{rec.resource_string()},{rec.resource_utilization:.4f}\n")
+        fh.writelines(rows)
 
 
 def write_comparison_csv(rows, path) -> None:
@@ -144,13 +145,9 @@ def read_points_csv(path) -> list[ExperimentRecord]:
                 float(row["accuracy_test_star"]), float(row["accuracy_test"]),
                 float(row["accuracy_adv_test"]), 0.0))
             totals[key] = int(row["pool_total"])
-    records = []
-    for (kind, metric), runs in groups.items():
-        runs = tuple(sorted(runs, key=lambda r: r.point_index))
-        best, u = best_point(runs)
-        records.append(ExperimentRecord(kind, metric, runs, best, u, totals[kind, metric],
-                                        u / totals[kind, metric]))
-    return records
+    return [ExperimentRecord(kind, metric, tuple(sorted(runs, key=lambda r: r.point_index)),
+                             totals[kind, metric])
+            for (kind, metric), runs in groups.items()]
 
 
 def consistency_problems(records, summary_path) -> list[str]:
@@ -166,14 +163,12 @@ def consistency_problems(records, summary_path) -> list[str]:
             if rec is None:
                 problems.append(f"{key}: summary row without per-point rows")
                 continue
-            best, u = best_point(rec.runs)
-            total = rec.pool_total
             checks = [
-                ("best_accuracy", f"{best:.3f}"),
-                ("inputs_at_best", str(u)),
-                ("pool_total", str(total)),
-                ("resource", f"{u}/{total}"),
-                ("resource_utilization", f"{u / total:.4f}"),
+                ("best_accuracy", f"{rec.best_accuracy:.3f}"),
+                ("inputs_at_best", str(rec.best_input_size)),
+                ("pool_total", str(rec.pool_total)),
+                ("resource", rec.resource_string()),
+                ("resource_utilization", f"{rec.resource_utilization:.4f}"),
             ]
             for column, expected in checks:
                 if row[column] != expected:
@@ -235,13 +230,12 @@ def score_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
 
 
 def retrain_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets, sets_fp: str,
-                  scored: dict, workers: int | None = None) -> tuple[RetrainBatch, dict]:
+                  scored: dict) -> tuple[RetrainBatch, dict]:
     """(batch, {file name: path}) of every configured (configuration,
     metric) sweep, written to points.csv and points.fingerprint."""
     out = Path(cfg.out)
     batch = run_experiments(model, sets, sweep_pairs(cfg), retrain_hp(cfg), scored,
-                            fresh_init_seed=cfg.seed_init + 1,  # C1 differs from M's init
-                            workers=workers)
+                            fresh_init_seed=cfg.seed_init + 1)  # C1 differs from M's init
     stamp = out / POINTS_FINGERPRINT
     stamp.unlink(missing_ok=True)  # never left vouching for other points
     write_points_csv(batch.records, out / POINTS_CSV)
@@ -268,7 +262,7 @@ def report_stage(cfg: ExperimentConfig, original_accuracy: float,
 # ------------------------------------------------------------- pipeline
 
 
-def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBundle:
+def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
     """Full run: train M, attack, score, sweep, report.
 
     On a stage failure the manifest is still written with a failure marker
@@ -306,7 +300,7 @@ def run_pipeline(cfg: ExperimentConfig, workers: int | None = None) -> ReportBun
 
         stage = "retrain"
         t = time.monotonic()
-        batch, written = retrain_stage(cfg, original, sets, sets_fp, scored, workers)
+        batch, written = retrain_stage(cfg, original, sets, sets_fp, scored)
         files.update(written)
         runtime = {"retrain_workers": batch.workers,
                    "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
@@ -365,15 +359,15 @@ def size_at_fraction_of_final(runs, fraction: float = 0.95) -> int:
     return runs[-1].input_size
 
 
-def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = None) -> TrendReport:
+def compute_trend(cfg: ExperimentConfig, seeds, out_dir) -> TrendReport:
     """SA-vs-Random comparison under C2 across seeds.
 
-    For every seed, runs the stage spine in <out_dir>/seed-<seed>/ (train
-    M, the augmented sets, the LSA, DSA and Random scores, the C2 sweeps)
-    and finds the smallest input size reaching 95% of each curve's final
-    accuracy; fresh sets and scores found there are reused. The report
-    compares the mean over seeds of the better SA metric against Random and
-    is emitted regardless of which side wins.
+    For every seed, `run_pipeline` makes <out_dir>/seed-<seed>/ a full run
+    directory (M, the augmented sets, the LSA, DSA and Random scores, the C2
+    sweeps and their reports); fresh sets and scores found there are reused.
+    Each sweep gives the smallest input size reaching 95% of its curve's
+    final accuracy. The report compares the mean over seeds of the better SA
+    metric against Random and is emitted regardless of which side wins.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -392,13 +386,8 @@ def compute_trend(cfg: ExperimentConfig, seeds, out_dir, workers: int | None = N
             seed_attack=seed + 3,
             seed_random_metric=seed + 4,
         )
-        train_set, test_set = prepare_data(run_cfg)
-        original = train_stage(run_cfg, train_set)
-        sets, sets_fp = augmented_sets(run_cfg, original, (train_set, test_set))
-        scored = metric_scores(run_cfg, run_cfg.metrics, original, sets, sets_fp)
-        batch, _ = retrain_stage(run_cfg, original, sets, sets_fp, scored, workers)
         per_metric = {}
-        for metric, record in zip(run_cfg.metrics, batch.records):
+        for metric, record in zip(run_cfg.metrics, run_pipeline(run_cfg).records):
             size = size_at_fraction_of_final(record.runs)
             per_metric[metric] = size
             rows.append(TrendRow(seed=seed, metric=metric,

@@ -7,13 +7,14 @@ float64 array indexed by Train* row id; `order_inputs` sorts it and
 `ordered_pool_ids` keeps the pool's rows in that order. Every data point
 restarts from its configuration's initial weights, so points are independent:
 `run_experiments` runs every point of a run as one job on a fork-based
-process pool, handing the jobs out in chunks. GR_THREADS sets its process
-count (default: every usable core; 1 runs the points in-process). A point
-sends back its accuracies and wall time, never its trained weights, which
-only an in-process `retrain_point` call returns. The record keeps the best
-Test* accuracy, the smallest input size attaining it (u), and u/Tn as
-resource utilization. Every point trains with the run's one TrainParams, the
-point index being its shuffle stream.
+process pool, handing the jobs out in chunks. GR_THREADS is the only control
+of its process count (`max_workers`; default: every usable core; 1 runs the
+points in-process), and `RetrainBatch.workers` reports the count used. A
+point sends back its accuracies and wall time, never its trained weights,
+which only an in-process `retrain_point` call returns. A record computes from
+its runs the best Test* accuracy, the smallest input size attaining it (u),
+and u/Tn as resource utilization. Every point trains with the run's one
+TrainParams, the point index being its shuffle stream.
 """
 
 from __future__ import annotations
@@ -74,22 +75,30 @@ class RetrainRun:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One (configuration, metric) sweep; its figures are computed from `runs`."""
+
     kind: str
     metric: str
     runs: tuple
-    best_accuracy: float
-    best_input_size: int  # u: the smallest size attaining best_accuracy
     pool_total: int  # Tn
-    resource_utilization: float  # u / Tn
+
+    @property
+    def best_accuracy(self) -> float:
+        return max(r.accuracy_test_star for r in self.runs)
+
+    @property
+    def best_input_size(self) -> int:
+        """u: the smallest input size attaining best_accuracy."""
+        best = self.best_accuracy
+        return min(r.input_size for r in self.runs if r.accuracy_test_star == best)
+
+    @property
+    def resource_utilization(self) -> float:
+        """u / Tn, refused unless 1 <= u <= Tn."""
+        return resource_utilization(self.best_input_size, self.pool_total)
 
     def resource_string(self) -> str:
         return f"{self.best_input_size}/{self.pool_total}"
-
-
-def best_point(runs) -> tuple[float, int]:
-    """(best Test* accuracy, u: the smallest input size attaining it)."""
-    best = max(r.accuracy_test_star for r in runs)
-    return best, min(r.input_size for r in runs if r.accuracy_test_star == best)
 
 
 def resource_utilization(u: int, total: int) -> float:
@@ -228,8 +237,7 @@ def _pooled(ctx, workers: int, call: int, jobs) -> tuple[dict, float]:
 
 
 def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainParams,
-                    scored: dict, fresh_init_seed: int = 0,
-                    workers: int | None = None) -> RetrainBatch:
+                    scored: dict, fresh_init_seed: int = 0) -> RetrainBatch:
     """Every data point of every (configuration, metric) pair in `pairs`.
 
     `scored` maps each metric to its (values, seconds), values being the
@@ -237,9 +245,9 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
     `fresh_init_seed`; each pair's start weights are resolved once. A pool
     smaller than the sweep is refused (see sweep_pool_size). All points are
     independent jobs, run largest input first on a fork-based process pool
-    of `workers` processes (default: `max_workers()`, capped at the job
-    count). With one worker, or without `fork`, they run in-process. Records
-    come back in `pairs` order, runs in point order.
+    of `max_workers()` processes, capped at the job count. With one worker,
+    or without `fork`, they run in-process. Records come back in `pairs`
+    order, runs in point order.
     """
     plans = []
     for kind, metric in pairs:
@@ -250,7 +258,7 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
     sizes = {(p, i): size for p, (*_, pair_sizes) in enumerate(plans)
              for i, size in enumerate(pair_sizes)}
     jobs = sorted(sizes, key=lambda job: -sizes[job])  # largest first, ties in record order
-    workers = min(workers or max_workers(), max(1, len(jobs)))
+    workers = min(max_workers(), max(1, len(jobs)))
     ctx = None
     if workers > 1:
         import multiprocessing
@@ -267,25 +275,16 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
             runs, cpu = _pooled(ctx, workers, call, jobs)
     finally:
         del _SHARED[call]
-    records = []
-    for p, (kind, metric, _, pool, pair_sizes) in enumerate(plans):
-        point_runs = tuple(runs[p, i] for i in range(len(pair_sizes)))
-        best, u = best_point(point_runs)
-        records.append(ExperimentRecord(
-            kind=kind,
-            metric=metric,
-            runs=point_runs,
-            best_accuracy=best,
-            best_input_size=u,
-            pool_total=len(pool),
-            resource_utilization=resource_utilization(u, len(pool)),
-        ))
-    return RetrainBatch(records=tuple(records), workers=workers, worker_cpu_seconds=cpu)
+    records = tuple(
+        ExperimentRecord(kind, metric, tuple(runs[p, i] for i in range(len(pair_sizes))),
+                         len(pool))
+        for p, (kind, metric, _, pool, pair_sizes) in enumerate(plans))
+    return RetrainBatch(records=records, workers=workers, worker_cpu_seconds=cpu)
 
 
 def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind: str,
                    hp: TrainParams, guidance: GuidanceConfig, scored=None,
-                   fresh_init_seed: int = 0, workers: int | None = None) -> ExperimentRecord:
+                   fresh_init_seed: int = 0) -> ExperimentRecord:
     """All 20 data points of one (configuration, metric) pair.
 
     `scored` may carry a precomputed (values, seconds) pair so several
@@ -294,7 +293,7 @@ def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind:
     if scored is None:
         scored = timed_scoring(metric, original, sets.train_star, guidance)
     return run_experiments(original, sets, [(kind, metric)], hp, {metric: scored},
-                           fresh_init_seed, workers).records[0]
+                           fresh_init_seed).records[0]
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,27 @@ def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_report_refuses_a_hand_edited_u_above_pool_total(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    # C3's pool_total edited down to 2, below every sweep size, so u > Tn;
+    # points.fingerprint vouches for the config and M, not for the file's bytes
+    lines = (out / "points.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("pool_total")
+    edited = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        if fields[0] == "C3":
+            fields[column] = "2"
+        edited.append(",".join(fields))
+    (out / "points.csv").write_text("".join(edited))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "bad resource ratio" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 TREND_SEED = 5
 
 

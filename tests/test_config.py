@@ -1,8 +1,16 @@
 import re
+from dataclasses import fields
 
 import pytest
 
-from guidedretrain.config import ConfigError, ExperimentConfig, parse_config, with_overrides
+from guidedretrain import config
+from guidedretrain.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_echo,
+    parse_config,
+    with_overrides,
+)
 
 
 def assert_rejected(key, field, values):
@@ -67,3 +75,64 @@ def test_duplicate_metrics_rejected():
 
 def test_duplicate_configs_rejected():
     assert_rejected("configs", "configs", [("C2,c2", ("C2", "C2"))])
+
+
+# config_echo of the default config: every key, sorted, with its default
+DEFAULT_ECHO = [
+    "attack.epsilon = 0.1",
+    "attack.fraction = 0.16",
+    "configs = C1,C2,C3",
+    "dataset = synthetic",
+    "dsa.layers = ",
+    "idx.test_images = ",
+    "idx.test_labels = ",
+    "idx.train_images = ",
+    "idx.train_labels = ",
+    "lsa.layer = ",
+    "lsa.variance_threshold = 1e-05",
+    "metrics = LSA,DSA,NC,RANDOM",
+    "nc.threshold = 0.5",
+    "out = out",
+    "retrain.batch_size = 32",
+    "retrain.epochs = 5",
+    "retrain.lr = 0.01",
+    "retrain.momentum = 0.9",
+    "seed.attack = 33",
+    "seed.init = 11",
+    "seed.random_metric = 44",
+    "seed.shuffle = 22",
+    "synthetic.classes = 4",
+    "synthetic.image_size = 16",
+    "synthetic.noise_sigma = 1.0",
+    "synthetic.per_class_test = 125",
+    "synthetic.per_class_train = 500",
+    "synthetic.seed = 1234",
+    "train.batch_size = 32",
+    "train.epochs = 20",
+    "train.lr = 0.01",
+    "train.momentum = 0.9",
+]
+
+
+def test_keys_and_default_echo_are_pinned():
+    assert sorted(config._KEYS) == [line.split(" = ", 1)[0] for line in DEFAULT_ECHO]
+    assert config_echo(ExperimentConfig()) == DEFAULT_ECHO
+
+
+def test_echo_parses_back_to_the_same_config():
+    changed = ExperimentConfig(
+        dataset="idx", synthetic_classes=3, synthetic_per_class_train=7,
+        synthetic_per_class_test=5, synthetic_image_size=12, synthetic_noise_sigma=0.25,
+        synthetic_seed=99, idx_train_images="a-images", idx_train_labels="a-labels",
+        idx_test_images="b-images", idx_test_labels="b-labels", train_epochs=2,
+        train_batch_size=8, train_lr=0.5, train_momentum=0.0, retrain_epochs=3,
+        retrain_batch_size=4, retrain_lr=1e-07, retrain_momentum=0.5, attack_epsilon=0.3,
+        attack_fraction=1.0, nc_threshold=0.75, lsa_layer="dense1",
+        lsa_variance_threshold=2e-06, dsa_layers="conv1,dense1", metrics=("NC", "DSA"),
+        configs=("C3", "C1"), seed_init=1, seed_shuffle=2, seed_attack=3,
+        seed_random_metric=4, out="elsewhere")
+    defaults = ExperimentConfig()
+    assert [f.name for f in fields(ExperimentConfig)
+            if getattr(changed, f.name) == getattr(defaults, f.name)] == []
+    for cfg in (defaults, changed):
+        assert parse_config("\n".join(config_echo(cfg))) == cfg

@@ -340,6 +340,24 @@ def test_forward_pass_matches_predict_and_activation_traces(batch_size):
     assert np.array_equal(fp.traces, default.traces)
 
 
+@pytest.mark.parametrize("batch_size", [1, 7, 33])
+def test_predict_probabilities_from_the_head_trace_are_the_softmax_of_the_logits(batch_size):
+    # the softmax taken batch by batch from forward_eval's logits, as predict
+    # once computed it, bit for bit
+    m = build_model(desk_architecture(), seed=8)
+    images = Pcg32(21).uniforms(70 * 16 * 16).reshape(70, 16, 16, 1).astype(np.float32)
+    want = []
+    for start in range(0, len(images), batch_size):
+        logits = forward_eval(m.graph(), images[start:start + batch_size]).logits.astype(np.float64)
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        want.append((e / e.sum(axis=1, keepdims=True)).astype(np.float32))
+    labels, probs = predict(m, images, batch_size=batch_size)
+    assert probs.dtype == np.float32
+    assert np.array_equal(probs.view(np.uint32), np.concatenate(want).view(np.uint32))
+    assert np.array_equal(labels, forward_pass(m, images).labels)
+
+
 def test_forward_pass_blocks():
     m = build_model(desk_architecture(), seed=2)
     images = Pcg32(3).uniforms(5 * 16 * 16).reshape(5, 16, 16, 1).astype(np.float32)

@@ -36,13 +36,19 @@ def mini_config(out, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """GR_THREADS=1: the sweep points run in the test's own process."""
+    monkeypatch.setenv("GR_THREADS", "1")
+
+
 DETERMINISTIC_FILES = (POINTS_CSV, SUMMARY_CSV, COMPARISON_CSV, "plot_c2.csv", "plot_c3.csv",
                        "scores_random.csv", "scores_nc.csv", "model.grcnn")
 
 
-def test_pipeline_produces_reports(tmp_path):
+def test_pipeline_produces_reports(tmp_path, in_process):
     cfg = mini_config(tmp_path / "out")
-    bundle = run_pipeline(cfg, workers=1)
+    bundle = run_pipeline(cfg)
     assert bundle.consistency_ok
     out = bundle.out_dir
     for name in DETERMINISTIC_FILES + (TIMING_CSV, "manifest.txt"):
@@ -73,22 +79,24 @@ def test_pipeline_produces_reports(tmp_path):
         assert len(duration) == 8 and duration.count(":") == 2
 
 
-def test_pipeline_deterministic_reports(tmp_path):
-    a = run_pipeline(mini_config(tmp_path / "a"), workers=1)
-    b = run_pipeline(mini_config(tmp_path / "b"), workers=1)
+def test_pipeline_deterministic_reports(tmp_path, in_process):
+    a = run_pipeline(mini_config(tmp_path / "a"))
+    b = run_pipeline(mini_config(tmp_path / "b"))
     for name in DETERMINISTIC_FILES:
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
 
 
-def test_pipeline_parallel_matches_sequential(tmp_path):
-    a = run_pipeline(mini_config(tmp_path / "a"), workers=1)
-    b = run_pipeline(mini_config(tmp_path / "b"), workers=3)
+def test_pipeline_parallel_matches_sequential(tmp_path, monkeypatch):
+    monkeypatch.setenv("GR_THREADS", "1")
+    a = run_pipeline(mini_config(tmp_path / "a"))
+    monkeypatch.setenv("GR_THREADS", "3")
+    b = run_pipeline(mini_config(tmp_path / "b"))
     for name in (POINTS_CSV, SUMMARY_CSV):
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
 
 
-def test_manifest_hashes_match_files(tmp_path):
-    bundle = run_pipeline(mini_config(tmp_path / "out"), workers=1)
+def test_manifest_hashes_match_files(tmp_path, in_process):
+    bundle = run_pipeline(mini_config(tmp_path / "out"))
     manifest = (bundle.out_dir / "manifest.txt").read_text().splitlines()
     assert manifest[0] == "status = ok"
     in_files = False
@@ -107,12 +115,12 @@ def test_manifest_hashes_match_files(tmp_path):
     assert checked >= len(DETERMINISTIC_FILES)
 
 
-def test_pipeline_failure_marker(tmp_path):
+def test_pipeline_failure_marker(tmp_path, in_process):
     cfg = mini_config(tmp_path / "out", dataset="idx",
                       idx_train_images="missing", idx_train_labels="missing",
                       idx_test_images="missing", idx_test_labels="missing")
     with pytest.raises(FileNotFoundError):
-        run_pipeline(cfg, workers=1)
+        run_pipeline(cfg)
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "status = failed: data" in manifest
 
@@ -123,7 +131,9 @@ def test_summary_renders_resource_both_ways(tmp_path):
         RetrainRun("C2", "DSA", i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate([(10800, 0.91), (14400, 0.953), (36366, 0.95)])
     )
-    record = ExperimentRecord("C2", "DSA", runs, 0.953, 14400, 36366, 14400 / 36366)
+    record = ExperimentRecord("C2", "DSA", runs, 36366)
+    assert (record.best_accuracy, record.best_input_size) == (0.953, 14400)
+    assert record.resource_utilization == 14400 / 36366
     path = tmp_path / "summary.csv"
     write_summary_csv([record], original_accuracy=0.589, path=path)
     text = path.read_text()
@@ -201,18 +211,18 @@ def test_config_rejects_unknown_and_bad_values():
         parse_config("out = a\nout = b")
 
 
-def test_plot_csvs_four_metrics_c1(tmp_path):
+def test_plot_csvs_four_metrics_c1(tmp_path, in_process):
     cfg = mini_config(tmp_path / "out", metrics=("LSA", "DSA", "NC", "RANDOM"), configs=("C1",),
                       synthetic_per_class_train=20, synthetic_per_class_test=8, train_epochs=2)
-    bundle = run_pipeline(cfg, workers=1)
+    bundle = run_pipeline(cfg)
     paths = write_plot_csvs(bundle.records, bundle.out_dir)
     rows = (paths["C1"]).read_text().splitlines()
     assert len(rows) == 1 + 4 * 20  # 4 metrics x 20 points
 
 
-def test_single_metric_single_config_points(tmp_path):
+def test_single_metric_single_config_points(tmp_path, in_process):
     cfg = mini_config(tmp_path / "out", metrics=("RANDOM",), configs=("C3",),
                       synthetic_per_class_train=20, synthetic_per_class_test=8, train_epochs=1)
-    bundle = run_pipeline(cfg, workers=1)
+    bundle = run_pipeline(cfg)
     lines = (bundle.out_dir / POINTS_CSV).read_text().splitlines()
     assert len(lines) == 1 + 20

@@ -203,7 +203,8 @@ def test_c1_start_is_built_once_per_pair(monkeypatch):
     scored = {metric: timed_scoring(metric, m, sets.train_star, GuidanceConfig())
               for metric in ("RANDOM", "NC")}
     hp = TrainParams(epochs=1, shuffle_seed=3)
-    batch = run_experiments(m, sets, pairs, hp, scored, fresh_init_seed=7, workers=1)
+    monkeypatch.setenv("GR_THREADS", "1")
+    batch = run_experiments(m, sets, pairs, hp, scored, fresh_init_seed=7)
     assert built == [7, 7]
     # each point equals one trained from a start of its own
     record = batch.records[2]
@@ -215,10 +216,10 @@ def test_c1_start_is_built_once_per_pair(monkeypatch):
             (run.accuracy_test_star, run.accuracy_test, run.accuracy_adv_test)
 
 
-def test_run_experiment_record_shape():
+def test_run_experiment_record_shape(monkeypatch):
+    monkeypatch.setenv("GR_THREADS", "1")
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1),
-                            GuidanceConfig(), workers=1)
+    record = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
     assert len(record.runs) == 20
     sizes = [r.input_size for r in record.runs]
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
@@ -231,18 +232,20 @@ def test_run_experiment_record_shape():
     assert record.resource_string() == f"{record.best_input_size}/{record.pool_total}"
 
 
-def test_run_experiment_c3_pool_total_is_adv_count():
+def test_run_experiment_c3_pool_total_is_adv_count(monkeypatch):
+    monkeypatch.setenv("GR_THREADS", "1")
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C3", TrainParams(epochs=1),
-                            GuidanceConfig(), workers=1)
+    record = run_experiment(m, sets, "RANDOM", "C3", TrainParams(epochs=1), GuidanceConfig())
     assert record.pool_total == len(sets.adv_train)
     assert record.runs[-1].input_size == len(sets.adv_train)
 
 
-def test_run_experiment_parallel_matches_sequential():
+def test_run_experiment_parallel_matches_sequential(monkeypatch):
     m, sets = toy_sets(n_train=50, n_test=8)
-    seq = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=1)
-    par = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=4)
+    monkeypatch.setenv("GR_THREADS", "1")
+    seq = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    monkeypatch.setenv("GR_THREADS", "4")
+    par = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
 
     def accuracies(record):
         return [(r.accuracy_test_star, r.accuracy_test, r.accuracy_adv_test) for r in record.runs]
@@ -255,9 +258,7 @@ def _record(kind, metric, sizes_accs, pool_total):
         RetrainRun(kind, metric, i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate(sizes_accs)
     )
-    best = max(a for _, a in sizes_accs)
-    u = min(s for s, a in sizes_accs if a == best)
-    return ExperimentRecord(kind, metric, runs, best, u, pool_total, u / pool_total)
+    return ExperimentRecord(kind, metric, runs, pool_total)
 
 
 def test_compare_records_exact_budget_match():
@@ -302,7 +303,8 @@ def test_gr_threads_env_controls_fanout(monkeypatch):
 
 def test_gr_threads_used_by_run_experiment(monkeypatch):
     m, sets = toy_sets(n_train=40, n_test=8)
-    ref = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig(), workers=1)
+    monkeypatch.setenv("GR_THREADS", "1")
+    ref = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
     monkeypatch.setenv("GR_THREADS", "2")
     env = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
     assert [r.accuracy_test_star for r in ref.runs] == [r.accuracy_test_star for r in env.runs]
@@ -332,7 +334,8 @@ def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch, tmp_p
     m, sets = toy_sets(n_train=50, n_test=8)
     pairs = [("C1", "RANDOM"), ("C3", "RANDOM")]
     scored = random_scored(m, sets)
-    seq = run_experiments(m, sets, pairs, TrainParams(epochs=1), scored, workers=1)
+    monkeypatch.setenv("GR_THREADS", "1")
+    seq = run_experiments(m, sets, pairs, TrainParams(epochs=1), scored)
     monkeypatch.setenv("GR_THREADS", "2")
     par = run_experiments(m, sets, pairs, TrainParams(epochs=1), scored)
     names = sorted(path.name for path in (tmp_path / "parent").iterdir())
@@ -371,12 +374,12 @@ def reachable(root) -> list:
     return found
 
 
-def test_batch_records_hold_no_weights():
+def test_batch_records_hold_no_weights(monkeypatch):
     m, sets = toy_sets(n_train=50, n_test=8)
     pairs = [("C2", "RANDOM"), ("C3", "RANDOM")]
     for workers in (1, 2):
-        batch = run_experiments(m, sets, pairs, TrainParams(epochs=1), random_scored(m, sets),
-                                workers=workers)
+        monkeypatch.setenv("GR_THREADS", str(workers))
+        batch = run_experiments(m, sets, pairs, TrainParams(epochs=1), random_scored(m, sets))
         assert batch.workers == workers
         found = reachable(batch)
         assert sum(isinstance(obj, RetrainRun) for obj in found) == 40
@@ -415,9 +418,10 @@ def test_points_run_largest_input_first(monkeypatch):
         return real(kind, start, pool, size, *args, **kwargs)
 
     monkeypatch.setattr(retrain, "retrain_point", recording)
+    monkeypatch.setenv("GR_THREADS", "1")
     m, sets = toy_sets(n_train=40, n_test=8)
     batch = run_experiments(m, sets, [("C3", "RANDOM"), ("C2", "RANDOM")],
-                            TrainParams(epochs=0), random_scored(m, sets), workers=1)
+                            TrainParams(epochs=0), random_scored(m, sets))
     assert len(seen) == 40 and seen == sorted(seen, reverse=True)
     for record in batch.records:
         sizes = [r.input_size for r in record.runs]
@@ -439,11 +443,12 @@ def test_workers_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(retrain, "retrain_point", reporting)
     m, sets = toy_sets(n_train=40, n_test=8)
+    monkeypatch.setenv("GR_THREADS", "2")
     saved = get()
     put(2)
     try:
         batch = run_experiments(m, sets, [("C2", "RANDOM")], TrainParams(epochs=0),
-                                random_scored(m, sets), workers=2)
+                                random_scored(m, sets))
         assert get() == 2  # the caller's count is its own
     finally:
         put(saved)

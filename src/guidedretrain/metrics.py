@@ -11,9 +11,13 @@ the retraining order is that array sorted by descending score, ties broken
 by ascending row id.
 
 NC, LSA and DSA are functions of one ForwardPass over Train*: predict's
-labels plus the post-activation traces of every conv/dense layer.
+labels plus the float32 post-activation traces of every conv/dense layer.
 score_metrics computes that pass once, inside the first scoring that needs
-it, and lets every trace-based metric read it.
+it, and lets every trace-based metric read it. Each metric widens to
+float64 only the block it is computing on, at most _BLOCK_ROWS rows of a
+wide matrix at a time. Widening float32 is exact and all arithmetic runs in
+float64, so the scores have the bits of a float64 trace matrix, at half its
+memory.
 
 LSA's kernel distances and DSA's exact rechecks come from this module's
 cdist, an in-order sum of each pair's squared differences, and LSA's
@@ -55,8 +59,14 @@ _DENSITY_FLOOR = 1e-300
 # about 512-1024 pairs whatever d)
 _COLUMN_LOOP_PAIRS = 1024
 
-# rows nc_scores scales at a time
-_NC_BLOCK_ROWS = 64
+# rows of a trace matrix widened to float64 at a time, by every row-block
+# loop over traces (_row_blocks)
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int):
+    """Slices of at most _BLOCK_ROWS consecutive rows, covering rows 0..n-1."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def cdist(XA, XB, metric: str = "euclidean") -> np.ndarray:
@@ -162,9 +172,9 @@ def nc_scores(fp: ForwardPass, cfg: NCConfig) -> np.ndarray:
     for cols in trace_columns(fp.architecture).values():
         # scaling is per row, so a block of rows at a time gives the same
         # bits without a copy of the layer's whole column block
-        for start in range(0, len(active), _NC_BLOCK_ROWS):
-            rows = slice(start, start + _NC_BLOCK_ROWS)
-            active[rows] += (_scale_minmax(fp.traces[rows, cols]) > cfg.threshold).sum(axis=1)
+        for rows in _row_blocks(len(active)):
+            block = fp.traces[rows, cols].astype(np.float64)
+            active[rows] += (_scale_minmax(block) > cfg.threshold).sum(axis=1)
     return active / fp.traces.shape[1]
 
 
@@ -213,7 +223,7 @@ def fit_lsa(fp: ForwardPass, train_star: Dataset, layer: str | None = None,
     _check_pass(fp, train_star)
     if layer is None:
         layer = default_lsa_layer(fp.architecture)
-    traces = fp.block([layer])
+    traces = fp.block([layer]).astype(np.float64)
     variances = traces.var(axis=0)
     retained = np.flatnonzero(variances >= variance_threshold)
     if retained.size == 0:
@@ -257,7 +267,8 @@ def _lsa_from_traces(est: LsaEstimator, traces: np.ndarray, classes: np.ndarray)
 
 
 def lsa_scores(est: LsaEstimator, fp: ForwardPass) -> np.ndarray:
-    return _lsa_from_traces(est, fp.block([est.layer])[:, est.retained], fp.labels)
+    traces = fp.block([est.layer])[:, est.retained].astype(np.float64)
+    return _lsa_from_traces(est, traces, fp.labels)
 
 
 def lsa_from_trace(est: LsaEstimator, trace: np.ndarray, predicted_class: int) -> float:
@@ -278,10 +289,14 @@ def lsa_from_trace(est: LsaEstimator, trace: np.ndarray, predicted_class: int) -
 
 @dataclass(frozen=True)
 class DsaIndex:
-    """Reference traces grouped by true class: class c is rows class_rows[c]."""
+    """Reference traces grouped by true class: class c is rows class_rows[c].
+
+    `traces` keeps the dtype it was built from: float32 from a ForwardPass,
+    widened to float64 block by block wherever DSA computes on it.
+    """
 
     layers: tuple[str, ...]
-    traces: np.ndarray  # (n, d) float64
+    traces: np.ndarray  # (n, d) float32 or float64
     class_rows: dict  # class -> ascending int64 row indices into traces
     sq_norms: np.ndarray  # (n,) squared row norms of traces
     labels: np.ndarray  # (n,) true class of each row
@@ -292,13 +307,14 @@ class DsaIndex:
 
     @property
     def class_traces(self) -> dict:
-        """class -> (n_c, d) copy of that class's reference rows."""
-        return {cls: self.traces[rows] for cls, rows in self.class_rows.items()}
+        """class -> (n_c, d) float64 copy of that class's reference rows."""
+        return {cls: self.traces[rows].astype(np.float64) for cls, rows in self.class_rows.items()}
 
 
 def _squared_norms(traces: np.ndarray) -> np.ndarray:
-    """Squared norm of each trace row; a non-finite row is rejected by index."""
-    sq = np.einsum("ij,ij->i", traces, traces)
+    """Float64 squared norm of each trace row; a non-finite row is rejected
+    by index. einsum widens float32 rows through its own small buffer."""
+    sq = np.einsum("ij,ij->i", traces, traces, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(sq))
     if bad.size:
         raise ValueError(f"DSA trace row {bad[0]} has a non-finite value or squared norm")
@@ -306,8 +322,11 @@ def _squared_norms(traces: np.ndarray) -> np.ndarray:
 
 
 def dsa_index(traces: np.ndarray, labels: np.ndarray, class_count: int, layers) -> DsaIndex:
-    """Index over reference traces (n, d), grouped by their true labels."""
-    traces = np.asarray(traces, dtype=np.float64)
+    """Index over reference traces (n, d), grouped by their true labels.
+
+    The index keeps `traces` as given, without a copy or a change of dtype.
+    """
+    traces = np.asarray(traces)
     labels = np.asarray(labels)
     sq = _squared_norms(traces)
     class_rows = {}
@@ -334,30 +353,35 @@ def fit_dsa(fp: ForwardPass, train_star: Dataset, layers=None) -> DsaIndex:
 
 
 def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
-    """(index row, exact distance) of each query row's nearest reference.
+    """(index row, exact distance) of each float64 query row's nearest reference.
 
     The references are the index rows of `blocks`, a list of row arrays
     taken in order; ties go to the first of them in that order, as in an
     exhaustive argmin over the exact distances. The exact distance is
     cdist's: the square root of the in-order sum of squared differences.
-    One GEMM per block gives g = |q|^2 + |r|^2 - 2 q.r, which differs from
-    the square of the exact distance by at most
-    E = 2 (d + 6) 2^-53 (|q| + |r|)^2: that covers the rounding of the GEMM
-    and norms in any summation order and the rounding of the in-order sum,
-    with a factor 2 to spare. So every row j with
-    g_j - E_j <= min_k (g_k + E_k) may be the nearest, no other row can, and
-    one cdist call per query decides among exactly those.
+    The references are gathered and widened to float64 in chunks of at most
+    _BLOCK_ROWS rows, in `blocks` order. One GEMM per chunk gives
+    g = |q|^2 + |r|^2 - 2 q.r, which differs from the square of the exact
+    distance by at most E = 2 (d + 6) 2^-53 (|q| + |r|)^2: that covers the
+    rounding of the GEMM and norms in any summation order, so under any
+    chunking, and the rounding of the in-order sum, with a factor 2 to
+    spare. So every row j with g_j - E_j <= min_k (g_k + E_k) may be the
+    nearest, no other row can, and one cdist call per query decides among
+    exactly those.
     """
     slack = 2.0 * (index.dim + 6) * 2.0 ** -53
     q_norm = np.sqrt(q_sq)[:, None]
     lows = []
     ceiling = np.full(len(queries), np.inf)
-    for rows in blocks:
-        r_sq = index.sq_norms[rows]
-        g = q_sq[:, None] + r_sq - 2.0 * (queries @ index.traces[rows].T)
-        e = slack * (q_norm + np.sqrt(r_sq)) ** 2
-        lows.append(g - e)
-        np.minimum(ceiling, (g + e).min(axis=1), out=ceiling)
+    for block in blocks:
+        for part in _row_blocks(len(block)):
+            rows = block[part]
+            r_sq = index.sq_norms[rows]
+            refs = index.traces[rows].astype(np.float64)
+            g = q_sq[:, None] + r_sq - 2.0 * (queries @ refs.T)
+            e = slack * (q_norm + np.sqrt(r_sq)) ** 2
+            lows.append(g - e)
+            np.minimum(ceiling, (g + e).min(axis=1), out=ceiling)
     # written as "not above" so a NaN from overflow keeps the row listed
     shortlist = ~(np.concatenate(lows, axis=1) > ceiling[:, None])
     order = np.concatenate(blocks)
@@ -368,6 +392,19 @@ def _nearest(queries: np.ndarray, q_sq: np.ndarray, index: DsaIndex, blocks):
         dists = cdist(queries[i:i + 1], index.traces[rows], "euclidean")[0]
         k = int(dists.argmin())
         best[i], dist[i] = rows[k], dists[k]
+    return best, dist
+
+
+def _nearest_rows(traces: np.ndarray, rows: np.ndarray, sq: np.ndarray, index: DsaIndex,
+                  blocks):
+    """_nearest of the query rows traces[rows], with squared norms sq[rows];
+    the queries are gathered and widened to float64 _BLOCK_ROWS at a time."""
+    best = np.empty(len(rows), dtype=np.int64)
+    dist = np.empty(len(rows), dtype=np.float64)
+    for part in _row_blocks(len(rows)):
+        picked = rows[part]
+        best[part], dist[part] = _nearest(traces[picked].astype(np.float64), sq[picked],
+                                          index, blocks)
     return best, dist
 
 
@@ -394,7 +431,7 @@ def _zero_distance_groups(traces: np.ndarray):
     for col in range(traces.shape[1] - 1, -1, -1):
         if len(rows) == 0:
             break
-        values = traces[rows, col]
+        values = traces[rows, col].astype(np.float64)
         order = np.lexsort((values, group))
         rows, group, values = rows[order], group[order], values[order]
         step = np.diff(values)
@@ -419,7 +456,7 @@ def _zero_distance_pairs(traces: np.ndarray, rows: np.ndarray, group: np.ndarray
     for col in range(traces.shape[1] - 1, -1, -1):
         if len(i) == 0:
             break
-        diff = traces[i, col] - traces[j, col]
+        diff = traces[i, col].astype(np.float64) - traces[j, col].astype(np.float64)
         keep = diff * diff == 0.0
         i, j = i[keep], j[keep]
     return i, j
@@ -450,7 +487,8 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
     """DSA of each trace row (n, d) given its predicted class.
 
     A row that is an index row of its predicted class is scored by
-    _self_match_scores; only the others search with _nearest.
+    _self_match_scores; only the others search with _nearest, a block of
+    rows at a time.
     """
     if traces.shape[1] != index.dim:
         raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
@@ -468,16 +506,16 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
         cls = int(cls)
         if cls not in index.class_rows:
             raise KeyError(f"predicted class {cls} absent from the index")
-        mask = (classes == cls) & ~own
-        a_rows, dist_a = _nearest(traces[mask], sq[mask], index, [index.class_rows[cls]])
+        searched = np.flatnonzero((classes == cls) & ~own)
+        a_rows, dist_a = _nearest_rows(traces, searched, sq, index, [index.class_rows[cls]])
         # nearest other-class distance, once per distinct nearest reference
         need = _present(a_rows)
         back = np.searchsorted(need, a_rows)
         others = [rows for c, rows in index.class_rows.items() if c != cls]
-        _, dist_b = _nearest(index.traces[need], index.sq_norms[need], index, others)
+        _, dist_b = _nearest_rows(index.traces, need, index.sq_norms, index, others)
         dist_b = dist_b[back]
         safe = np.where(dist_b > 0, dist_b, 1.0)
-        out[mask] = np.where(dist_b > 0, dist_a / safe, DSA_ZERO_DENOMINATOR_SENTINEL)
+        out[searched] = np.where(dist_b > 0, dist_a / safe, DSA_ZERO_DENOMINATOR_SENTINEL)
     return out
 
 

@@ -246,8 +246,9 @@ def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int, col
     """The batched inference loop behind predict, activation_traces and forward_pass.
 
     `images` is a batch (N, H, W, C) or one input (H, W, C). Returns
-    (argmax labels, traces or None); `columns` maps each traced neuron layer
-    to its slice of trace columns, as trace_columns builds it. A row's
+    (argmax labels, float32 traces or None); `columns` maps each traced
+    neuron layer to its slice of trace columns, as trace_columns builds it.
+    The activations are float32, so the traces hold them exactly. A row's
     outputs do not depend on its batch.
     """
     arch = model.architecture
@@ -259,7 +260,7 @@ def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int, col
     sources = [(arch.post_activation_source(name), cols) for name, cols in columns.items()]
     labels = np.empty(n, dtype=np.int64)
     width = max((cols.stop for cols in columns.values()), default=0)
-    traces = np.empty((n, width), dtype=np.float64) if columns else None
+    traces = np.empty((n, width), dtype=np.float32) if columns else None
     for start in range(0, n, batch_size):
         state = forward_eval(graph, images[start:start + batch_size])
         rows = slice(start, start + state.batch)
@@ -272,12 +273,13 @@ def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int, col
 def predict(model: ModelState, images: np.ndarray, batch_size: int = INFERENCE_BATCH):
     """(argmax labels, softmax probabilities); ties resolve to the lowest class.
 
-    The dense head has no relu after it, so its trace is the logits widened
-    to float64.
+    The dense head has no relu after it, so its trace is the float32
+    logits, widened here to float64.
     """
     head = model.architecture.layers[-1].name
     labels, logits = _forward_batches(model, images, batch_size,
                                       trace_columns(model.architecture, [head]))
+    logits = logits.astype(np.float64)
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return labels, (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
@@ -330,16 +332,18 @@ def activation_traces(model: ModelState, images: np.ndarray, layers=None,
     columns = trace_columns(model.architecture, layers)
     if not columns:
         raise ValueError("no layers selected")
-    return _forward_batches(model, images, batch_size, columns)[1]
+    return _forward_batches(model, images, batch_size, columns)[1].astype(np.float64)
 
 
 @dataclass(frozen=True)
 class ForwardPass:
     """One inference pass of a model over a set of images.
 
-    `labels` are predict's labels; `traces` holds the float64 post-activation
+    `labels` are predict's labels; `traces` holds the float32 post-activation
     values of every conv/dense layer, in architecture order, one contiguous
-    column block per layer.
+    column block per layer. The values are the activations' own, so a metric
+    that widens a block to float64 gets activation_traces' values; widening
+    block by block keeps only one float32 copy of the whole matrix.
     """
 
     architecture: ArchitectureDescriptor

@@ -11,8 +11,8 @@ from guidedretrain import _blas, cli
 from guidedretrain.cli import main
 from guidedretrain.config import parse_config, with_overrides
 from guidedretrain.data import load_idx_dataset
-from guidedretrain.metrics import score_metrics
-from guidedretrain.model import load_model
+from guidedretrain.metrics import TRACE_METRICS, _trace_metric_values, score_metrics
+from guidedretrain.model import ForwardPass, forward_pass, load_model
 from guidedretrain.reports import compute_trend, run_pipeline
 from guidedretrain.stages import guidance_config, model_and_sets
 
@@ -419,6 +419,24 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
             loaded = stored[f"scores_{metric}"]
             assert loaded.dtype == np.float64 and np.array_equal(
                 loaded.view(np.uint64), values.view(np.uint64)), metric
+
+
+def test_float32_pass_scores_as_its_float64_widening(tmp_path):
+    # the pass holds float32 traces and each metric widens the block it
+    # computes on, so every score has the bits of the same pass in float64
+    cfg = with_overrides(parse_config(MINI_CONFIG), out=str(tmp_path / "out"))
+    model, sets, _ = model_and_sets(cfg)
+    train_star = sets.train_star
+    with _blas.one_blas_thread():
+        fp = forward_pass(model, train_star.images)
+        wide = ForwardPass(fp.architecture, fp.labels, fp.traces.astype(np.float64))
+        assert fp.traces.dtype == np.float32
+        assert (fp.labels != train_star.labels).any()  # DSA searches, too
+        for metric in TRACE_METRICS:
+            got = _trace_metric_values(metric, fp, train_star, guidance_config(cfg))
+            want = _trace_metric_values(metric, wide, train_star, guidance_config(cfg))
+            assert got.dtype == want.dtype == np.float64, metric
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), metric
 
 
 def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):

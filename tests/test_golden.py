@@ -3,16 +3,37 @@ output digests.
 
 c09 compares two runs of the same code with each other; this test compares
 one run against the sha256 digests kept in perfbench/reference.json, so a
-change that moves every run's output the same way fails here.
+change that moves every run's output the same way fails here. The `stages`
+digests must also hold under other OpenBLAS kernels than the one this CPU
+loads, since a change to a GEMM's operand layout is where kernels could
+start to disagree.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from guidedretrain import _blas
 from guidedretrain.cli import main
 
-PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_RUN = ROOT / "perfbench" / "run.py"
+
+# runs the given stage subcommands, then prints the OpenBLAS config it loaded
+STAGES_UNDER_KERNEL = """
+import sys
+from guidedretrain import _blas
+from guidedretrain.cli import main
+config, out, *steps = sys.argv[1:]
+for step in steps:
+    if main([step, "--config", config, "--out", out]) != 0:
+        sys.exit(f"{step} failed")
+print(_blas.blas_runtime()["blas_config"])
+"""
 
 
 def load_perfbench_run():
@@ -53,3 +74,36 @@ def test_stages_workload_matches_reference_digests(tmp_path):
     names = bench.artifact_names(workload)
     assert sorted(expected) == sorted(names)
     assert bench.digests(out, names) == expected
+
+
+def cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            return any(line.startswith("flags") and " avx2" in line for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_stages_workload_digests_hold_under_another_blas_kernel(tmp_path, kernel):
+    # OPENBLAS_CORETYPE picks a DYNAMIC_ARCH build's kernel when a process
+    # loads it; Prescott's has no AVX at all, Haswell's needs AVX2
+    host = _blas.blas_runtime()["blas_config"]
+    if "DYNAMIC_ARCH" not in host.split():
+        pytest.skip(f"no DYNAMIC_ARCH OpenBLAS to switch kernels in (BLAS: {host})")
+    if kernel == "Haswell" and not cpu_has_avx2():
+        pytest.skip("the CPU has no AVX2, which the Haswell kernel needs")
+    bench = load_perfbench_run()
+    workload = bench.WORKLOADS["stages"]
+    config = tmp_path / "stages.cfg"
+    config.write_text(bench.config_text(workload, 0))
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", STAGES_UNDER_KERNEL, str(config), str(out),
+                           *workload.steps], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1]
+    assert loaded != host or kernel in host, f"{kernel} was not loaded: {loaded}"
+    names = bench.artifact_names(workload)
+    assert bench.digests(out, names) == bench.reference_digests("stages", 0)

@@ -1,11 +1,13 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from guidedretrain.attack import AttackConfig, build_augmented_sets
 from guidedretrain.autodiff import Conv2D, Dense, Relu
+from guidedretrain.config import parse_config, with_overrides
 from guidedretrain.metrics import (
     DSA_ZERO_DENOMINATOR_SENTINEL,
     METRICS,
@@ -13,6 +15,7 @@ from guidedretrain.metrics import (
     LsaEstimator,
     NCConfig,
     active_fraction,
+    cdist,
     default_lsa_layer,
     dsa_from_traces,
     dsa_index,
@@ -26,6 +29,7 @@ from guidedretrain.metrics import (
     order_inputs,
     random_scores,
     SharedPass,
+    _BLOCK_ROWS,
     _present,
     score_metrics,
     scores_to_csv,
@@ -40,9 +44,11 @@ from guidedretrain.model import (
     build_model,
     desk_architecture,
     forward_pass,
+    neuron_count,
     trace_columns,
 )
 from guidedretrain.rng import Pcg32
+from guidedretrain.stages import guidance_config, model_and_sets
 
 
 def tiny_cnn(classes=3, seed=0):
@@ -138,10 +144,11 @@ def test_nc_row_blocks_score_as_the_whole_pass():
     traces[70] = 0.25  # a constant row, in the second block of 64
     traces[3, trace_columns(m.architecture)["c1"]] = -1.5  # constant within one layer
     cfg = NCConfig(threshold=0.3)
-    # the unblocked formula: each layer's whole column block scaled at once
+    # the unblocked formula: each layer's whole column block scaled at once,
+    # in float64
     active = np.zeros(len(traces), dtype=np.int64)
     for cols in trace_columns(m.architecture).values():
-        block = traces[:, cols]
+        block = traces[:, cols].astype(np.float64)
         lo = block.min(axis=1, keepdims=True)
         span = block.max(axis=1, keepdims=True) - lo
         scaled = block - lo
@@ -567,6 +574,99 @@ def test_dsa_rejects_non_finite_rows():
     queries[1, 0] = np.inf
     with pytest.raises(ValueError, match="row 1"):
         dsa_from_traces(index, queries, np.array([0, 0, 1]))
+    # float32 traces, past the first block of rows: the message names the
+    # row's index in the whole matrix
+    bad = _BLOCK_ROWS + 5
+    refs = np.ones((_BLOCK_ROWS + 10, 3), dtype=np.float32)
+    refs[bad, 1] = np.inf
+    with pytest.raises(ValueError, match=f"row {bad} "):
+        dsa_index(refs, np.arange(len(refs)) % 2, 2, ("d1",))
+    queries = np.zeros((len(refs), 3), dtype=np.float32)
+    queries[bad, 2] = -np.inf
+    with pytest.raises(ValueError, match=f"row {bad} "):
+        dsa_from_traces(index, queries, np.zeros(len(queries), dtype=np.int64))
+
+
+def exhaustive_cdist_dsa(index, queries, classes):
+    """DSA by an exhaustive cdist argmin over each class block (ties to the
+    first row), then the least cdist distance to any other class."""
+    out = []
+    for query, cls in zip(queries, classes):
+        refs = index.class_rows[int(cls)]
+        dists = cdist(query[None], index.traces[refs])[0]
+        a = refs[dists.argmin()]
+        others = np.concatenate([rows for c, rows in index.class_rows.items() if c != cls])
+        dist_b = cdist(index.traces[a][None], index.traces[others])[0].min()
+        out.append(dists.min() / dist_b if dist_b > 0 else DSA_ZERO_DENOMINATOR_SENTINEL)
+    return np.array(out, dtype=np.float64)
+
+
+def test_dsa_float32_chunked_search_matches_exhaustive_argmin():
+    # float32 traces, as a forward pass holds them. Class 0 spans three of
+    # _nearest's reference chunks: q + v and q - v tie for q across the
+    # first chunk boundary, and a zero-distance pair z, z straddles the
+    # second. Class 1 spans two chunks and holds a row 1e-30 off z, whose
+    # square is 0 in float32 but not in float64.
+    rng = np.random.default_rng(29)
+    d = 24
+    q = rng.integers(-5, 6, size=d)
+    v = rng.integers(1, 4, size=d) * rng.choice([-1, 1], size=d)
+    z = rng.integers(-5, 6, size=d) + 2 * v
+    z[0] = 0
+    class0 = rng.integers(20, 40, size=(2 * _BLOCK_ROWS + 20, d))
+    class0[_BLOCK_ROWS - 1], class0[_BLOCK_ROWS] = q + v, q - v
+    class0[2 * _BLOCK_ROWS - 1] = class0[2 * _BLOCK_ROWS] = z
+    class1 = rng.integers(-40, -20, size=(_BLOCK_ROWS + 10, d))
+    class1[3] = q - v + 1  # near q - v only, so the tie decides q's score
+    class1[_BLOCK_ROWS + 4] = z + 3
+    class2 = rng.integers(-9, 10, size=(7, d))
+    traces = np.vstack([class0, class1, class2]).astype(np.float32)
+    near_z = len(class0) + _BLOCK_ROWS + 5
+    traces[near_z] = z
+    traces[near_z, 0] = 1e-30
+    labels = np.repeat([0, 1, 2], [len(class0), len(class1), len(class2)])
+    index = dsa_index(traces, labels, 3, ("d1",))
+    assert index.traces is traces and len(index.class_rows[0]) > 2 * _BLOCK_ROWS
+    queries = np.vstack([q, z, z + 1, z - 1, q + 1, class1[:3], class2[:2]]).astype(np.float32)
+    predicted = np.array([0, 0, 0, 0, 0, 0, 1, 2, 0, 1])
+    got = dsa_from_traces(index, queries, predicted)
+    want = exhaustive_cdist_dsa(index, queries, predicted)
+    assert got.tobytes() == want.tobytes()
+    assert got[1] == 0.0  # z is at distance 0 from both twins
+    # the tie goes to the earlier row: swapping the pair changes q's score
+    swapped = traces.copy()
+    swapped[[_BLOCK_ROWS - 1, _BLOCK_ROWS]] = traces[[_BLOCK_ROWS, _BLOCK_ROWS - 1]]
+    swapped_index = dsa_index(swapped, labels, 3, ("d1",))
+    other = dsa_from_traces(swapped_index, queries, predicted)
+    assert other.tobytes() == exhaustive_cdist_dsa(swapped_index, queries, predicted).tobytes()
+    assert other[0] != got[0]
+    # Train* scoring itself: the twins are each other's nearest reference at
+    # distance 0, and more than a block of rows searches class 1
+    own = labels.copy()
+    own[:_BLOCK_ROWS + 20] = 1
+    own[[_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, len(class0) + 3]] = [1, 2, 1, 0]
+    got = dsa_from_traces(index, index.traces, own)
+    assert got.tobytes() == exhaustive_cdist_dsa(index, index.traces, own).tobytes()
+
+
+def test_scoring_peak_memory_stays_within_twice_the_float32_trace_matrix(tmp_path):
+    # about 400 Train* rows of the desk CNN's 3,108 trace columns: the
+    # float32 pass is the one full-size array scoring holds, and every
+    # metric widens a block at a time (a float64 pass alone would be 2x)
+    cfg = with_overrides(parse_config(
+        "synthetic.per_class_train = 86\nsynthetic.per_class_test = 10\n"
+        "train.epochs = 2\n"), out=str(tmp_path))
+    model, sets, _ = model_and_sets(cfg)
+    train_star = sets.train_star
+    matrix_bytes = len(train_star) * neuron_count(model.architecture) * 4
+    assert 380 <= len(train_star) <= 420 and neuron_count(model.architecture) == 3108
+    tracemalloc.start()
+    try:
+        score_metrics(METRICS, model, train_star, guidance_config(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * matrix_bytes, f"peak {peak} bytes, float32 traces {matrix_bytes}"
 
 
 def test_fit_dsa_rejects_empty_class():

@@ -326,14 +326,16 @@ def test_forward_pass_matches_predict_and_activation_traces(batch_size):
     m = build_model(desk_architecture(), seed=6)
     images = Pcg32(13).uniforms(270 * 16 * 16).reshape(270, 16, 16, 1).astype(np.float32)
     fp = forward_pass(m, images, batch_size=batch_size)
-    assert fp.traces.dtype == np.float64
+    # the pass keeps float32; activation_traces widens the same values
+    assert fp.traces.dtype == np.float32
     assert fp.traces.shape == (270, neuron_count(m.architecture))
     assert np.array_equal(fp.labels, predict(m, images, batch_size=batch_size)[0])
     columns = trace_columns(m.architecture)
     for name in m.architecture.neuron_layers():
         want = activation_traces(m, images, [name], batch_size=batch_size)
-        assert np.array_equal(fp.traces[:, columns[name]], want), name
-        assert np.array_equal(fp.block([name]), want), name
+        assert want.dtype == np.float64
+        assert np.array_equal(fp.traces[:, columns[name]].astype(np.float64), want), name
+        assert np.array_equal(fp.block([name]).astype(np.float64), want), name
     # and a row's outputs do not depend on its batch
     default = forward_pass(m, images)
     assert np.array_equal(fp.labels, default.labels)

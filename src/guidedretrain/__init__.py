@@ -1,6 +1,6 @@
 """Metric-guided retraining of small CNNs against FGSM adversarial inputs."""
 
-from .attack import AttackConfig, AugmentedSets, build_augmented_sets, fgsm
+from .attack import AugmentedSets, build_augmented_sets, fgsm
 from .autodiff import (
     Conv2D,
     Dense,
@@ -16,8 +16,6 @@ from .autodiff import (
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .data import generate_synthetic, load_idx_dataset, save_idx_dataset
 from .metrics import (
-    GuidanceConfig,
-    NCConfig,
     fit_dsa,
     fit_lsa,
     order_inputs,

@@ -21,15 +21,6 @@ from .rng import Pcg32
 
 
 @dataclass(frozen=True)
-class AttackConfig:
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class AugmentedSets:
     """Train* and Test* in their one row layout.
 
@@ -81,7 +72,7 @@ def _rows_from(star: Dataset, start: int) -> Dataset:
     return Dataset(star.images[start:], star.labels[start:], star.class_count)
 
 
-def fgsm(model: ModelState, images: np.ndarray, labels, cfg: AttackConfig,
+def fgsm(model: ModelState, images: np.ndarray, labels, epsilon: float,
          batch_size: int = 256) -> np.ndarray:
     """Adversarial counterpart(s) of `images` under the true `labels`.
 
@@ -89,17 +80,19 @@ def fgsm(model: ModelState, images: np.ndarray, labels, cfg: AttackConfig,
     The output stays within epsilon (sup-norm) of the input and in the
     [0, 1] pixel range of a Dataset; epsilon = 0 returns the input bit-exactly.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     images = np.asarray(images, dtype=np.float32)
     single = images.shape == model.architecture.input_shape
     if single:
         images = images[None]
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if cfg.epsilon == 0.0:
+    if epsilon == 0.0:
         out = images.copy()
         return out[0] if single else out
     graph = model.graph()
     out = np.empty_like(images)
-    eps = np.float32(cfg.epsilon)
+    eps = np.float32(epsilon)
     for start in range(0, len(images), batch_size):
         x = images[start:start + batch_size]
         y = labels[start:start + batch_size]
@@ -127,13 +120,14 @@ def select_attack_sources(n: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def build_augmented_sets(model: ModelState, train: Dataset, test: Dataset,
-                         fraction: float, cfg: AttackConfig, seed: int) -> AugmentedSets:
-    """Train* and Test*: the originals followed by their FGSM counterparts."""
+                         fraction: float, epsilon: float, seed: int) -> AugmentedSets:
+    """Train* and Test*: the originals followed by their FGSM counterparts
+    at `epsilon`, for round(fraction * n) training rows chosen by `seed`."""
     if train.class_count != test.class_count:
         raise ValueError("train and test disagree on class count")
     sources = select_attack_sources(len(train), fraction, seed)
-    adv_train = fgsm(model, train.images[sources], train.labels[sources], cfg)
-    adv_test = fgsm(model, test.images, test.labels, cfg)
+    adv_train = fgsm(model, train.images[sources], train.labels[sources], epsilon)
+    adv_test = fgsm(model, test.images, test.labels, epsilon)
     return AugmentedSets(
         train_star=Dataset(np.concatenate([train.images, adv_train]),
                            np.concatenate([train.labels, train.labels[sources]]),

@@ -71,9 +71,17 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-attack", type=int, default=None)
         p.add_argument("--seed-random-metric", type=int, default=None)
         if name == "report":
-            p.add_argument("--trend-seeds", type=int, default=0,
+            p.add_argument("--trend-seeds", type=count, default=0,
                            help="also run the multi-seed SA-vs-Random trend comparison")
     return parser
+
+
+def count(text: str) -> int:
+    """A non-negative integer argument; argparse names the flag on a refusal."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -151,7 +159,7 @@ def cmd_report(cfg: ExperimentConfig, trend_seeds: int = 0) -> int:
         print("consistency check failed:", "; ".join(problems), file=sys.stderr)
         return 1
     print(f"summary rebuilt for {len(records)} experiment(s)")
-    if trend_seeds > 0:
+    if trend_seeds:
         seeds = [cfg.synthetic_seed + 100 * i for i in range(trend_seeds)]
         report = compute_trend(cfg, seeds, Path(cfg.out))
         print(f"trend over {trend_seeds} seeds: mean size@95% "

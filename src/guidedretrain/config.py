@@ -6,6 +6,7 @@ the four named seeds (plus the synthetic data seed), never the wall clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .metrics import METRICS
@@ -60,6 +61,10 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{_key(f.name)} must be finite, got {value!r}")
         if self.dataset not in ("synthetic", "idx"):
             raise ConfigError(f"dataset must be synthetic or idx, got {self.dataset!r}")
         if not self.metrics:
@@ -82,6 +87,7 @@ class ExperimentConfig:
             _require(self, f"{stage}_momentum", lambda v: 0 <= v < 1, "in [0, 1)")
             _require(self, f"{stage}_batch_size", lambda v: v >= 1, ">= 1")
             _require(self, f"{stage}_epochs", lambda v: v >= 0, ">= 0")
+        _require(self, "synthetic_noise_sigma", lambda v: v >= 0, ">= 0")
         _require(self, "attack_epsilon", lambda v: 0 <= v <= 1, "in [0, 1]")
         _require(self, "attack_fraction", lambda v: 0 < v <= 1, "in (0, 1]")
         _require(self, "nc_threshold", lambda v: 0 <= v <= 1, "in [0, 1]")
@@ -91,6 +97,11 @@ class ExperimentConfig:
                        if not getattr(self, name)]
             if missing:
                 raise ConfigError(f"idx dataset needs {', '.join(missing)}")
+
+    @property
+    def dsa_layer_names(self) -> tuple:
+        """dsa.layers split at its commas; empty means every conv/dense layer."""
+        return tuple(p.strip() for p in self.dsa_layers.split(",") if p.strip())
 
 
 def _require(cfg: ExperimentConfig, field_name: str, ok, bound: str) -> None:

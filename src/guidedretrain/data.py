@@ -107,7 +107,7 @@ def generate_synthetic(classes: int = 4, per_class: int = 100, image_size: int =
     """Deterministic procedural dataset; labels interleave (image i has class i % classes)."""
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:  # NaN fails too
         raise ValueError(f"noise sigma must be non-negative, got {noise_sigma}")
     if not 2 <= classes <= 4:
         raise ValueError(f"supported class counts are 2..4, got {classes}")

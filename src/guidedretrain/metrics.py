@@ -37,12 +37,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Dense
 from .model import Dataset, ForwardPass, ModelState, forward_pass, trace_columns
 from .rng import Pcg32
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 METRICS = ("NC", "LSA", "DSA", "RANDOM")
 TRACE_METRICS = ("NC", "LSA", "DSA")  # the metrics that read the forward pass
@@ -119,26 +123,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NCConfig:
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Per-metric knobs used by timed_scoring and the pipeline."""
-
-    nc_threshold: float = 0.5
-    lsa_layer: str | None = None  # default: last hidden dense layer
-    lsa_variance_threshold: float = 1e-5
-    dsa_layers: tuple | None = None  # default: every conv/dense layer
-    random_seed: int = 0
-
-
 def active_fraction(scaled_layers, threshold: float) -> float:
     """Fraction of neurons with scaled activation strictly above threshold.
 
@@ -166,15 +150,17 @@ def _scale_minmax(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def nc_scores(fp: ForwardPass, cfg: NCConfig) -> np.ndarray:
+def nc_scores(fp: ForwardPass, threshold: float) -> np.ndarray:
     """Neuron coverage of each pass row over all conv/dense post-activation neurons."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     active = np.zeros(len(fp.labels), dtype=np.int64)
     for cols in trace_columns(fp.architecture).values():
         # scaling is per row, so a block of rows at a time gives the same
         # bits without a copy of the layer's whole column block
         for rows in _row_blocks(len(active)):
             block = fp.traces[rows, cols].astype(np.float64)
-            active[rows] += (_scale_minmax(block) > cfg.threshold).sum(axis=1)
+            active[rows] += (_scale_minmax(block) > threshold).sum(axis=1)
     return active / fp.traces.shape[1]
 
 
@@ -486,14 +472,14 @@ def _self_match_scores(index: DsaIndex, rows: np.ndarray) -> np.ndarray:
 def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """DSA of each trace row (n, d) given its predicted class.
 
-    A row that is an index row of its predicted class is scored by
-    _self_match_scores; only the others search with _nearest, a block of
-    rows at a time.
+    When `traces` is index.traces (Train* scoring itself), a row predicted
+    into its true class is scored by _self_match_scores. Every other row
+    searches with _nearest, a block of rows at a time.
     """
     if traces.shape[1] != index.dim:
         raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
     # the query-to-index row map: the index row each query row is, or -1
-    if traces.__array_interface__ == index.traces.__array_interface__:
+    if traces is index.traces:
         sq, ref_rows = index.sq_norms, np.arange(len(traces))  # Train* scores itself
     else:
         sq, ref_rows = _squared_norms(traces), np.full(len(traces), -1)
@@ -520,13 +506,13 @@ def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) ->
 
 
 def dsa_scores(index: DsaIndex, fp: ForwardPass) -> np.ndarray:
-    """DSA of every row of a forward pass.
+    """DSA of every row of a forward pass; each row searches the index.
 
-    Exact: a row that is its own reference needs no search (see
-    _self_match_scores), and each nearest-trace search shortlists by GEMM
-    distances and decides by the in-order sum of squared differences
-    (cdist, see _nearest), so the scores equal an exhaustive search over
-    those exact distances bit for bit.
+    Exact: each nearest-trace search shortlists by GEMM distances and
+    decides by the in-order sum of squared differences (cdist, see
+    _nearest), so the scores equal an exhaustive search over those exact
+    distances bit for bit. Train* scores itself faster through
+    dsa_from_traces(index, index.traces, labels), with the same bits.
     """
     return dsa_from_traces(index, fp.block(index.layers), fp.labels)
 
@@ -568,22 +554,26 @@ class SharedPass:
 
 
 def _trace_metric_values(metric: str, fp: ForwardPass, train_star: Dataset,
-                         cfg: GuidanceConfig) -> np.ndarray:
+                         cfg: ExperimentConfig) -> np.ndarray:
     if metric == "NC":
-        return nc_scores(fp, NCConfig(cfg.nc_threshold))
+        return nc_scores(fp, cfg.nc_threshold)
     if metric == "LSA":
-        est = fit_lsa(fp, train_star, layer=cfg.lsa_layer,
+        est = fit_lsa(fp, train_star, layer=cfg.lsa_layer or None,
                       variance_threshold=cfg.lsa_variance_threshold)
         return lsa_scores(est, fp)
     if metric == "DSA":
-        return dsa_scores(fit_dsa(fp, train_star, layers=cfg.dsa_layers), fp)
+        # Train* scores itself: the index's own block, so no row is copied
+        # and the rows that are their own reference skip the search
+        index = fit_dsa(fp, train_star, layers=cfg.dsa_layer_names or None)
+        return dsa_from_traces(index, index.traces, fp.labels)
     raise ValueError(f"unknown metric {metric!r}")
 
 
 def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
-                  cfg: GuidanceConfig, shared: SharedPass | None = None):
+                  cfg: ExperimentConfig, shared: SharedPass | None = None):
     """(values, seconds) for one metric: values is the float64 score of
-    each train_star row.
+    each train_star row, under cfg's nc.*, lsa.*, dsa.* and
+    seed.random_metric settings.
 
     NC, LSA and DSA read `shared`, the forward pass of `model` over
     train_star (a pass of their own when None). Their seconds are the whole
@@ -593,7 +583,7 @@ def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
     """
     t0 = time.monotonic()
     if metric == "RANDOM":
-        return random_scores(len(train_star), cfg.random_seed), time.monotonic() - t0
+        return random_scores(len(train_star), cfg.seed_random_metric), time.monotonic() - t0
     if metric not in TRACE_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if shared is None:
@@ -607,7 +597,7 @@ def timed_scoring(metric: str, model: ModelState, train_star: Dataset,
 
 
 def score_metrics(metrics, model: ModelState, train_star: Dataset,
-                  cfg: GuidanceConfig) -> dict:
+                  cfg: ExperimentConfig) -> dict:
     """{metric: (values, seconds)}; the trace-based metrics share one
     forward pass, which is freed when scoring ends."""
     shared = SharedPass(model, train_star)

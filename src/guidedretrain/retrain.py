@@ -23,12 +23,13 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._blas import pin_one_blas_thread
 from .attack import AugmentedSets
-from .metrics import GuidanceConfig, order_inputs, timed_scoring
+from .metrics import order_inputs, timed_scoring
 from .model import (
     INFERENCE_BATCH,
     Dataset,
@@ -38,6 +39,9 @@ from .model import (
     build_model,
     train,
 )
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 CONFIG_KINDS = ("C1", "C2", "C3")
 
@@ -283,15 +287,16 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
 
 
 def run_experiment(original: ModelState, sets: AugmentedSets, metric: str, kind: str,
-                   hp: TrainParams, guidance: GuidanceConfig, scored=None,
+                   hp: TrainParams, cfg: ExperimentConfig, scored=None,
                    fresh_init_seed: int = 0) -> ExperimentRecord:
     """All 20 data points of one (configuration, metric) pair.
 
-    `scored` may carry a precomputed (values, seconds) pair so several
+    The metric is scored under `cfg` (see timed_scoring) unless `scored`
+    carries a precomputed (values, seconds) pair, so several
     configurations can share one timed metric computation.
     """
     if scored is None:
-        scored = timed_scoring(metric, original, sets.train_star, guidance)
+        scored = timed_scoring(metric, original, sets.train_star, cfg)
     return run_experiments(original, sets, [(kind, metric)], hp, {metric: scored},
                            fresh_init_seed).records[0]
 

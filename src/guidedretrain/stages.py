@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackConfig, AugmentedSets, attack_count, build_augmented_sets
+from .attack import AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import generate_synthetic, load_idx_dataset
-from .metrics import GuidanceConfig, score_metrics
+from .metrics import score_metrics
 from .model import (
     Dataset,
     ModelState,
@@ -90,10 +90,9 @@ def prepare_data(cfg: ExperimentConfig):
 
 
 def _check_guidance_layers(cfg: ExperimentConfig, arch) -> None:
-    guidance = guidance_config(cfg)
-    lsa_layers = (guidance.lsa_layer,) if guidance.lsa_layer else ()
+    lsa_layers = (cfg.lsa_layer,) if cfg.lsa_layer else ()
     for metric, key, names in (("LSA", "lsa.layer", lsa_layers),
-                               ("DSA", "dsa.layers", guidance.dsa_layers or ())):
+                               ("DSA", "dsa.layers", cfg.dsa_layer_names)):
         if metric not in cfg.metrics:
             continue
         for name in names:
@@ -114,17 +113,6 @@ def train_original(cfg: ExperimentConfig, train_set: Dataset) -> ModelState:
     return train(model, train_set, TrainParams(
         epochs=cfg.train_epochs, batch_size=cfg.train_batch_size,
         lr=cfg.train_lr, momentum=cfg.train_momentum, shuffle_seed=cfg.seed_shuffle))
-
-
-def guidance_config(cfg: ExperimentConfig) -> GuidanceConfig:
-    dsa_layers = tuple(p.strip() for p in cfg.dsa_layers.split(",") if p.strip()) or None
-    return GuidanceConfig(
-        nc_threshold=cfg.nc_threshold,
-        lsa_layer=cfg.lsa_layer or None,
-        lsa_variance_threshold=cfg.lsa_variance_threshold,
-        dsa_layers=dsa_layers,
-        random_seed=cfg.seed_random_metric,
-    )
 
 
 def retrain_hp(cfg: ExperimentConfig) -> TrainParams:
@@ -244,8 +232,7 @@ def augmented_sets(cfg: ExperimentConfig, model: ModelState,
     if sets is None:
         train_set, test_set = data if data is not None else prepare_data(cfg)
         sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                    AttackConfig(epsilon=cfg.attack_epsilon),
-                                    seed=cfg.seed_attack)
+                                    cfg.attack_epsilon, seed=cfg.seed_attack)
         _save(path, fingerprint, {
             "class_count": np.array(sets.train_star.class_count),
             "train_images": sets.train_star.images,
@@ -293,7 +280,7 @@ def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: Augme
     stored = stored or {}
     missing = [m for m in metrics if m not in stored]
     if missing:
-        stored.update(score_metrics(missing, model, sets.train_star, guidance_config(cfg)))
+        stored.update(score_metrics(missing, model, sets.train_star, cfg))
         arrays = {}
         for metric, (values, seconds) in stored.items():
             arrays[f"scores_{metric}"] = values

@@ -12,14 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from guidedretrain.attack import AttackConfig, build_augmented_sets, fgsm
+from guidedretrain.attack import build_augmented_sets, fgsm
 from guidedretrain.autodiff import Conv2D, Dense, Graph, MaxPool2D, Relu, backward_grads, forward_eval
 from guidedretrain.cli import main as cli_main
 from guidedretrain.config import ExperimentConfig
 from guidedretrain.data import generate_synthetic
 from guidedretrain.metrics import (
-    GuidanceConfig,
-    NCConfig,
     active_fraction,
     dsa_scores,
     fit_dsa,
@@ -82,7 +80,7 @@ def original_model(desk_data):
 def augmented(desk_data, original_model):
     train_set, test_set = desk_data
     return build_augmented_sets(original_model, train_set, test_set, fraction=0.5,
-                                cfg=AttackConfig(epsilon=0.1), seed=ATTACK_SEED)
+                                epsilon=0.1, seed=ATTACK_SEED)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -229,10 +227,10 @@ def test_c02_fgsm_identity_and_bound(original_model):
     data = generate_synthetic(classes=4, per_class=250, image_size=16,
                               noise_sigma=SIGMA, seed=777)
     assert len(data) == 1000
-    identical = fgsm(original_model, data.images, data.labels, AttackConfig(epsilon=0.0))
+    identical = fgsm(original_model, data.images, data.labels, 0.0)
     assert identical.tobytes() == data.images.tobytes()
     for eps in (0.05, 0.1):
-        adv = fgsm(original_model, data.images, data.labels, AttackConfig(epsilon=eps))
+        adv = fgsm(original_model, data.images, data.labels, eps)
         sup = float(np.max(np.abs(adv - data.images)))
         assert sup <= eps + 1e-7, sup
         assert adv.min() >= 0.0 and adv.max() <= 1.0
@@ -323,15 +321,15 @@ def test_c04_metric_oracles():
     assert worst_lsa < 1e-9, worst_lsa
 
     # NC vs direct threshold count: exact equality
-    cfg = NCConfig(threshold=0.5)
+    threshold = 0.5
     for i in range(len(queries)):
-        got = float(nc_scores(forward_pass(model, queries[i]), cfg)[0])
+        got = float(nc_scores(forward_pass(model, queries[i]), threshold)[0])
         scaled = []
         for name in arch.neuron_layers():
             vals = activation_traces(model, queries[i][None], [name])[0]
             lo, hi = vals.min(), vals.max()
             scaled.append((vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals))
-        assert got == active_fraction(scaled, cfg.threshold), i
+        assert got == active_fraction(scaled, threshold), i
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -376,10 +374,10 @@ def test_c06_sweep_shape():
 def test_c07_retraining_recovery(desk_data, original_model, augmented):
     t0 = time.monotonic()
     star0 = accuracy(original_model, augmented.test_star)
-    guidance = GuidanceConfig()
-    scored = timed_scoring("DSA", original_model, augmented.train_star, guidance)
+    cfg = ExperimentConfig()
+    scored = timed_scoring("DSA", original_model, augmented.train_star, cfg)
     record = run_experiment(original_model, augmented, "DSA", "C2",
-                            TrainParams(epochs=10, shuffle_seed=44), guidance,
+                            TrainParams(epochs=10, shuffle_seed=44), cfg,
                             scored=scored)
     gain = record.best_accuracy - star0
     elapsed = time.monotonic() - t0
@@ -482,10 +480,10 @@ def test_c10_trend_report(tmp_path):
 
 
 def test_c11_timing_accounting(original_model, augmented, tmp_path):
-    guidance = GuidanceConfig()
+    cfg = ExperimentConfig()
     timings = []
     for metric in ("NC", "LSA", "DSA", "RANDOM"):
-        _, seconds = timed_scoring(metric, original_model, augmented.train_star, guidance)
+        _, seconds = timed_scoring(metric, original_model, augmented.train_star, cfg)
         timings.append((metric, seconds))
     path = tmp_path / "timing.csv"
     write_timing_csv(timings, path)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from guidedretrain.attack import (
-    AttackConfig,
     build_augmented_sets,
     fgsm,
     select_attack_sources,
@@ -37,7 +36,7 @@ def pixel_model():
 def test_epsilon_zero_is_identity():
     m = small_model()
     data = random_dataset(50)
-    out = fgsm(m, data.images, data.labels, AttackConfig(epsilon=0.0))
+    out = fgsm(m, data.images, data.labels, 0.0)
     assert np.array_equal(out, data.images)
 
 
@@ -45,7 +44,7 @@ def test_sup_norm_bound_and_range():
     m = small_model()
     data = random_dataset(200)
     for eps in (0.05, 0.1):
-        out = fgsm(m, data.images, data.labels, AttackConfig(epsilon=eps))
+        out = fgsm(m, data.images, data.labels, eps)
         assert np.max(np.abs(out - data.images)) <= eps + 1e-7
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -64,7 +63,7 @@ def test_pixel_case_with_finite_difference_sign():
 
     fd = (loss_at(0.5 + h) - loss_at(0.5 - h)) / (2 * h)
     assert fd < 0
-    out = fgsm(m, x, 0, AttackConfig(epsilon=0.1))
+    out = fgsm(m, x, 0, 0.1)
     assert out[0, 0, 0] == pytest.approx(0.4, abs=1e-6)
 
 
@@ -72,22 +71,25 @@ def test_clipping_at_upper_bound():
     m = pixel_model()
     # label 1: gradient sign flips, pixel pushed up, clipped at 1.0
     x = np.array([[[0.95]]], dtype=np.float32)
-    out = fgsm(m, x, 1, AttackConfig(epsilon=0.1))
+    out = fgsm(m, x, 1, 0.1)
     assert out[0, 0, 0] == 1.0
 
 
 def test_single_input_shape_round_trip():
     m = small_model()
     x = random_dataset(1).images[0]
-    out = fgsm(m, x, 2, AttackConfig(epsilon=0.1))
+    out = fgsm(m, x, 2, 0.1)
     assert out.shape == x.shape
 
 
-def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=1.5)
+def test_fgsm_rejects_epsilon_out_of_range():
+    m = small_model()
+    data = random_dataset(3)
+    for eps in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            fgsm(m, data.images, data.labels, eps)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            build_augmented_sets(m, data, data, 0.5, eps, seed=1)
 
 
 def test_select_sources_deterministic():
@@ -103,7 +105,7 @@ def test_select_sources_deterministic():
 def test_adv_train_full_fraction():
     m = small_model()
     data = random_dataset(30)
-    sets = build_augmented_sets(m, data, data, fraction=1.0, cfg=AttackConfig(epsilon=0.1), seed=1)
+    sets = build_augmented_sets(m, data, data, fraction=1.0, epsilon=0.1, seed=1)
     assert len(sets.adv_train) == len(data)
 
 
@@ -127,8 +129,8 @@ def test_augmented_sets_shapes_and_provenance():
     m = small_model()
     train = random_dataset(60, seed=1)
     test = random_dataset(25, seed=2)
-    cfg = AttackConfig(epsilon=0.1)
-    sets = build_augmented_sets(m, train, test, fraction=0.5, cfg=cfg, seed=9)
+    epsilon = 0.1
+    sets = build_augmented_sets(m, train, test, fraction=0.5, epsilon=epsilon, seed=9)
 
     assert len(sets.adv_train) == 30
     assert len(sets.train_star) == 90
@@ -150,23 +152,22 @@ def test_augmented_sets_shapes_and_provenance():
         assert sets.train_star_is_adversarial[adv_row]
         assert sets.train_star.labels[adv_row] == train.labels[src_row]
         dist = np.max(np.abs(sets.train_star.images[adv_row] - train.images[src_row]))
-        assert dist <= cfg.epsilon + 1e-7
+        assert dist <= epsilon + 1e-7
 
     # Test* row 25 + j is the attack of test row j
     assert len(sets.test_star) - 25 == len(test)
     for src_row in range(len(test)):
         adv_row = 25 + src_row
         dist = np.max(np.abs(sets.test_star.images[adv_row] - test.images[src_row]))
-        assert dist <= cfg.epsilon + 1e-7
+        assert dist <= epsilon + 1e-7
 
 
 def test_augmented_sets_deterministic():
     m = small_model()
     train = random_dataset(40, seed=1)
     test = random_dataset(10, seed=2)
-    cfg = AttackConfig(epsilon=0.05)
-    a = build_augmented_sets(m, train, test, 0.25, cfg, seed=4)
-    b = build_augmented_sets(m, train, test, 0.25, cfg, seed=4)
+    a = build_augmented_sets(m, train, test, 0.25, 0.05, seed=4)
+    b = build_augmented_sets(m, train, test, 0.25, 0.05, seed=4)
     assert np.array_equal(a.train_star.images, b.train_star.images)
     assert np.array_equal(a.test_star.images, b.test_star.images)
     assert np.array_equal(a.train_sources, b.train_sources)
@@ -175,9 +176,8 @@ def test_augmented_sets_deterministic():
 def test_batching_does_not_change_attack():
     m = small_model()
     data = random_dataset(33)
-    cfg = AttackConfig(epsilon=0.1)
-    a = fgsm(m, data.images, data.labels, cfg, batch_size=256)
-    b = fgsm(m, data.images, data.labels, cfg, batch_size=7)
+    a = fgsm(m, data.images, data.labels, 0.1, batch_size=256)
+    b = fgsm(m, data.images, data.labels, 0.1, batch_size=7)
     assert np.array_equal(a, b)
 
 
@@ -197,4 +197,4 @@ def test_fgsm_rejects_non_finite_gradient():
     x = np.full((1, 2, 2, 1), 0.5, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            fgsm(m, x, [0], AttackConfig(epsilon=0.1))
+            fgsm(m, x, [0], 0.1)

@@ -9,12 +9,23 @@ import pytest
 
 from guidedretrain import _blas, cli
 from guidedretrain.cli import main
-from guidedretrain.config import parse_config, with_overrides
+from guidedretrain.attack import build_augmented_sets
+from guidedretrain.config import ExperimentConfig, parse_config, with_overrides
 from guidedretrain.data import load_idx_dataset
-from guidedretrain.metrics import TRACE_METRICS, _trace_metric_values, score_metrics
+from guidedretrain.metrics import (
+    TRACE_METRICS,
+    _trace_metric_values,
+    dsa_from_traces,
+    fit_dsa,
+    fit_lsa,
+    lsa_scores,
+    nc_scores,
+    random_scores,
+    score_metrics,
+)
 from guidedretrain.model import ForwardPass, forward_pass, load_model
 from guidedretrain.reports import compute_trend, run_pipeline
-from guidedretrain.stages import guidance_config, model_and_sets
+from guidedretrain.stages import model_and_sets, prepare_data
 
 MINI_CONFIG = """
 synthetic.per_class_train = 30
@@ -100,6 +111,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
     bad.write_text("who = knows\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_negative_trend_seeds_refused_while_parsing(tmp_path, capsys):
+    # refused before the config is read or <out> is looked at
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--out", str(tmp_path / "out"), "--trend-seeds", "-2"])
+    assert exit_info.value.code == 2
+    assert "--trend-seeds: must be >= 0, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_model(tmp_path):
@@ -410,8 +430,7 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
     run_cfg = with_overrides(parse_config(wider.read_text()), out=str(out))
     model, sets, _ = model_and_sets(run_cfg)
     with _blas.one_blas_thread():
-        fresh = score_metrics(("RANDOM", "NC", "LSA"), model, sets.train_star,
-                              guidance_config(run_cfg))
+        fresh = score_metrics(("RANDOM", "NC", "LSA"), model, sets.train_star, run_cfg)
     with np.load(out / "scores.npz", allow_pickle=False) as stored:
         assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
                                         "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
@@ -433,10 +452,52 @@ def test_float32_pass_scores_as_its_float64_widening(tmp_path):
         assert fp.traces.dtype == np.float32
         assert (fp.labels != train_star.labels).any()  # DSA searches, too
         for metric in TRACE_METRICS:
-            got = _trace_metric_values(metric, fp, train_star, guidance_config(cfg))
-            want = _trace_metric_values(metric, wide, train_star, guidance_config(cfg))
+            got = _trace_metric_values(metric, fp, train_star, cfg)
+            want = _trace_metric_values(metric, wide, train_star, cfg)
             assert got.dtype == want.dtype == np.float64, metric
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), metric
+
+
+GUIDANCE_AND_ATTACK = """
+nc.threshold = 0.3
+lsa.layer = conv2
+lsa.variance_threshold = 1e-3
+dsa.layers = conv1,dense1
+seed.random_metric = 9
+attack.epsilon = 0.2
+"""
+
+
+def test_each_guidance_and_attack_key_reaches_its_function(tmp_path):
+    # the stage spine passes each setting to the function that uses it: the
+    # sets and every metric's scores equal direct calls with the same values
+    cfg = with_overrides(parse_config(MINI_CONFIG + GUIDANCE_AND_ATTACK), out=str(tmp_path),
+                         metrics=("NC", "LSA", "DSA", "RANDOM"))
+    model, sets, _ = model_and_sets(cfg)
+    train_set, test_set = prepare_data(cfg)
+    direct = build_augmented_sets(model, train_set, test_set, 0.5, 0.2, seed=33)
+    for got, want in ((sets.train_star, direct.train_star), (sets.test_star, direct.test_star)):
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert sets.train_sources.tobytes() == direct.train_sources.tobytes()
+    train_star = sets.train_star
+    with _blas.one_blas_thread():
+        scored = score_metrics(cfg.metrics, model, train_star, cfg)
+        fp = forward_pass(model, train_star.images)
+        index = fit_dsa(fp, train_star, layers=("conv1", "dense1"))
+        want = {
+            "NC": nc_scores(fp, 0.3),
+            "LSA": lsa_scores(fit_lsa(fp, train_star, layer="conv2", variance_threshold=1e-3),
+                              fp),
+            "DSA": dsa_from_traces(index, index.traces, fp.labels),
+            "RANDOM": random_scores(len(train_star), 9),
+        }
+        # each value is one the default would not give
+        defaults = score_metrics(cfg.metrics, model, train_star, ExperimentConfig())
+    for metric in cfg.metrics:
+        values = scored[metric][0]
+        assert values.view(np.uint64).tobytes() == want[metric].view(np.uint64).tobytes(), metric
+        assert values.tobytes() != defaults[metric][0].tobytes(), metric
 
 
 def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):

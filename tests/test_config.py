@@ -69,6 +69,32 @@ def test_nc_threshold_in_closed_unit_interval():
     assert_accepted("nc.threshold", "nc_threshold", [("0", 0.0), ("1", 1.0)])
 
 
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_floats_rejected(field):
+    key = config._key(field)
+    assert_rejected(key, field, [("nan", float("nan")), ("inf", float("inf")),
+                                 ("-inf", float("-inf"))])
+
+
+def test_float_fields_are_the_expected_nine():
+    assert FLOAT_FIELDS == [
+        "synthetic_noise_sigma", "train_lr", "train_momentum", "retrain_lr", "retrain_momentum",
+        "attack_epsilon", "attack_fraction", "nc_threshold", "lsa_variance_threshold"]
+
+
+def test_noise_sigma_non_negative():
+    assert_rejected("synthetic.noise_sigma", "synthetic_noise_sigma", [("-0.1", -0.1)])
+    assert_accepted("synthetic.noise_sigma", "synthetic_noise_sigma", [("0", 0.0)])
+
+
+def test_dsa_layer_names_split_the_comma_list():
+    assert ExperimentConfig().dsa_layer_names == ()
+    assert parse_config("dsa.layers = conv1, ,dense1 ").dsa_layer_names == ("conv1", "dense1")
+
+
 def test_duplicate_metrics_rejected():
     assert_rejected("metrics", "metrics", [("LSA, nc, lsa", ("LSA", "NC", "LSA"))])
 

@@ -127,6 +127,8 @@ def test_synthetic_values_in_range():
 def test_synthetic_validation():
     with pytest.raises(ValueError):
         generate_synthetic(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="nan"):
+        generate_synthetic(noise_sigma=float("nan"))
     with pytest.raises(ValueError):
         generate_synthetic(per_class=0)
     with pytest.raises(ValueError):

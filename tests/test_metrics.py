@@ -5,15 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from guidedretrain.attack import AttackConfig, build_augmented_sets
+from guidedretrain.attack import build_augmented_sets
 from guidedretrain.autodiff import Conv2D, Dense, Relu
-from guidedretrain.config import parse_config, with_overrides
+from guidedretrain.config import ExperimentConfig, parse_config, with_overrides
 from guidedretrain.metrics import (
     DSA_ZERO_DENOMINATOR_SENTINEL,
     METRICS,
-    GuidanceConfig,
     LsaEstimator,
-    NCConfig,
     active_fraction,
     cdist,
     default_lsa_layer,
@@ -48,7 +46,11 @@ from guidedretrain.model import (
     trace_columns,
 )
 from guidedretrain.rng import Pcg32
-from guidedretrain.stages import guidance_config, model_and_sets
+from guidedretrain.stages import model_and_sets
+
+
+# the Random metric's seed these tests were written for
+RANDOM_SEED_0 = ExperimentConfig(seed_random_metric=0)
 
 
 def tiny_cnn(classes=3, seed=0):
@@ -97,7 +99,7 @@ def test_nc_zero_when_network_dead():
     }
     m = ModelState(arch, params, init_seed=0)
     img = np.full((2, 2, 1), 0.5, dtype=np.float32)
-    assert float(nc_scores(forward_pass(m, img), NCConfig(threshold=0.5))[0]) == 0.0
+    assert float(nc_scores(forward_pass(m, img), 0.5)[0]) == 0.0
 
 
 def test_nc_bounds_and_threshold_monotonicity():
@@ -105,7 +107,7 @@ def test_nc_bounds_and_threshold_monotonicity():
     images = random_dataset(20).images
     prev = None
     for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vals = nc_scores(forward_pass(m, images), NCConfig(threshold=threshold))
+        vals = nc_scores(forward_pass(m, images), threshold)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         if prev is not None:
             assert np.all(vals <= prev + 1e-12)
@@ -115,7 +117,7 @@ def test_nc_bounds_and_threshold_monotonicity():
 def test_nc_matches_direct_count():
     m = tiny_cnn(seed=3)
     img = random_dataset(1, seed=5).images[0]
-    cfg = NCConfig(threshold=0.5)
+    threshold = 0.5
     # oracle: recompute from raw post-activation values
     from guidedretrain.model import activation_traces
 
@@ -125,15 +127,15 @@ def test_nc_matches_direct_count():
         vals = activation_traces(m, img[None], [name])[0]
         lo, hi = vals.min(), vals.max()
         scaled.append((vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals))
-    expected = active_fraction(scaled, cfg.threshold)
-    assert float(nc_scores(forward_pass(m, img), cfg)[0]) == expected
+    expected = active_fraction(scaled, threshold)
+    assert float(nc_scores(forward_pass(m, img), threshold)[0]) == expected
 
 
 def test_nc_batching_invariant():
     m = tiny_cnn()
     images = random_dataset(15).images
-    a = nc_scores(forward_pass(m, images, batch_size=256), NCConfig())
-    b = nc_scores(forward_pass(m, images, batch_size=4), NCConfig())
+    a = nc_scores(forward_pass(m, images, batch_size=256), 0.5)
+    b = nc_scores(forward_pass(m, images, batch_size=4), 0.5)
     assert np.array_equal(a, b)
 
 
@@ -143,7 +145,7 @@ def test_nc_row_blocks_score_as_the_whole_pass():
     traces = fp.traces.copy()
     traces[70] = 0.25  # a constant row, in the second block of 64
     traces[3, trace_columns(m.architecture)["c1"]] = -1.5  # constant within one layer
-    cfg = NCConfig(threshold=0.3)
+    threshold = 0.3
     # the unblocked formula: each layer's whole column block scaled at once,
     # in float64
     active = np.zeros(len(traces), dtype=np.int64)
@@ -153,9 +155,9 @@ def test_nc_row_blocks_score_as_the_whole_pass():
         span = block.max(axis=1, keepdims=True) - lo
         scaled = block - lo
         np.divide(scaled, span, out=scaled, where=span > 0)
-        active += (scaled > cfg.threshold).sum(axis=1)
+        active += (scaled > threshold).sum(axis=1)
     want = active / traces.shape[1]
-    got = nc_scores(ForwardPass(m.architecture, fp.labels, traces), cfg)
+    got = nc_scores(ForwardPass(m.architecture, fp.labels, traces), threshold)
     assert got.tobytes() == want.tobytes()
     assert got[70] == 0.0
 
@@ -564,6 +566,41 @@ def test_dsa_self_scored_searches_only_mispredicted_rows(monkeypatch):
         assert np.array_equal(queries, index.traces[rows])
 
 
+def test_dsa_on_layers_that_are_not_adjacent_searches_only_mispredicted_rows(
+        tmp_path, monkeypatch):
+    # conv1 and dense1 are not adjacent, so their block is a copy of the
+    # pass's columns; the pipeline scores the index's own copy, and a row
+    # predicted into its true class still needs no search
+    from guidedretrain import metrics
+
+    cfg = with_overrides(parse_config(
+        "synthetic.per_class_train = 30\nsynthetic.per_class_test = 10\n"
+        "synthetic.image_size = 8\ntrain.epochs = 3\nattack.fraction = 0.5\n"
+        "dsa.layers = conv1,dense1\n"), out=str(tmp_path))
+    model, sets, _ = model_and_sets(cfg)
+    train_star = sets.train_star
+    searched = []
+    nearest = metrics._nearest
+
+    def recording(queries, q_sq, index, blocks):
+        if len(blocks) == 1:  # a query row's same-class search
+            searched.append(queries.copy())
+        return nearest(queries, q_sq, index, blocks)
+
+    monkeypatch.setattr(metrics, "_nearest", recording)
+    got = score_metrics(("DSA",), model, train_star, cfg)["DSA"][0]
+    monkeypatch.undo()
+    fp = forward_pass(model, train_star.images)
+    index = fit_dsa(fp, train_star, layers=("conv1", "dense1"))
+    mispredicted = np.flatnonzero(fp.labels != train_star.labels)
+    assert 0 < len(mispredicted) < len(train_star)
+    queries = np.concatenate(searched)
+    assert len(queries) == len(mispredicted)
+    order = np.argsort(fp.labels[mispredicted], kind="stable")  # searched class by class
+    assert np.array_equal(queries, index.traces[mispredicted[order]].astype(np.float64))
+    assert got.tobytes() == exhaustive_cdist_dsa(index, index.traces, fp.labels).tobytes()
+
+
 def test_dsa_rejects_non_finite_rows():
     refs = np.ones((4, 3))
     refs[2, 1] = np.nan
@@ -662,7 +699,7 @@ def test_scoring_peak_memory_stays_within_twice_the_float32_trace_matrix(tmp_pat
     assert 380 <= len(train_star) <= 420 and neuron_count(model.architecture) == 3108
     tracemalloc.start()
     try:
-        score_metrics(METRICS, model, train_star, guidance_config(cfg))
+        score_metrics(METRICS, model, train_star, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -745,8 +782,8 @@ def test_timed_scoring_deterministic_scores():
     m = tiny_cnn(classes=3, seed=4)
     train = random_dataset(30, classes=3, seed=3)
     test = random_dataset(9, classes=3, seed=4)
-    sets = build_augmented_sets(m, train, test, 0.5, AttackConfig(epsilon=0.1), seed=2)
-    cfg = GuidanceConfig()
+    sets = build_augmented_sets(m, train, test, 0.5, 0.1, seed=2)
+    cfg = RANDOM_SEED_0
     for metric in ("NC", "LSA", "DSA", "RANDOM"):
         s1, t1 = timed_scoring(metric, m, sets.train_star, cfg)
         s2, t2 = timed_scoring(metric, m, sets.train_star, cfg)
@@ -759,12 +796,12 @@ def small_sets(seed=4):
     m = tiny_cnn(classes=3, seed=seed)
     train = random_dataset(30, classes=3, seed=3)
     test = random_dataset(9, classes=3, seed=4)
-    return m, build_augmented_sets(m, train, test, 0.5, AttackConfig(epsilon=0.1), seed=2)
+    return m, build_augmented_sets(m, train, test, 0.5, 0.1, seed=2)
 
 
 def test_shared_pass_scores_equal_single_metric_calls():
     m, sets = small_sets()
-    cfg = GuidanceConfig()
+    cfg = RANDOM_SEED_0
     shared = score_metrics(METRICS, m, sets.train_star, cfg)
     assert list(shared) == list(METRICS)
     for metric in METRICS:
@@ -784,7 +821,7 @@ def test_shared_pass_runs_once_and_is_charged_to_each_trace_metric(monkeypatch):
         return forward_pass(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "forward_pass", slow_pass)
-    scored = score_metrics(("RANDOM", "NC", "LSA", "DSA"), m, sets.train_star, GuidanceConfig())
+    scored = score_metrics(("RANDOM", "NC", "LSA", "DSA"), m, sets.train_star, RANDOM_SEED_0)
     assert len(passes) == 1
     for metric in ("NC", "LSA", "DSA"):
         assert scored[metric][1] >= 0.3, metric
@@ -796,11 +833,11 @@ def test_shared_pass_must_match_model_and_data():
     other = tiny_cnn(classes=3, seed=5)
     shared = SharedPass(other, sets.train_star)
     with pytest.raises(ValueError, match="another model"):
-        timed_scoring("NC", m, sets.train_star, GuidanceConfig(), shared)
+        timed_scoring("NC", m, sets.train_star, RANDOM_SEED_0, shared)
 
 
 def test_random_scoring_is_fast():
-    _, seconds = timed_scoring("RANDOM", tiny_cnn(), random_dataset(5000), GuidanceConfig())
+    _, seconds = timed_scoring("RANDOM", tiny_cnn(), random_dataset(5000), RANDOM_SEED_0)
     assert seconds < 1.0
 
 

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from guidedretrain.attack import AttackConfig, attack_count, build_augmented_sets
+from guidedretrain.attack import attack_count, build_augmented_sets
 from guidedretrain.autodiff import Dense, Relu
-from guidedretrain.metrics import GuidanceConfig, order_inputs, timed_scoring
+from guidedretrain.config import ExperimentConfig
+from guidedretrain.metrics import order_inputs, timed_scoring
 from guidedretrain.model import (
     ArchitectureDescriptor,
     Dataset,
@@ -33,6 +34,10 @@ from guidedretrain.retrain import (
 from guidedretrain.rng import Pcg32
 
 
+# the Random metric's seed these tests were written for
+RANDOM_SEED_0 = ExperimentConfig(seed_random_metric=0)
+
+
 def tiny_model(classes=2, seed=0):
     arch = ArchitectureDescriptor(
         (4, 4, 1), classes,
@@ -51,7 +56,7 @@ def toy_sets(n_train=40, n_test=12, classes=2, model=None, seed=0, fraction=0.5)
     train_set = make(n_train, seed)
     test_set = make(n_test, seed + 1)
     m = model if model is not None else tiny_model(classes)
-    sets = build_augmented_sets(m, train_set, test_set, fraction, AttackConfig(epsilon=0.1), seed=seed)
+    sets = build_augmented_sets(m, train_set, test_set, fraction, 0.1, seed=seed)
     return m, sets
 
 
@@ -200,7 +205,7 @@ def test_c1_start_is_built_once_per_pair(monkeypatch):
     monkeypatch.setattr(retrain, "build_model", counting)
     m, sets = toy_sets(n_train=40, n_test=8)
     pairs = [("C1", "RANDOM"), ("C2", "RANDOM"), ("C1", "NC"), ("C3", "NC")]
-    scored = {metric: timed_scoring(metric, m, sets.train_star, GuidanceConfig())
+    scored = {metric: timed_scoring(metric, m, sets.train_star, RANDOM_SEED_0)
               for metric in ("RANDOM", "NC")}
     hp = TrainParams(epochs=1, shuffle_seed=3)
     monkeypatch.setenv("GR_THREADS", "1")
@@ -219,7 +224,7 @@ def test_c1_start_is_built_once_per_pair(monkeypatch):
 def test_run_experiment_record_shape(monkeypatch):
     monkeypatch.setenv("GR_THREADS", "1")
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    record = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), RANDOM_SEED_0)
     assert len(record.runs) == 20
     sizes = [r.input_size for r in record.runs]
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
@@ -235,7 +240,7 @@ def test_run_experiment_record_shape(monkeypatch):
 def test_run_experiment_c3_pool_total_is_adv_count(monkeypatch):
     monkeypatch.setenv("GR_THREADS", "1")
     m, sets = toy_sets(n_train=60, n_test=10)
-    record = run_experiment(m, sets, "RANDOM", "C3", TrainParams(epochs=1), GuidanceConfig())
+    record = run_experiment(m, sets, "RANDOM", "C3", TrainParams(epochs=1), RANDOM_SEED_0)
     assert record.pool_total == len(sets.adv_train)
     assert record.runs[-1].input_size == len(sets.adv_train)
 
@@ -243,9 +248,9 @@ def test_run_experiment_c3_pool_total_is_adv_count(monkeypatch):
 def test_run_experiment_parallel_matches_sequential(monkeypatch):
     m, sets = toy_sets(n_train=50, n_test=8)
     monkeypatch.setenv("GR_THREADS", "1")
-    seq = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    seq = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), RANDOM_SEED_0)
     monkeypatch.setenv("GR_THREADS", "4")
-    par = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    par = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), RANDOM_SEED_0)
 
     def accuracies(record):
         return [(r.accuracy_test_star, r.accuracy_test, r.accuracy_adv_test) for r in record.runs]
@@ -304,14 +309,14 @@ def test_gr_threads_env_controls_fanout(monkeypatch):
 def test_gr_threads_used_by_run_experiment(monkeypatch):
     m, sets = toy_sets(n_train=40, n_test=8)
     monkeypatch.setenv("GR_THREADS", "1")
-    ref = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    ref = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), RANDOM_SEED_0)
     monkeypatch.setenv("GR_THREADS", "2")
-    env = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), GuidanceConfig())
+    env = run_experiment(m, sets, "RANDOM", "C2", TrainParams(epochs=1), RANDOM_SEED_0)
     assert [r.accuracy_test_star for r in ref.runs] == [r.accuracy_test_star for r in env.runs]
 
 
 def random_scored(m, sets):
-    return {"RANDOM": timed_scoring("RANDOM", m, sets.train_star, GuidanceConfig())}
+    return {"RANDOM": timed_scoring("RANDOM", m, sets.train_star, RANDOM_SEED_0)}
 
 
 def test_pooled_models_are_frozen_and_bit_equal_to_sequential(monkeypatch, tmp_path):

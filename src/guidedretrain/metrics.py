@@ -24,13 +24,13 @@ cdist, an in-order sum of each pair's squared differences, and LSA's
 log-density from _logsumexp. Both use numpy only and return the bits of
 SciPy's `cdist` and `logsumexp` (1.17), which the tests keep as oracles.
 
-When Train* scores itself, a row predicted into its true class is its own
-reference, at cdist distance 0, the least there is. Its DSA is decided
-without a search (_self_match_scores): +0.0, or the sentinel when a row of
-another class is at distance exactly 0 from its nearest same-class
-reference. That distance is 0 only when every column's squared difference
-is 0.0, since a sum of non-negative terms is 0 only when every term is.
-Only the other rows search (_nearest).
+When Train* scores its float32 traces, a row predicted into its true class
+is its own reference, at cdist distance 0, the least there is. Between
+float32 rows that distance is 0 exactly when the rows are equal as values,
+so its DSA is decided without a search (_self_match_scores): +0.0, or the
+sentinel when a row of another class is equal to it. Only the other rows
+search (_nearest). A float64 index scoring itself searches for every row,
+since float64 rows about 1e-170 apart are at distance 0 as well.
 """
 
 from __future__ import annotations
@@ -394,100 +394,73 @@ def _nearest_rows(traces: np.ndarray, rows: np.ndarray, sq: np.ndarray, index: D
     return best, dist
 
 
-def _zero_distance_groups(traces: np.ndarray):
-    """(rows, group): the rows that may be at cdist distance exactly 0 from
-    another row, sorted by group id. Two rows at that distance share a group;
-    two rows in one group may or may not be (see _zero_distance_pairs).
+def _equal_row_groups(traces: np.ndarray):
+    """(rows, group): the rows equal as values to another row, in every
+    column (-0.0 == 0.0), sorted by group id; rows are equal exactly when
+    they share a group.
 
-    That distance is 0 only when each column's squared difference is 0.0,
-    since a sum of non-negative terms is 0 only when every term is. Rows
-    that differ by less than about 1e-162 per column qualify, which == on
-    values would miss, and so do -0.0 and +0.0, which a byte compare would.
     Columns are read one at a time, last first, and only at the rows still in
     question. All rows start as one group. A column sorts each group by value
-    and splits it where the squared step between neighbours is not 0;
-    singletons drop out. Rounding is monotone, so a pair at squared
-    difference 0 has squared step 0 to every row sorted between them and is
-    never split. When the last column is the output layer's, as with every
-    layer selected, it is rarely 0 and leaves few rows; under a subset of
-    conv layers it may leave more.
+    and splits it where neighbouring values differ; singletons drop out.
+    When the last column is the output layer's, as with every layer
+    selected, few rows are left after it.
     """
     rows = np.arange(len(traces))
     group = np.zeros(len(rows), dtype=np.int64)
     for col in range(traces.shape[1] - 1, -1, -1):
         if len(rows) == 0:
             break
-        values = traces[rows, col].astype(np.float64)
+        values = traces[rows, col]
         order = np.lexsort((values, group))
         rows, group, values = rows[order], group[order], values[order]
-        step = np.diff(values)
-        split = np.concatenate(([True], (group[1:] != group[:-1]) | (step * step != 0.0)))
+        split = np.concatenate(([True], (group[1:] != group[:-1]) | (values[1:] != values[:-1])))
         group = np.cumsum(split) - 1
         keep = np.bincount(group)[group] > 1
         rows, group = rows[keep], group[keep]
     return rows, group
 
 
-def _zero_distance_pairs(traces: np.ndarray, rows: np.ndarray, group: np.ndarray):
-    """(i, j) with i < j: the pairs inside each group at cdist distance exactly 0.
-
-    `rows` are sorted by `group`. Each pair is tested column by column, last
-    first, and dropped at the first column whose squared difference is not 0.
-    """
-    bounds = np.flatnonzero(np.diff(group, prepend=-1, append=-1))
-    pairs = [np.empty((2, 0), dtype=np.int64)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pairs.append(rows[lo + np.array(np.triu_indices(hi - lo, 1))])
-    i, j = np.sort(np.concatenate(pairs, axis=1), axis=0)
-    for col in range(traces.shape[1] - 1, -1, -1):
-        if len(i) == 0:
-            break
-        diff = traces[i, col].astype(np.float64) - traces[j, col].astype(np.float64)
-        keep = diff * diff == 0.0
-        i, j = i[keep], j[keep]
-    return i, j
-
-
 def _self_match_scores(index: DsaIndex, rows: np.ndarray) -> np.ndarray:
-    """DSA of index rows, each scored under its own true class, without a search.
+    """DSA of rows of a float32 index, each scored under its own true class,
+    without a search.
 
-    A row is at cdist distance 0 from itself, the least there is, so its
-    nearest same-class reference a is the first row of its class (in
-    class_rows order) at distance exactly 0 from it: the row itself unless
-    an earlier row qualifies. Its DSA is 0 / dist(a, nearest other-class
-    row): +0.0, or the sentinel when a row of another class is at distance
-    0 from a. _nearest would return the same a and distances.
+    Two float32 values that differ have a float64 squared difference of at
+    least 2^-298, so a cdist distance between float32 rows is 0 exactly
+    when the rows are equal. A row is at distance 0 from itself, the least
+    there is, so its nearest same-class reference a is equal to it, and its
+    DSA is 0 / dist(a, nearest other-class row): +0.0, or the sentinel when
+    a row of another class is equal to a, that is, when the row's group of
+    equal rows holds more than one true label.
     """
-    labels = index.labels
-    first = np.arange(len(labels))  # class_rows are ascending
-    clash = np.zeros(len(labels), dtype=bool)
-    i, j = _zero_distance_pairs(index.traces, *_zero_distance_groups(index.traces))
-    same = labels[i] == labels[j]
-    np.minimum.at(first, j[same], i[same])
-    clash[i[~same]] = True
-    clash[j[~same]] = True
-    return np.where(clash[first[rows]], DSA_ZERO_DENOMINATOR_SENTINEL, 0.0)
+    equal, group = _equal_row_groups(index.traces)
+    labels = index.labels[equal]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    mixed = np.minimum.reduceat(labels, starts) != np.maximum.reduceat(labels, starts)
+    clash = np.zeros(len(index.labels), dtype=bool)
+    clash[equal] = np.repeat(mixed, np.diff(starts, append=len(equal)))
+    return np.where(clash[rows], DSA_ZERO_DENOMINATOR_SENTINEL, 0.0)
 
 
 def dsa_from_traces(index: DsaIndex, traces: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """DSA of each trace row (n, d) given its predicted class.
 
-    When `traces` is index.traces (Train* scoring itself), a row predicted
-    into its true class is scored by _self_match_scores. Every other row
-    searches with _nearest, a block of rows at a time.
+    When `traces` is index.traces (Train* scoring itself) and float32, as
+    every forward pass's is, a row predicted into its true class is scored
+    by _self_match_scores. Every other row searches with _nearest, a block
+    of rows at a time.
     """
     if traces.shape[1] != index.dim:
         raise ValueError(f"traces have {traces.shape[1]} columns, the index {index.dim}")
-    # the query-to-index row map: the index row each query row is, or -1
+    own = np.zeros(len(traces), dtype=bool)
     if traces is index.traces:
-        sq, ref_rows = index.sq_norms, np.arange(len(traces))  # Train* scores itself
+        sq = index.sq_norms
+        if traces.dtype == np.float32:
+            own = index.labels == classes
     else:
-        sq, ref_rows = _squared_norms(traces), np.full(len(traces), -1)
-    # a -1 reads the last label, which the first test masks
-    own = (ref_rows >= 0) & (index.labels[ref_rows] == classes)
+        sq = _squared_norms(traces)
     out = np.empty(len(traces), dtype=np.float64)
     if own.any():
-        out[own] = _self_match_scores(index, ref_rows[own])
+        out[own] = _self_match_scores(index, np.flatnonzero(own))
     for cls in _present(classes[~own]):
         cls = int(cls)
         if cls not in index.class_rows:

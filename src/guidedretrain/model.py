@@ -157,8 +157,10 @@ class Dataset:
             raise ValueError("images and labels disagree on N")
         if len(self.images) < 1:
             raise ValueError("dataset must contain at least one input")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise ValueError("label out of range")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.class_count))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} has label {self.labels[bad[0]]}, out of range "
+                             f"for class_count {self.class_count}")
         lo, hi = float(self.images.min()), float(self.images.max())
         if not (lo >= 0.0 and hi <= 1.0):  # also true when min/max are NaN
             finite = np.isfinite(self.images.reshape(len(self.images), -1)).all(axis=1)

@@ -239,7 +239,7 @@ def retrain_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
     stamp = out / POINTS_FINGERPRINT
     stamp.unlink(missing_ok=True)  # never left vouching for other points
     write_points_csv(batch.records, out / POINTS_CSV)
-    stamp.write_text(points_fingerprint(cfg, sets_fp) + "\n", encoding="utf-8")
+    stamp.write_text(points_fingerprint(cfg, model.architecture, sets_fp) + "\n", encoding="utf-8")
     return batch, {POINTS_CSV: out / POINTS_CSV, POINTS_FINGERPRINT: stamp}
 
 

@@ -12,7 +12,8 @@ artifacts in their output directory:
 Each .npz carries a fingerprint: a sha256 over a format tag, the bytes of
 M's model file and the canonical config lines the artifact depends on (the
 scores' fingerprint covers the sets' fingerprint in place of M and the data
-lines, and the points' fingerprint covers the scores'). A stage loads an
+lines, and names the LSA and DSA layers as selected on M's architecture;
+the points' fingerprint covers the scores'). A stage loads an
 artifact whose fingerprint matches, without unpickling, and rebuilds one
 that is missing, unreadable or stale: it writes the new file through a
 temporary one and notes on stderr why it rebuilt it. scores.npz keeps the
@@ -33,7 +34,7 @@ import numpy as np
 from .attack import AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import generate_synthetic, load_idx_dataset
-from .metrics import score_metrics
+from .metrics import default_lsa_layer, score_metrics
 from .model import (
     Dataset,
     ModelState,
@@ -56,8 +57,7 @@ POINTS_FINGERPRINT = "points.fingerprint"
 # config keys each artifact depends on; a key ending in "." names its section
 _SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
               "seed.attack")
-_SCORES_KEYS = ("nc.threshold", "lsa.layer", "lsa.variance_threshold", "dsa.layers",
-                "seed.random_metric")
+_SCORES_KEYS = ("nc.threshold", "lsa.variance_threshold", "seed.random_metric")
 _POINTS_KEYS = ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle")
 _IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
 
@@ -144,16 +144,29 @@ def sets_fingerprint(cfg: ExperimentConfig, model: ModelState) -> str:
     return _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
 
 
-def scores_fingerprint(cfg: ExperimentConfig, sets_fp: str) -> str:
-    """Fingerprint of the metric scores over the sets fingerprinted `sets_fp`."""
-    return _fingerprint("guidedretrain scores v1", cfg, _SCORES_KEYS, [f"sets = {sets_fp}"])
+def _guidance_layers(cfg: ExperimentConfig, arch) -> list[str]:
+    """The LSA and DSA layers selected on `arch`, in architecture order, so
+    that every spelling of one selection shares a fingerprint. A name `arch`
+    lacks stays as spelled; prepare_data refuses it when its metric runs."""
+    known = arch.neuron_layers()
+    names = cfg.dsa_layer_names or known
+    dsa = [name for name in known if name in names] + sorted(set(names) - set(known))
+    return [f"lsa.layer = {cfg.lsa_layer or default_lsa_layer(arch)}",
+            f"dsa.layers = {','.join(dsa)}"]
 
 
-def points_fingerprint(cfg: ExperimentConfig, sets_fp: str) -> str:
-    """Fingerprint of the sweep points retrained on the scores over the sets
-    fingerprinted `sets_fp`."""
+def scores_fingerprint(cfg: ExperimentConfig, arch, sets_fp: str) -> str:
+    """Fingerprint of the metric scores of M, whose architecture is `arch`,
+    over the sets fingerprinted `sets_fp`."""
+    return _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
+                        [f"sets = {sets_fp}", *_guidance_layers(cfg, arch)])
+
+
+def points_fingerprint(cfg: ExperimentConfig, arch, sets_fp: str) -> str:
+    """Fingerprint of the sweep points retrained on the scores (see
+    scores_fingerprint)."""
     return _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS,
-                        [f"scores = {scores_fingerprint(cfg, sets_fp)}"])
+                        [f"scores = {scores_fingerprint(cfg, arch, sets_fp)}"])
 
 
 def points_staleness(cfg: ExperimentConfig, model: ModelState) -> str | None:
@@ -162,7 +175,7 @@ def points_staleness(cfg: ExperimentConfig, model: ModelState) -> str | None:
     path = Path(cfg.out) / POINTS_FINGERPRINT
     if not path.exists():
         return f"{POINTS_FINGERPRINT} missing"
-    expected = points_fingerprint(cfg, sets_fingerprint(cfg, model))
+    expected = points_fingerprint(cfg, model.architecture, sets_fingerprint(cfg, model))
     if path.read_text(encoding="utf-8").strip() != expected:
         return f"stale {POINTS_FINGERPRINT}"
     return None
@@ -274,7 +287,7 @@ def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: Augme
     """{metric: (values, seconds)} over Train*: read from <out>/scores.npz
     when fresh; metrics it lacks are scored and added to it."""
     path = Path(cfg.out) / SCORES_FILE
-    fingerprint = scores_fingerprint(cfg, sets_fp)
+    fingerprint = scores_fingerprint(cfg, model.architecture, sets_fp)
     rows = len(sets.train_star)
     stored, why = _load(path, fingerprint, lambda arrays: _scores_from_arrays(arrays, rows))
     stored = stored or {}

@@ -11,7 +11,7 @@ from guidedretrain import _blas, cli
 from guidedretrain.cli import main
 from guidedretrain.attack import build_augmented_sets
 from guidedretrain.config import ExperimentConfig, parse_config, with_overrides
-from guidedretrain.data import load_idx_dataset
+from guidedretrain.data import generate_synthetic, load_idx_dataset, save_idx_dataset
 from guidedretrain.metrics import (
     TRACE_METRICS,
     _trace_metric_values,
@@ -273,6 +273,28 @@ def test_bad_guidance_layer_is_named(tmp_path, monkeypatch, capsys, line, named)
     assert "status = failed: data" in (out / "manifest.txt").read_text()
     assert not (out / "model.grcnn").exists()
     assert trained == []
+
+
+def test_idx_test_label_beyond_the_train_classes_is_named(tmp_path, capsys):
+    # the training set has classes 0..2, so the test set is read with 3
+    # classes and its first class-3 row is refused before M is trained
+    paths = {}
+    for part, classes in (("train", 3), ("test", 4)):
+        data = generate_synthetic(classes, 10, 8, 0.1, seed=5)
+        paths[part] = (tmp_path / f"{part}-images", tmp_path / f"{part}-labels")
+        save_idx_dataset(data, *paths[part])
+    first_bad = int(np.flatnonzero(data.labels == 3)[0])
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(MINI_CONFIG + "dataset = idx\n" + "".join(
+        f"idx.{part}_{kind} = {path}\n"
+        for part, (images, labels) in paths.items()
+        for kind, path in (("images", images), ("labels", labels))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"row {first_bad} has label 3, out of range for class_count 3" in err
+    assert "status = failed: data" in (out / "manifest.txt").read_text()
+    assert not (out / "model.grcnn").exists()
 
 
 def test_stage_commands_write_the_run_bytes(tmp_path, capsys):

@@ -77,6 +77,15 @@ def test_load_idx_truncated(tmp_path):
         load_idx_dataset(images_path, labels_path)
 
 
+def test_load_idx_label_out_of_range_names_the_row(tmp_path):
+    images_path = tmp_path / "imgs"
+    labels_path = tmp_path / "labels"
+    write_idx_images(images_path, [np.zeros((2, 2), dtype=np.uint8)] * 4)
+    write_idx_labels(labels_path, [0, 3, 4, 5])
+    with pytest.raises(ValueError, match="^row 2 has label 4, out of range for class_count 4$"):
+        load_idx_dataset(images_path, labels_path, class_count=4)
+
+
 def test_idx_round_trip(tmp_path):
     data = generate_synthetic(classes=3, per_class=4, image_size=8, noise_sigma=0.1, seed=2)
     save_idx_dataset(data, tmp_path / "imgs", tmp_path / "labels")

@@ -546,7 +546,7 @@ def test_dsa_self_scored_searches_only_mispredicted_rows(monkeypatch):
 
     rng = np.random.default_rng(17)
     labels = np.arange(30) % 3
-    index = dsa_index(rng.normal(size=(30, 6)), labels, 3, ("d1",))
+    index = dsa_index(rng.normal(size=(30, 6)).astype(np.float32), labels, 3, ("d1",))
     predicted = labels.copy()
     predicted[[4, 7, 20, 11]] = [0, 0, 0, 1]  # rows of classes 1, 1, 2 and 2
     searches = []
@@ -684,6 +684,93 @@ def test_dsa_float32_chunked_search_matches_exhaustive_argmin():
     own[[_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, len(class0) + 3]] = [1, 2, 1, 0]
     got = dsa_from_traces(index, index.traces, own)
     assert got.tobytes() == exhaustive_cdist_dsa(index, index.traces, own).tobytes()
+
+
+def assert_float32_self_scored_is_exhaustive(traces, labels, seed):
+    """Train* scoring its float32 self, under its true classes and under
+    random predicted classes: bit for bit the exhaustive cdist search."""
+    index = dsa_index(traces.astype(np.float32), labels, int(labels.max()) + 1, ("d1",))
+    rng = np.random.default_rng(seed)
+    mispredicted = np.where(rng.random(len(labels)) < 0.3,
+                            rng.integers(0, index.labels.max() + 1, size=len(labels)), labels)
+    for predicted in (labels, mispredicted):
+        got = dsa_from_traces(index, index.traces, predicted)
+        assert got.tobytes() == exhaustive_cdist_dsa(index, index.traces, predicted).tobytes()
+    return dsa_from_traces(index, index.traces, labels)
+
+
+def float32_rows(n, d, seed):
+    return np.random.default_rng(seed).normal(size=(n, d)).astype(np.float32)
+
+
+def test_dsa_float32_self_match_twins_within_one_class():
+    traces = float32_rows(12, 9, 31)
+    traces[[4, 7, 10]] = traces[1]  # rows 1, 4, 7 and 10 are all class 1
+    got = assert_float32_self_scored_is_exhaustive(traces, np.arange(12) % 3, 41)
+    assert got.tolist() == [0.0] * 12
+    assert not np.signbit(got).any()
+
+
+def test_dsa_float32_self_match_twins_across_classes_give_the_sentinel():
+    traces = float32_rows(12, 9, 32)
+    traces[5] = traces[0]  # classes 0 and 2
+    traces[[4, 8]] = traces[1]  # classes 1, 1 and 2
+    traces[[6, 9]] = traces[3]  # class 0 only
+    got = assert_float32_self_scored_is_exhaustive(traces, np.arange(12) % 3, 42)
+    sentinel = DSA_ZERO_DENOMINATOR_SENTINEL
+    assert [i for i, v in enumerate(got) if v == sentinel] == [0, 1, 4, 5, 8]
+    assert (got[got != sentinel] == 0.0).all()
+
+
+def test_dsa_float32_self_match_signed_zero_twins():
+    traces = float32_rows(10, 6, 33)
+    traces[:, 2] = 0.0
+    traces[7] = traces[2]
+    traces[7, 2] = -0.0  # equal as values: cdist distance 0 from row 2
+    traces[3, 4] = 0.0
+    traces[8] = traces[3]
+    traces[8, [2, 4]] = -0.0
+    traces[4] = traces[0]
+    traces[4, 2] = -0.0
+    got = assert_float32_self_scored_is_exhaustive(traces, np.arange(10) % 2, 43)
+    assert got[2] == got[7] == DSA_ZERO_DENOMINATOR_SENTINEL  # classes 0 and 1
+    assert got[3] == got[8] == DSA_ZERO_DENOMINATOR_SENTINEL
+    assert got[0] == got[4] == 0.0  # both class 0
+
+
+def test_dsa_float32_rows_one_ulp_or_the_least_subnormal_apart_are_not_twins():
+    traces = float32_rows(12, 7, 34)
+    traces[:, 0] = 0.0
+    traces[5] = traces[0]
+    traces[5, 3] = np.nextafter(traces[0, 3], np.float32(np.inf))  # one float32 ulp
+    traces[7] = traces[2]
+    traces[7, 0] = np.float32(2.0 ** -149)  # the least float32 above 0.0
+    traces[9] = traces[4]
+    traces[9, 0] = -np.float32(2.0 ** -149)
+    assert traces[7, 0] > 0 and traces[9, 0] < 0
+    got = assert_float32_self_scored_is_exhaustive(traces, np.arange(12) % 4, 44)
+    assert got.tolist() == [0.0] * 12  # each near pair is of two classes
+
+
+def test_dsa_float32_many_identical_rows_skip_the_pair_test():
+    # 900 equal rows of the desk CNN's 3,108 trace columns and 28 others:
+    # one group of equal rows holding every class, found without a test of
+    # its 404,550 pairs
+    traces = float32_rows(928, 3108, 35)
+    traces[:900] = traces[0]
+    labels = np.arange(928) % 4
+    index = dsa_index(traces, labels, 4, ("d1",))
+    predicted = labels.copy()
+    predicted[[3, 500, 899, 905, 927]] = [0, 1, 2, 3, 0]
+    start = time.monotonic()
+    got = dsa_from_traces(index, index.traces, predicted)
+    assert time.monotonic() - start < 5.0
+    check = np.array([0, 1, 3, 450, 500, 899, 900, 905, 927])
+    want = exhaustive_cdist_dsa(index, index.traces[check], predicted[check])
+    assert got[check].tobytes() == want.tobytes()
+    own = np.flatnonzero(predicted == labels)
+    assert (got[own[own < 900]] == DSA_ZERO_DENOMINATOR_SENTINEL).all()
+    assert (got[own[own >= 900]] == 0.0).all()
 
 
 def test_scoring_peak_memory_stays_within_twice_the_float32_trace_matrix(tmp_path):

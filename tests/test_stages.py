@@ -6,6 +6,7 @@ from guidedretrain.model import build_model, desk_architecture
 from guidedretrain.stages import points_fingerprint, scores_fingerprint, sets_fingerprint
 
 MODEL = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
+ARCH = MODEL.architecture
 BASE = ExperimentConfig()
 
 # (field, another value) of every config key the sets depend on
@@ -55,7 +56,7 @@ def test_scores_follow_their_own_keys_and_sets_do_not(field, value):
     cfg = with_overrides(BASE, **{field: value})
     sets_fp = sets_fingerprint(cfg, MODEL)
     assert sets_fp == sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(cfg, sets_fp) != scores_fingerprint(BASE, sets_fp)
+    assert scores_fingerprint(cfg, ARCH, sets_fp) != scores_fingerprint(BASE, ARCH, sets_fp)
 
 
 @pytest.mark.parametrize("field, value", NEITHER_FIELDS)
@@ -63,29 +64,53 @@ def test_other_keys_leave_both_fingerprints(field, value):
     cfg = with_overrides(BASE, **{field: value})
     sets_fp = sets_fingerprint(cfg, MODEL)
     assert sets_fp == sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(cfg, sets_fp) == scores_fingerprint(BASE, sets_fp)
+    assert scores_fingerprint(cfg, ARCH, sets_fp) == scores_fingerprint(BASE, ARCH, sets_fp)
 
 
 @pytest.mark.parametrize("field, value", POINTS_FIELDS)
 def test_points_follow_their_own_keys_and_scores_do_not(field, value):
     cfg = with_overrides(BASE, **{field: value})
     sets_fp = sets_fingerprint(cfg, MODEL)
-    assert scores_fingerprint(cfg, sets_fp) == scores_fingerprint(BASE, sets_fp)
-    assert points_fingerprint(cfg, sets_fp) != points_fingerprint(BASE, sets_fp)
+    assert scores_fingerprint(cfg, ARCH, sets_fp) == scores_fingerprint(BASE, ARCH, sets_fp)
+    assert points_fingerprint(cfg, ARCH, sets_fp) != points_fingerprint(BASE, ARCH, sets_fp)
 
 
 @pytest.mark.parametrize("field, value", SCORES_FIELDS + [("train_epochs", 1), ("out", "x")])
 def test_points_follow_the_scores_and_no_other_key(field, value):
     cfg = with_overrides(BASE, **{field: value})
-    moved = points_fingerprint(cfg, "a") != points_fingerprint(BASE, "a")
+    moved = points_fingerprint(cfg, ARCH, "a") != points_fingerprint(BASE, ARCH, "a")
     assert moved == ((field, value) in SCORES_FIELDS)
 
 
 def test_model_weights_and_sets_feed_the_fingerprints():
     other = build_model(MODEL.architecture, seed=4)
     assert sets_fingerprint(BASE, other) != sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(BASE, "a") != scores_fingerprint(BASE, "b")
-    assert points_fingerprint(BASE, "a") != points_fingerprint(BASE, "b")
+    assert scores_fingerprint(BASE, ARCH, "a") != scores_fingerprint(BASE, ARCH, "b")
+    assert points_fingerprint(BASE, ARCH, "a") != points_fingerprint(BASE, ARCH, "b")
+
+
+@pytest.mark.parametrize("field, spellings, other", [
+    ("dsa_layers", ["conv1,dense1", "dense1,conv1", "conv1, dense1", " dense1 ,conv1,conv1"],
+     "conv1"),
+    ("dsa_layers", ["", "conv1,conv2,dense1,dense2", "dense2,dense1,conv2,conv1"], "conv1"),
+    ("lsa_layer", ["", "dense1"], "dense2"),
+])
+def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field, spellings,
+                                                                           other):
+    def scores_fp(value):
+        return scores_fingerprint(with_overrides(BASE, **{field: value}), ARCH, "a")
+
+    assert ARCH.neuron_layers() == ("conv1", "conv2", "dense1", "dense2")
+    assert len({scores_fp(spelling) for spelling in spellings}) == 1
+    assert scores_fp(other) != scores_fp(spellings[0])
+
+
+def test_scores_fingerprint_keeps_a_layer_name_the_architecture_lacks():
+    # prepare_data refuses such a name only when its metric runs
+    cfg = with_overrides(BASE, dsa_layers="dense9,conv1", lsa_layer="relu3")
+    fp = scores_fingerprint(cfg, ARCH, "a")
+    assert fp != scores_fingerprint(with_overrides(cfg, dsa_layers="conv1"), ARCH, "a")
+    assert fp != scores_fingerprint(with_overrides(cfg, lsa_layer=""), ARCH, "a")
 
 
 def test_idx_file_bytes_feed_the_sets_fingerprint(tmp_path):

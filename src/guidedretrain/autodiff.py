@@ -71,13 +71,45 @@ def _conv_out(extent: int, kernel: int, stride: int, padding: str) -> tuple[int,
     raise GraphError(f"unsupported padding {padding!r}")
 
 
+# col2im scatters this many images per np.bincount call. A bigger block makes
+# fewer calls but bigger per-call index and output buffers.
+_SCATTER_IMAGES = 4
+
+# One image's scatter index per conv geometry, built on the geometry's first
+# backward pass. Graphs are rebuilt on every train or forward call, so a node
+# cannot keep it. int32 keeps this long-lived cache small.
+_SCATTER: dict[tuple, np.ndarray] = {}
+
+
+def _scatter_index(padded_shape, col_shape, stride) -> np.ndarray:
+    """Flat padded-input position of every column entry of one image, in the
+    columns' order (oy, ox, ky, kx, c)."""
+    key = (padded_shape, col_shape, stride)
+    index = _SCATTER.get(key)
+    if index is None:
+        wp, c = padded_shape[1:]
+        oy, ox, ky, kx, channel = np.ix_(*map(np.arange, col_shape))
+        index = (((oy * stride + ky) * wp + ox * stride + kx) * c + channel).astype(np.int32).ravel()
+        index.flags.writeable = False  # shared by every node of this geometry
+        _SCATTER[key] = index
+    return index
+
+
 class _ConvNode:
     """Convolution as one GEMM over im2col columns.
 
     im2col copies one strided slice of the zero-padded input per kernel tap
-    into columns (n, oh, ow, k, k, c); col2im adds the column gradients back
-    tap by tap in reverse (ky, kx) order, which gives every input pixel its
-    addends in ascending output position.
+    into columns (n, oh, ow, k, k, c). The bias is added to the output
+    flattened to (n, oh*ow*f), as the bias tiled oh*ow times.
+
+    col2im is one np.bincount per block of _SCATTER_IMAGES images. Its index
+    repeats the cached one-image index (_scatter_index) once per image of the
+    block. Walking the column gradients in array order gives every input
+    pixel its addends in ascending output position.
+
+    The bias gradient adds the rows of dy one after another (einsum). With
+    one filter it stays sum, which then reduces pairwise, so einsum would
+    change its bits.
     """
 
     def __init__(self, spec: Conv2D, in_shape: tuple[int, ...], dtype=np.float32):
@@ -96,8 +128,10 @@ class _ConvNode:
         self.w_key, self.b_key = f"{spec.name}.w", f"{spec.name}.b"
         self.param_shapes = {self.w_key: (k, k, c, spec.filters), self.b_key: (spec.filters,)}
         self.padded_shape = (h + pad_t + pad_b, w + pad_l + pad_r, c)
+        self.padded_size = int(np.prod(self.padded_shape))
         self.interior = (slice(None), slice(pad_t, pad_t + h), slice(pad_l, pad_l + w))
         self.col_shape = (oh, ow, k, k, c)
+        self.stride = s
         # (ky, kx, rows, columns of the padded input that tap (ky, kx) reads)
         self.taps = [(ky, kx, slice(ky, ky + (oh - 1) * s + 1, s), slice(kx, kx + (ow - 1) * s + 1, s))
                      for ky in range(k) for kx in range(k)]
@@ -114,8 +148,8 @@ class _ConvNode:
             cols[:, :, :, ky, kx] = xp[:, rows, columns]
         oh, ow, f = self.out_shape
         cols = cols.reshape(n, oh * ow, -1)
-        y64 = cols.astype(np.float64) @ params[self.w_key].reshape(-1, f).astype(np.float64)
-        y64 += params[self.b_key].astype(np.float64)
+        y64 = (cols.astype(np.float64) @ params[self.w_key].reshape(-1, f).astype(np.float64)).reshape(n, -1)
+        y64 += np.tile(params[self.b_key].astype(np.float64), oh * ow)
         return y64.astype(self.dtype).reshape(n, oh, ow, f), cols if keep else None
 
     def backward(self, dy, cols, params, need_dx):
@@ -129,15 +163,21 @@ class _ConvNode:
         # weight gradients keep the bits of that formulation.
         cols_t = cols.reshape(n * oh * ow, -1).T
         dw = np.dot(cols_t.astype(np.float64, order="C" if n > 1 else "K"), dy64.reshape(n * oh * ow, f))
-        db = dy64.sum(axis=(0, 1))
+        db = np.einsum("ij->j", dy64.reshape(-1, f)) if f > 1 else dy64.sum(axis=(0, 1))
         grads = {self.w_key: dw.astype(self.dtype).reshape(w.shape), self.b_key: db.astype(self.dtype)}
         if not need_dx:
             return None, grads
-        dcols = (dy64 @ w.reshape(-1, f).astype(np.float64).T).reshape((n,) + self.col_shape)
-        dxp = np.zeros((n,) + self.padded_shape)
-        for ky, kx, rows, columns in reversed(self.taps):
-            dxp[:, rows, columns] += dcols[:, :, :, ky, kx]
-        return dxp[self.interior].astype(self.dtype), grads
+        dcols = (dy64 @ w.reshape(-1, f).astype(np.float64).T).reshape(n, -1)
+        one = _scatter_index(self.padded_shape, self.col_shape, self.stride)
+        # image i of a block is offset by i padded images
+        index = (np.arange(min(n, _SCATTER_IMAGES))[:, None] * self.padded_size + one).ravel()
+        dx = np.empty((n,) + self.in_shape, dtype=self.dtype)
+        for start in range(0, n, _SCATTER_IMAGES):
+            m = min(_SCATTER_IMAGES, n - start)
+            dxp = np.bincount(index[:m * one.size], weights=dcols[start:start + m].ravel(),
+                              minlength=m * self.padded_size)
+            dx[start:start + m] = dxp.reshape((m,) + self.padded_shape)[self.interior]
+        return dx, grads
 
 
 class _PoolNode:
@@ -397,6 +437,6 @@ def sgd_step(params, grads: GradientBundle, lr: float, momentum: float, velocity
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key!r}")
         v = momentum * velocity[key] + g
-        new_velocity[key] = v.astype(p.dtype)
-        new_params[key] = (p - p.dtype.type(lr) * v).astype(p.dtype)
+        new_velocity[key] = v.astype(p.dtype, copy=False)
+        new_params[key] = (p - p.dtype.type(lr) * v).astype(p.dtype, copy=False)
     return new_params, new_velocity

@@ -33,7 +33,7 @@ import numpy as np
 
 from .attack import AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
-from .data import generate_synthetic, load_idx_dataset
+from .data import IdxFormatError, generate_synthetic, load_idx_dataset
 from .metrics import default_lsa_layer, score_metrics
 from .model import (
     Dataset,
@@ -80,8 +80,13 @@ def prepare_data(cfg: ExperimentConfig):
                                       seed=cfg.synthetic_seed + 1)
     else:
         train_set = load_idx_dataset(cfg.idx_train_images, cfg.idx_train_labels)
-        test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
-                                    class_count=train_set.class_count)
+        try:
+            test_set = load_idx_dataset(cfg.idx_test_images, cfg.idx_test_labels,
+                                        class_count=train_set.class_count)
+        except IdxFormatError:
+            raise
+        except ValueError as err:  # a test label beyond the training set's classes
+            raise ValueError(f"idx.test_labels ({cfg.idx_test_labels}): {err}") from None
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
     for kind, metric in sweep_pairs(cfg):
         sweep_pool_size(kind, metric, len(train_set), adversarial)

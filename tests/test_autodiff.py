@@ -238,6 +238,30 @@ def test_sgd_zero_gradient_fixed_point():
     assert np.array_equal(new["w"], params["w"])
 
 
+@pytest.mark.parametrize("with_velocity", [False, True])
+def test_sgd_returns_fresh_arrays_with_the_formula_bits(with_velocity):
+    rng = np.random.default_rng(8)
+    params = {k: rng.standard_normal(shape).astype(np.float32) for k, shape in (("w", (3, 4)), ("b", (4,)))}
+    grads = GradientBundle(params={k: rng.standard_normal(p.shape).astype(np.float32)
+                                   for k, p in params.items()}, input_grad=None)
+    velocity = ({k: rng.standard_normal(p.shape).astype(np.float32) for k, p in params.items()}
+                if with_velocity else None)
+    before = {k: p.copy() for k, p in params.items()}
+    new, new_velocity = sgd_step(params, grads, lr=0.05, momentum=0.9, velocity=velocity)
+    old_velocity = velocity or {k: np.zeros_like(p) for k, p in params.items()}
+    for key, p in params.items():
+        v = (0.9 * old_velocity[key] + grads.params[key]).astype(np.float32)
+        want = (p - np.float32(0.05) * v).astype(np.float32)
+        assert new_velocity[key].dtype == new[key].dtype == np.float32
+        assert np.array_equal(new_velocity[key].view(np.uint32), v.view(np.uint32))
+        assert np.array_equal(new[key].view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(p.view(np.uint32), before[key].view(np.uint32))
+        inputs = [p, grads.params[key]] + ([velocity[key]] if velocity else [])
+        for out in (new[key], new_velocity[key]):
+            assert not any(np.shares_memory(out, arr) for arr in inputs)
+        assert not np.shares_memory(new[key], new_velocity[key])
+
+
 def test_sgd_rejects_bad_lr():
     params = {"w": np.zeros(1, dtype=np.float32)}
     grads = GradientBundle(params={"w": np.zeros(1, dtype=np.float32)}, input_grad=np.zeros(1))

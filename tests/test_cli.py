@@ -292,7 +292,8 @@ def test_idx_test_label_beyond_the_train_classes_is_named(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"row {first_bad} has label 3, out of range for class_count 3" in err
+    assert (f"idx.test_labels ({paths['test'][1]}): row {first_bad} has label 3, "
+            "out of range for class_count 3") in err
     assert "status = failed: data" in (out / "manifest.txt").read_text()
     assert not (out / "model.grcnn").exists()
 

@@ -9,6 +9,7 @@ so a reordered sum or a flipped sign of zero fails.
 import numpy as np
 import pytest
 
+from guidedretrain import autodiff
 from guidedretrain.autodiff import (
     Conv2D,
     Dense,
@@ -57,7 +58,11 @@ class ReferenceConv:
         n = x.shape[0]
         xp = np.pad(x, ((0, 0), (self.pad_t, self.pad_b), (self.pad_l, self.pad_r), (0, 0)))
         cols = xp.reshape(n, self.padded_size)[:, self.gather]
-        y64 = cols.astype(np.float64) @ w.reshape(self.gather.shape[1], -1).astype(np.float64)
+        # With one filter numpy does not call GEMM: it picks a BLAS dot
+        # routine by the columns' memory layout, and the gather's batched
+        # layout rounds differently from the node's C-ordered columns.
+        operand = cols if w.shape[-1] > 1 else np.ascontiguousarray(cols)
+        y64 = operand.astype(np.float64) @ w.reshape(self.gather.shape[1], -1).astype(np.float64)
         y64 += b.astype(np.float64)
         oh, ow, f = self.out_shape
         return y64.astype(x.dtype).reshape(n, oh, ow, f), cols
@@ -115,6 +120,8 @@ CONV_CASES = [
     (Conv2D("c", filters=3, kernel=3, stride=2, padding="same"), (7, 8, 1)),
     (Conv2D("c", filters=2, kernel=2, stride=1, padding="same"), (5, 6, 2)),
     (Conv2D("c", filters=8, kernel=3, stride=1, padding="same"), (16, 16, 1)),
+    # one filter: the bias gradient's sum reduces pairwise, which einsum would not
+    (Conv2D("c", filters=1, kernel=3, stride=1, padding="same"), (6, 5, 2)),
 ]
 
 
@@ -149,6 +156,31 @@ def test_conv_matches_gather_and_bincount(spec, in_shape, batch, dtype):
     skipped, grads_only = node.backward(dy, cols, graph.params, False)
     assert skipped is None
     assert_same_bits(grads_only["c.w"], dw_ref)
+
+
+def test_conv_scatter_index_is_shared_per_geometry(monkeypatch):
+    """One lazily built col2im index per conv geometry, of fixed size.
+
+    Batch 33 above leaves a remainder of the scatter block, so the conv
+    tests cover a partial block as well as whole ones.
+    """
+    assert 33 % autodiff._SCATTER_IMAGES != 0 and 33 > autodiff._SCATTER_IMAGES
+    monkeypatch.setattr(autodiff, "_SCATTER", {})
+    rng = np.random.default_rng(4)
+    indexes = []
+    for batch in (3, 37):  # below the block, and above a multiple of it
+        graph = build_model(desk_architecture(), seed=batch).graph()
+        x = rng.random((batch, 16, 16, 1), dtype=np.float32)
+        state = forward_eval(graph, x, rng.integers(0, 4, batch))
+        if not indexes:
+            assert autodiff._SCATTER == {}  # nothing is built before a backward pass
+        backward_grads(state)
+        indexes.append([autodiff._scatter_index(node.padded_shape, node.col_shape, node.stride)
+                        for node in graph.nodes if hasattr(node, "col_shape")])
+    assert len(autodiff._SCATTER) == 2  # conv1 and conv2
+    assert all(a is b for a, b in zip(*indexes))
+    # one image's (16*16*9*1 + 8*8*9*8) column entries x 4 bytes = 27 KiB
+    assert sum(index.nbytes for index in autodiff._SCATTER.values()) <= 32 * 1024
 
 
 # ---------------------------------------------------------------- max-pool

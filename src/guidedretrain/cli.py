@@ -14,18 +14,18 @@ Subcommands walk the pipeline end to end or stage by stage:
            <out>/trend.csv and <out>/trend_summary.csv
 
 Stages are deterministic functions of the configuration, and each has one
-implementation that `run` shares (stages.py, reports.py). Each stage reads
-what an earlier one left in <out> instead of recomputing it: M from
-model.grcnn, the augmented sets from sets.npz and the metric scores from
-scores.npz. The .npz artifacts carry a fingerprint of M's bytes and the
-config keys they depend on; a stage rebuilds one that is missing, unreadable
-or stale and says so on stderr (see stages.py). `report` refuses, with exit
-status 1, a points.csv whose points.fingerprint is missing or does not match
-M and the config, since it cannot rebuild the points. GR_THREADS alone sets
-the number of processes that retrain the sweep points (default: every usable
-core; 1 runs them in-process). That pool is the only parallelism: each
-command runs its numerics on one OpenBLAS thread and restores the caller's
-count on return.
+implementation that `run` shares (stages.py, reports.py). Every command
+holds one stages.Spine, which reads what an earlier command left in <out>
+instead of recomputing it: M from model.grcnn, the augmented sets from
+sets.npz and the metric scores from scores.npz. The .npz artifacts carry a
+fingerprint of M's bytes and the config keys they depend on; the spine
+rebuilds one that is missing, unreadable or stale and says so on stderr.
+`report` refuses, with exit status 1, a points.csv whose points.fingerprint
+is missing or does not match M and the config, since it cannot rebuild the
+points. GR_THREADS alone sets the number of processes that retrain the sweep
+points (default: every usable core; 1 runs them in-process). That pool is
+the only parallelism: each command runs its numerics on one OpenBLAS thread
+and restores the caller's count on return.
 """
 
 from __future__ import annotations
@@ -38,24 +38,8 @@ from ._blas import one_blas_thread
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .data import save_idx_dataset
 from .model import accuracy
-from .reports import (
-    POINTS_CSV,
-    compute_trend,
-    report_stage,
-    retrain_stage,
-    run_pipeline,
-    score_stage,
-)
-from .stages import (
-    MODEL_FILE,
-    augmented_sets,
-    metric_scores,
-    model_and_sets,
-    points_staleness,
-    prepare_data,
-    stored_model,
-    train_stage,
-)
+from .reports import compute_trend, report_stage, retrain_stage, run_pipeline, score_stage
+from .stages import MODEL_FILE, Spine
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -97,34 +81,34 @@ def _effective_config(args) -> ExperimentConfig:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    train_set, test_set = prepare_data(cfg)
-    model = train_stage(cfg, train_set)
-    print(f"trained M: clean test accuracy {accuracy(model, test_set):.3f}, "
-          f"saved {Path(cfg.out) / MODEL_FILE}")
+    spine = Spine(cfg)
+    model = spine.train()
+    print(f"trained M: clean test accuracy {accuracy(model, spine.data[1]):.3f}, "
+          f"saved {spine.out / MODEL_FILE}")
     return 0
 
 
 def cmd_attack(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out)
-    model, sets, _ = model_and_sets(cfg)
+    spine = Spine(cfg)
+    sets = spine.sets
     for name, data in (("adv_train", sets.adv_train), ("adv_test", sets.adv_test)):
-        save_idx_dataset(data, out / f"{name}-images-idx3-ubyte", out / f"{name}-labels-idx1-ubyte")
+        save_idx_dataset(data, spine.out / f"{name}-images-idx3-ubyte",
+                         spine.out / f"{name}-labels-idx1-ubyte")
     print(f"adv_train {len(sets.adv_train)} inputs, adv_test {len(sets.adv_test)} inputs; "
-          f"M accuracy on Test* {accuracy(model, sets.test_star):.3f}")
+          f"M accuracy on Test* {spine.original_accuracy:.3f}")
     return 0
 
 
 def cmd_score(cfg: ExperimentConfig) -> int:
-    scored, _ = score_stage(cfg, *model_and_sets(cfg))
+    scored, _ = score_stage(Spine(cfg))
     for metric, (values, seconds) in scored.items():
         print(f"{metric}: {len(values)} scores in {seconds:.3f}s")
     return 0
 
 
 def cmd_retrain(cfg: ExperimentConfig) -> int:
-    model, sets, sets_fp = model_and_sets(cfg)
-    scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
-    batch, _ = retrain_stage(cfg, model, sets, sets_fp, scored)
+    spine = Spine(cfg)
+    batch, _ = retrain_stage(spine, spine.scores(cfg.metrics))
     for record in batch.records:
         print(f"{record.kind}/{record.metric}: best {record.best_accuracy:.3f} "
               f"at {record.resource_string()}")
@@ -143,18 +127,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, trend_seeds: int = 0) -> int:
-    points = Path(cfg.out) / POINTS_CSV
-    if not points.exists():
-        print(f"error: {points} not found; run `retrain` or `run` first", file=sys.stderr)
-        return 1
-    model, data = stored_model(cfg)
-    why = points_staleness(cfg, model)
-    if why is not None:
-        print(f"error: {points} was not retrained under this config and M ({why}); "
-              f"run `retrain` or `run` first", file=sys.stderr)
-        return 1
-    sets, _ = augmented_sets(cfg, model, data)
-    records, _, problems = report_stage(cfg, accuracy(model, sets.test_star))
+    records, _, problems = report_stage(Spine(cfg))
     if problems:
         print("consistency check failed:", "; ".join(problems), file=sys.stderr)
         return 1

@@ -132,14 +132,10 @@ def desk_architecture(input_shape=(16, 16, 1), classes=4) -> ArchitectureDescrip
 class ModelState:
     architecture: ArchitectureDescriptor
     parameters: dict
-    init_seed: int
     training_history: tuple = ()
 
     def graph(self) -> Graph:
         return Graph(self.architecture.input_shape, self.architecture.layers, self.parameters)
-
-    def parameter_count(self) -> int:
-        return int(sum(p.size for p in self.parameters.values()))
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ def build_model(arch: ArchitectureDescriptor, seed: int) -> ModelState:
         limit = math.sqrt(6.0 / fan_in)
         u = rng.uniforms(int(np.prod(shape)))
         params[key] = ((2.0 * u - 1.0) * limit).astype(np.float32).reshape(shape)
-    return ModelState(arch, _freeze(params), init_seed=seed)
+    return ModelState(arch, _freeze(params))
 
 
 def _param_shapes(arch: ArchitectureDescriptor) -> dict:
@@ -241,7 +237,7 @@ def train(model: ModelState, data: Dataset, hp: TrainParams) -> ModelState:
             graph.params, velocity = sgd_step(graph.params, grads, hp.lr, hp.momentum, velocity)
             total += state.loss * len(idx)
         history.append((len(model.training_history) + epoch, total / n))
-    return ModelState(model.architecture, _freeze(graph.params), model.init_seed, tuple(history))
+    return ModelState(model.architecture, _freeze(graph.params), tuple(history))
 
 
 def _forward_batches(model: ModelState, images: np.ndarray, batch_size: int, columns: dict):
@@ -318,11 +314,6 @@ def trace_columns(arch: ArchitectureDescriptor, layers=None) -> dict:
         columns[name] = slice(start, start + widths[name])
         start += widths[name]
     return columns
-
-
-def neuron_count(arch: ArchitectureDescriptor, layers=None) -> int:
-    """Total neurons of the selected (default: all) conv/dense layers."""
-    return sum(cols.stop - cols.start for cols in trace_columns(arch, layers).values())
 
 
 def activation_traces(model: ModelState, images: np.ndarray, layers=None,
@@ -413,4 +404,4 @@ def load_model(path) -> ModelState:
         off = end
     if off != len(raw):
         raise TruncatedFileError(f"{len(raw) - off} trailing bytes after parameters")
-    return ModelState(arch, _freeze(params), init_seed=0)
+    return ModelState(arch, _freeze(params))

@@ -8,9 +8,9 @@ configuration except timing.csv and the manifest. A consistency pass
 recomputes every summary figure from the per-point CSV before the manifest
 is sealed.
 
-The score, retrain and report stages below, with stages.py's train stage
-and artifacts, are the one implementation of each stage: `run_pipeline` and
-the CLI's stage commands call them, and `compute_trend` makes one
+The score, retrain and report stages below, with stages.py's spine, are
+the one implementation of each stage: `run_pipeline` and the CLI's stage
+commands hand them one `stages.Spine`, and `compute_trend` makes one
 `run_pipeline` call per seed.
 """
 
@@ -25,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import blas_runtime
-from .attack import AugmentedSets
 from .config import ExperimentConfig, config_echo, with_overrides
 from .metrics import format_duration, scores_to_csv
-from .model import ModelState, accuracy
 from .retrain import (
     ExperimentRecord,
     RetrainBatch,
@@ -41,13 +39,10 @@ from .stages import (
     POINTS_FINGERPRINT,
     SCORES_FILE,
     SETS_FILE,
-    augmented_sets,
-    metric_scores,
-    points_fingerprint,
+    Spine,
     prepare_data,
     retrain_hp,
     sweep_pairs,
-    train_stage,
 )
 
 POINTS_CSV = "points.csv"
@@ -212,13 +207,12 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
 # ------------------------------------------------------------- the stages
 
 
-def score_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
-                sets_fp: str) -> tuple[dict, dict]:
+def score_stage(spine: Spine) -> tuple[dict, dict]:
     """({metric: (values, seconds)}, {file name: path}) of the configured
-    metrics (see stages.metric_scores), written to scores_<metric>.csv and
+    metrics (see Spine.scores), written to scores_<metric>.csv and
     timing.csv."""
-    out = Path(cfg.out)
-    scored = metric_scores(cfg, cfg.metrics, model, sets, sets_fp)
+    out = spine.out
+    scored = spine.scores(spine.cfg.metrics)
     files = {SCORES_FILE: out / SCORES_FILE}
     for metric, (values, _) in scored.items():
         name = f"scores_{metric.lower()}.csv"
@@ -229,29 +223,36 @@ def score_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets,
     return scored, files
 
 
-def retrain_stage(cfg: ExperimentConfig, model: ModelState, sets: AugmentedSets, sets_fp: str,
-                  scored: dict) -> tuple[RetrainBatch, dict]:
+def retrain_stage(spine: Spine, scored: dict) -> tuple[RetrainBatch, dict]:
     """(batch, {file name: path}) of every configured (configuration,
     metric) sweep, written to points.csv and points.fingerprint."""
-    out = Path(cfg.out)
-    batch = run_experiments(model, sets, sweep_pairs(cfg), retrain_hp(cfg), scored,
+    cfg, out = spine.cfg, spine.out
+    batch = run_experiments(spine.model, spine.sets, sweep_pairs(cfg), retrain_hp(cfg), scored,
                             fresh_init_seed=cfg.seed_init + 1)  # C1 differs from M's init
     stamp = out / POINTS_FINGERPRINT
     stamp.unlink(missing_ok=True)  # never left vouching for other points
     write_points_csv(batch.records, out / POINTS_CSV)
-    stamp.write_text(points_fingerprint(cfg, model.architecture, sets_fp) + "\n", encoding="utf-8")
+    stamp.write_text(spine.fingerprints.points + "\n", encoding="utf-8")
     return batch, {POINTS_CSV: out / POINTS_CSV, POINTS_FINGERPRINT: stamp}
 
 
-def report_stage(cfg: ExperimentConfig, original_accuracy: float,
-                 records=None) -> tuple[list, dict, list[str]]:
+def report_stage(spine: Spine, records=None) -> tuple[list, dict, list[str]]:
     """(records, {file name: path}, consistency problems): summary,
     comparison and plot CSVs from `records` (default: parsed from
-    points.csv), then the summary checked against points.csv."""
-    out = Path(cfg.out)
-    parsed = read_points_csv(out / POINTS_CSV)
+    points.csv), then the summary checked against points.csv. points.csv is
+    refused, before the sets are read, when points.fingerprint is missing or
+    stale: only the retrain stage writes points."""
+    out = spine.out
+    points, stamp = out / POINTS_CSV, out / POINTS_FINGERPRINT
+    if not points.exists():
+        raise FileNotFoundError(f"{points} not found; run `retrain` or `run` first")
+    if not stamp.exists() or stamp.read_text(encoding="utf-8").strip() != spine.fingerprints.points:
+        why = f"stale {POINTS_FINGERPRINT}" if stamp.exists() else f"{POINTS_FINGERPRINT} missing"
+        raise ValueError(f"{points} was not retrained under this config and M ({why}); "
+                         f"run `retrain` or `run` first")
+    parsed = read_points_csv(points)
     records = parsed if records is None else list(records)
-    write_summary_csv(records, original_accuracy, out / SUMMARY_CSV)
+    write_summary_csv(records, spine.original_accuracy, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
     files = {SUMMARY_CSV: out / SUMMARY_CSV, COMPARISON_CSV: out / COMPARISON_CSV}
     for path in write_plot_csvs(records, out).values():
@@ -268,7 +269,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
     On a stage failure the manifest is still written with a failure marker
     naming the stage, partial outputs left in place, and the error re-raised.
     """
-    out_dir = Path(cfg.out)
+    spine = Spine(cfg)
+    out_dir = spine.out
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict = {}
     stage_seconds: dict = {}
@@ -276,31 +278,30 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
     stage = "data"
     try:
         t = time.monotonic()
-        train_set, test_set = prepare_data(cfg)
+        spine.data = prepare_data(cfg)  # prepared here, so the data stage is timed alone
         stage_seconds["data"] = time.monotonic() - t
 
         stage = "train"
         t = time.monotonic()
-        original = train_stage(cfg, train_set)
+        spine.train()
         files[MODEL_FILE] = out_dir / MODEL_FILE
         stage_seconds["train"] = time.monotonic() - t
 
         stage = "attack"
         t = time.monotonic()
-        sets, sets_fp = augmented_sets(cfg, original, (train_set, test_set))
+        original_accuracy = spine.original_accuracy  # builds or loads the sets
         files[SETS_FILE] = out_dir / SETS_FILE
-        original_accuracy = accuracy(original, sets.test_star)
         stage_seconds["attack"] = time.monotonic() - t
 
         stage = "score"
         t = time.monotonic()
-        scored, written = score_stage(cfg, original, sets, sets_fp)
+        scored, written = score_stage(spine)
         files.update(written)
         stage_seconds["score"] = time.monotonic() - t
 
         stage = "retrain"
         t = time.monotonic()
-        batch, written = retrain_stage(cfg, original, sets, sets_fp, scored)
+        batch, written = retrain_stage(spine, scored)
         files.update(written)
         runtime = {"retrain_workers": batch.workers,
                    "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
@@ -308,7 +309,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
 
         stage = "report"
         t = time.monotonic()
-        records, written, problems = report_stage(cfg, original_accuracy, batch.records)
+        records, written, problems = report_stage(spine, batch.records)
         files.update(written)
         if problems:
             raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))

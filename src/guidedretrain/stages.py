@@ -1,7 +1,8 @@
 """The stage spine: data, M, the augmented sets and the metric scores of a run.
 
-`run`, the stage commands and the trend report share M and the derived
-artifacts in their output directory:
+`run`, each stage command and each seed of the trend report hold one
+`Spine`: the config, M, M's fingerprint chain and the augmented sets, each
+read or built the first time it is used. Its links are files in <out>:
 
   model.grcnn         the original model M
   sets.npz            Train*/Test* float32 images and labels, plus the
@@ -9,16 +10,17 @@ artifacts in their output directory:
   scores.npz          each metric's raw float64 scores over Train* and its seconds
   points.fingerprint  the fingerprint of the sweep that wrote points.csv
 
-Each .npz carries a fingerprint: a sha256 over a format tag, the bytes of
-M's model file and the canonical config lines the artifact depends on (the
-scores' fingerprint covers the sets' fingerprint in place of M and the data
-lines, and names the LSA and DSA layers as selected on M's architecture;
-the points' fingerprint covers the scores'). A stage loads an
-artifact whose fingerprint matches, without unpickling, and rebuilds one
-that is missing, unreadable or stale: it writes the new file through a
-temporary one and notes on stderr why it rebuilt it. scores.npz keeps the
-metrics it has; a stage scores only those it lacks. The stages that write
-CSV files are in reports.py.
+`fingerprints` computes the chain, and only this module computes a
+fingerprint. Each is a sha256 over a format tag, the canonical config lines
+its artifact depends on, and the link before it: the sets' covers the bytes
+of M's model file (and of the IDX files), the scores' covers the sets' and
+names the LSA and DSA layers as selected on M's architecture, and the
+points' covers the scores'. A stage loads an artifact whose fingerprint
+matches, without unpickling, and rebuilds one that is missing, unreadable
+or stale: it writes the new file through a temporary one and notes on
+stderr why it rebuilt it. scores.npz keeps the metrics it has; a stage
+scores only those it lacks. The stages that write CSV files are in
+reports.py.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import hashlib
 import os
 import sys
 import zipfile
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .model import (
     Dataset,
     ModelState,
     TrainParams,
+    accuracy,
     build_model,
     desk_architecture,
     load_model,
@@ -139,14 +145,27 @@ def _fingerprint(tag: str, cfg: ExperimentConfig, keys, digests) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def sets_fingerprint(cfg: ExperimentConfig, model: ModelState) -> str:
-    """Fingerprint of the augmented sets that `model` and `cfg` determine."""
+class Fingerprints(NamedTuple):
+    """The fingerprint chain of a run's derived artifacts."""
+
+    sets: str
+    scores: str
+    points: str
+
+
+def fingerprints(cfg: ExperimentConfig, model: ModelState) -> Fingerprints:
+    """The fingerprints of the sets, scores and points that `cfg` and M
+    determine; each covers the one before it."""
     digests = [f"model sha256 = {hashlib.sha256(model_bytes(model)).hexdigest()}"]
     if cfg.dataset == "idx":
         for key in _IDX_KEYS:
             path = getattr(cfg, key.replace(".", "_"))
             digests.append(f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
-    return _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
+    sets = _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
+    scores = _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
+                          [f"sets = {sets}", *_guidance_layers(cfg, model.architecture)])
+    points = _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS, [f"scores = {scores}"])
+    return Fingerprints(sets, scores, points)
 
 
 def _guidance_layers(cfg: ExperimentConfig, arch) -> list[str]:
@@ -158,32 +177,6 @@ def _guidance_layers(cfg: ExperimentConfig, arch) -> list[str]:
     dsa = [name for name in known if name in names] + sorted(set(names) - set(known))
     return [f"lsa.layer = {cfg.lsa_layer or default_lsa_layer(arch)}",
             f"dsa.layers = {','.join(dsa)}"]
-
-
-def scores_fingerprint(cfg: ExperimentConfig, arch, sets_fp: str) -> str:
-    """Fingerprint of the metric scores of M, whose architecture is `arch`,
-    over the sets fingerprinted `sets_fp`."""
-    return _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
-                        [f"sets = {sets_fp}", *_guidance_layers(cfg, arch)])
-
-
-def points_fingerprint(cfg: ExperimentConfig, arch, sets_fp: str) -> str:
-    """Fingerprint of the sweep points retrained on the scores (see
-    scores_fingerprint)."""
-    return _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS,
-                        [f"scores = {scores_fingerprint(cfg, arch, sets_fp)}"])
-
-
-def points_staleness(cfg: ExperimentConfig, model: ModelState) -> str | None:
-    """Why <out>/points.csv was not retrained from `model` under `cfg`, or
-    None when its fingerprint matches."""
-    path = Path(cfg.out) / POINTS_FINGERPRINT
-    if not path.exists():
-        return f"{POINTS_FINGERPRINT} missing"
-    expected = points_fingerprint(cfg, model.architecture, sets_fingerprint(cfg, model))
-    if path.read_text(encoding="utf-8").strip() != expected:
-        return f"stale {POINTS_FINGERPRINT}"
-    return None
 
 
 # ------------------------------------------------------------- artifact files
@@ -239,69 +232,79 @@ def _scores_from_arrays(arrays, rows: int) -> dict:
 # ------------------------------------------------------------- the spine
 
 
-def augmented_sets(cfg: ExperimentConfig, model: ModelState,
-                   data=None) -> tuple[AugmentedSets, str]:
-    """(sets, fingerprint) of `model` under `cfg`: loaded from <out>/sets.npz
-    when fresh, else built (from `data`, the (train, test) pair, when given)
+@dataclass
+class Spine:
+    """One run's chain in <out>: the config, M, M's fingerprints and the
+    augmented sets, each read or built the first time it is used. The data
+    are prepared at most once; M is loaded from model.grcnn, or trained when
+    that is absent; the sets are loaded from sets.npz when fresh, else built
     and saved."""
-    path = Path(cfg.out) / SETS_FILE
-    fingerprint = sets_fingerprint(cfg, model)
-    sets, why = _load(path, fingerprint, _sets_from_arrays)
-    if sets is None:
-        train_set, test_set = data if data is not None else prepare_data(cfg)
-        sets = build_augmented_sets(model, train_set, test_set, cfg.attack_fraction,
-                                    cfg.attack_epsilon, seed=cfg.seed_attack)
-        _save(path, fingerprint, {
-            "class_count": np.array(sets.train_star.class_count),
-            "train_images": sets.train_star.images,
-            "train_labels": sets.train_star.labels,
-            "train_sources": sets.train_sources,
-            "test_images": sets.test_star.images,
-            "test_labels": sets.test_star.labels,
-        }, why)
-    return sets, fingerprint
 
+    cfg: ExperimentConfig
 
-def train_stage(cfg: ExperimentConfig, train_set: Dataset) -> ModelState:
-    """M trained on `train_set` and saved to <out>/model.grcnn."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model = train_original(cfg, train_set)
-    save_model(model, out / MODEL_FILE)
-    return model
+    @property
+    def out(self) -> Path:
+        return Path(self.cfg.out)
 
+    @cached_property
+    def data(self) -> tuple[Dataset, Dataset]:
+        """(train, test); see prepare_data."""
+        return prepare_data(self.cfg)
 
-def stored_model(cfg: ExperimentConfig) -> tuple[ModelState, tuple | None]:
-    """M from <out>/model.grcnn, or trained when absent; with the (train,
-    test) data when it had to be prepared, else None."""
-    path = Path(cfg.out) / MODEL_FILE
-    if path.exists():
-        return load_model(path), None
-    data = prepare_data(cfg)
-    return train_stage(cfg, data[0]), data
+    @cached_property
+    def model(self) -> ModelState:
+        path = self.out / MODEL_FILE
+        return load_model(path) if path.exists() else self.train()
 
+    def train(self) -> ModelState:
+        """M trained on Train and saved to <out>/model.grcnn. It is the
+        spine's M from here on, so train before the fingerprints are used."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.model = train_original(self.cfg, self.data[0])
+        save_model(self.model, self.out / MODEL_FILE)
+        return self.model
 
-def model_and_sets(cfg: ExperimentConfig) -> tuple[ModelState, AugmentedSets, str]:
-    """M (see stored_model), the augmented sets and their fingerprint."""
-    model, data = stored_model(cfg)
-    return (model, *augmented_sets(cfg, model, data))
+    @cached_property
+    def fingerprints(self) -> Fingerprints:
+        return fingerprints(self.cfg, self.model)
 
+    @cached_property
+    def sets(self) -> AugmentedSets:
+        path = self.out / SETS_FILE
+        sets, why = _load(path, self.fingerprints.sets, _sets_from_arrays)
+        if sets is None:
+            train_set, test_set = self.data
+            sets = build_augmented_sets(self.model, train_set, test_set, self.cfg.attack_fraction,
+                                        self.cfg.attack_epsilon, seed=self.cfg.seed_attack)
+            _save(path, self.fingerprints.sets, {
+                "class_count": np.array(sets.train_star.class_count),
+                "train_images": sets.train_star.images,
+                "train_labels": sets.train_star.labels,
+                "train_sources": sets.train_sources,
+                "test_images": sets.test_star.images,
+                "test_labels": sets.test_star.labels,
+            }, why)
+        return sets
 
-def metric_scores(cfg: ExperimentConfig, metrics, model: ModelState, sets: AugmentedSets,
-                  sets_fp: str) -> dict:
-    """{metric: (values, seconds)} over Train*: read from <out>/scores.npz
-    when fresh; metrics it lacks are scored and added to it."""
-    path = Path(cfg.out) / SCORES_FILE
-    fingerprint = scores_fingerprint(cfg, model.architecture, sets_fp)
-    rows = len(sets.train_star)
-    stored, why = _load(path, fingerprint, lambda arrays: _scores_from_arrays(arrays, rows))
-    stored = stored or {}
-    missing = [m for m in metrics if m not in stored]
-    if missing:
-        stored.update(score_metrics(missing, model, sets.train_star, cfg))
-        arrays = {}
-        for metric, (values, seconds) in stored.items():
-            arrays[f"scores_{metric}"] = values
-            arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
-        _save(path, fingerprint, arrays, why or f"lacked {', '.join(missing)}")
-    return {m: stored[m] for m in metrics}
+    @cached_property
+    def original_accuracy(self) -> float:
+        """M's accuracy on Test*."""
+        return accuracy(self.model, self.sets.test_star)
+
+    def scores(self, metrics) -> dict:
+        """{metric: (values, seconds)} over Train*: read from <out>/scores.npz
+        when fresh; metrics it lacks are scored and added to it."""
+        path = self.out / SCORES_FILE
+        rows = len(self.sets.train_star)
+        stored, why = _load(path, self.fingerprints.scores,
+                            lambda arrays: _scores_from_arrays(arrays, rows))
+        stored = stored or {}
+        missing = [m for m in metrics if m not in stored]
+        if missing:
+            stored.update(score_metrics(missing, self.model, self.sets.train_star, self.cfg))
+            arrays = {}
+            for metric, (values, seconds) in stored.items():
+                arrays[f"scores_{metric}"] = values
+                arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
+            _save(path, self.fingerprints.scores, arrays, why or f"lacked {', '.join(missing)}")
+        return {m: stored[m] for m in metrics}

@@ -30,7 +30,7 @@ def pixel_model():
         "out.w": np.array([[4.0, -4.0]], dtype=np.float32),
         "out.b": np.zeros(2, dtype=np.float32),
     }
-    return ModelState(arch, params, init_seed=0)
+    return ModelState(arch, params)
 
 
 def test_epsilon_zero_is_identity():
@@ -193,7 +193,7 @@ def test_fgsm_rejects_non_finite_gradient():
         "out.w": np.full((4, 2), 1e25, dtype=np.float32) * np.array([1.0, -1.0], dtype=np.float32),
         "out.b": np.zeros(2, dtype=np.float32),
     }
-    m = ModelState(arch, params, init_seed=0)
+    m = ModelState(arch, params)
     x = np.full((1, 2, 2, 1), 0.5, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):

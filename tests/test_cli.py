@@ -25,7 +25,7 @@ from guidedretrain.metrics import (
 )
 from guidedretrain.model import ForwardPass, forward_pass, load_model
 from guidedretrain.reports import compute_trend, run_pipeline
-from guidedretrain.stages import model_and_sets, prepare_data
+from guidedretrain.stages import Spine, prepare_data
 
 MINI_CONFIG = """
 synthetic.per_class_train = 30
@@ -360,6 +360,19 @@ def test_retrain_after_score_rescores_and_rebuilds_nothing(tmp_path, monkeypatch
     assert (out / "points.csv").is_file()
 
 
+def test_stage_command_into_an_empty_out_prepares_the_data_once(tmp_path, monkeypatch):
+    # the spine trains M and builds the sets from one preparation of the data
+    from guidedretrain import stages
+
+    prepared = []
+    real = stages.prepare_data
+    monkeypatch.setattr(stages, "prepare_data", lambda cfg: prepared.append(cfg) or real(cfg))
+    calls = count_rebuilds(monkeypatch)
+    stage("score", write_config(tmp_path), tmp_path / "out")
+    assert len(prepared) == 1
+    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+
+
 def test_changed_attack_seed_rebuilds_the_sets(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -451,9 +464,9 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
     assert f"rebuilt {out / 'scores.npz'} (lacked LSA)" in capsys.readouterr().err
     # the retraining order reads every bit of a score, not its 9 CSV digits
     run_cfg = with_overrides(parse_config(wider.read_text()), out=str(out))
-    model, sets, _ = model_and_sets(run_cfg)
+    spine = Spine(run_cfg)
     with _blas.one_blas_thread():
-        fresh = score_metrics(("RANDOM", "NC", "LSA"), model, sets.train_star, run_cfg)
+        fresh = score_metrics(("RANDOM", "NC", "LSA"), spine.model, spine.sets.train_star, run_cfg)
     with np.load(out / "scores.npz", allow_pickle=False) as stored:
         assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
                                         "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
@@ -467,8 +480,8 @@ def test_float32_pass_scores_as_its_float64_widening(tmp_path):
     # the pass holds float32 traces and each metric widens the block it
     # computes on, so every score has the bits of the same pass in float64
     cfg = with_overrides(parse_config(MINI_CONFIG), out=str(tmp_path / "out"))
-    model, sets, _ = model_and_sets(cfg)
-    train_star = sets.train_star
+    spine = Spine(cfg)
+    model, train_star = spine.model, spine.sets.train_star
     with _blas.one_blas_thread():
         fp = forward_pass(model, train_star.images)
         wide = ForwardPass(fp.architecture, fp.labels, fp.traces.astype(np.float64))
@@ -496,7 +509,8 @@ def test_each_guidance_and_attack_key_reaches_its_function(tmp_path):
     # sets and every metric's scores equal direct calls with the same values
     cfg = with_overrides(parse_config(MINI_CONFIG + GUIDANCE_AND_ATTACK), out=str(tmp_path),
                          metrics=("NC", "LSA", "DSA", "RANDOM"))
-    model, sets, _ = model_and_sets(cfg)
+    spine = Spine(cfg)
+    model, sets = spine.model, spine.sets
     train_set, test_set = prepare_data(cfg)
     direct = build_augmented_sets(model, train_set, test_set, 0.5, 0.2, seed=33)
     for got, want in ((sets.train_star, direct.train_star), (sets.test_star, direct.test_star)):
@@ -523,14 +537,19 @@ def test_each_guidance_and_attack_key_reaches_its_function(tmp_path):
         assert values.tobytes() != defaults[metric][0].tobytes(), metric
 
 
-def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--seed-attack", "7", id="sets-key"),  # seed-33 sets, not seed-7 ones
+    pytest.param("--seed-random-metric", "45", id="scores-key"),
+    pytest.param("--seed-shuffle", "23", id="points-key"),
+])
+def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys, flag, value):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     stage("retrain", cfg, out)
     calls = count_rebuilds(monkeypatch)
     capsys.readouterr()
-    # the points were retrained on the seed-33 sets, not on the seed-7 ones
-    assert main(["report", "--config", str(cfg), "--out", str(out), "--seed-attack", "7"]) == 1
+    # refused before the sets are loaded or built, and before any scoring
+    assert main(["report", "--config", str(cfg), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
     assert f"{out / 'points.csv'}" in err and "(stale points.fingerprint)" in err
     assert not (out / "summary.csv").exists()

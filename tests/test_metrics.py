@@ -42,11 +42,10 @@ from guidedretrain.model import (
     build_model,
     desk_architecture,
     forward_pass,
-    neuron_count,
     trace_columns,
 )
 from guidedretrain.rng import Pcg32
-from guidedretrain.stages import model_and_sets
+from guidedretrain.stages import Spine
 
 
 # the Random metric's seed these tests were written for
@@ -97,7 +96,7 @@ def test_nc_zero_when_network_dead():
         "out.w": np.zeros((3, 2), dtype=np.float32),
         "out.b": np.zeros(2, dtype=np.float32),
     }
-    m = ModelState(arch, params, init_seed=0)
+    m = ModelState(arch, params)
     img = np.full((2, 2, 1), 0.5, dtype=np.float32)
     assert float(nc_scores(forward_pass(m, img), 0.5)[0]) == 0.0
 
@@ -205,7 +204,7 @@ def test_variance_filter_drops_constant_neuron():
         "out.w": np.zeros((3, 2), dtype=np.float32),
         "out.b": np.zeros(2, dtype=np.float32),
     }
-    m = ModelState(arch, params, init_seed=0)
+    m = ModelState(arch, params)
     data = random_dataset(12, classes=2, h=2, w=2)
     est = fit_lsa(forward_pass(m, data.images), data, layer="d1", variance_threshold=1e-8)
     assert 1 not in est.retained.tolist()
@@ -577,8 +576,8 @@ def test_dsa_on_layers_that_are_not_adjacent_searches_only_mispredicted_rows(
         "synthetic.per_class_train = 30\nsynthetic.per_class_test = 10\n"
         "synthetic.image_size = 8\ntrain.epochs = 3\nattack.fraction = 0.5\n"
         "dsa.layers = conv1,dense1\n"), out=str(tmp_path))
-    model, sets, _ = model_and_sets(cfg)
-    train_star = sets.train_star
+    spine = Spine(cfg)
+    model, train_star = spine.model, spine.sets.train_star
     searched = []
     nearest = metrics._nearest
 
@@ -780,10 +779,11 @@ def test_scoring_peak_memory_stays_within_twice_the_float32_trace_matrix(tmp_pat
     cfg = with_overrides(parse_config(
         "synthetic.per_class_train = 86\nsynthetic.per_class_test = 10\n"
         "train.epochs = 2\n"), out=str(tmp_path))
-    model, sets, _ = model_and_sets(cfg)
-    train_star = sets.train_star
-    matrix_bytes = len(train_star) * neuron_count(model.architecture) * 4
-    assert 380 <= len(train_star) <= 420 and neuron_count(model.architecture) == 3108
+    spine = Spine(cfg)
+    model, train_star = spine.model, spine.sets.train_star
+    columns = sum(cols.stop - cols.start for cols in trace_columns(model.architecture).values())
+    matrix_bytes = len(train_star) * columns * 4
+    assert 380 <= len(train_star) <= 420 and columns == 3108
     tracemalloc.start()
     try:
         score_metrics(METRICS, model, train_star, cfg)

@@ -20,7 +20,6 @@ from guidedretrain.model import (
     forward_pass,
     load_model,
     model_bytes,
-    neuron_count,
     predict,
     save_model,
     trace_columns,
@@ -32,6 +31,11 @@ from guidedretrain.rng import Pcg32
 # conv1 3*3*1*8+8 = 80, conv2 3*3*8*16+16 = 1168,
 # dense1 256*32+32 = 8224, dense2 32*4+4 = 132
 DESK_PARAM_COUNT = 80 + 1168 + 8224 + 132
+
+
+def trace_width(arch, layers=None) -> int:
+    """Trace columns of the selected (default: all) conv/dense layers."""
+    return sum(cols.stop - cols.start for cols in trace_columns(arch, layers).values())
 
 
 def toy_dataset(n_per_class=20, seed=0):
@@ -76,7 +80,7 @@ def test_dense_shapes():
 
 def test_desk_parameter_count():
     m = build_model(desk_architecture(), seed=0)
-    assert m.parameter_count() == DESK_PARAM_COUNT
+    assert sum(p.size for p in m.parameters.values()) == DESK_PARAM_COUNT
 
 
 def test_train_zero_epochs_is_identity():
@@ -124,7 +128,7 @@ def test_predict_tie_breaks_low_class():
         "out.w": np.zeros((1, 2), dtype=np.float32),
         "out.b": np.array([2.0, 2.0], dtype=np.float32),
     }
-    m = ModelState(arch, params, init_seed=0)
+    m = ModelState(arch, params)
     labels, probs = predict(m, np.full((3, 1, 1, 1), 0.5, dtype=np.float32))
     assert np.array_equal(labels, [0, 0, 0])
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -144,7 +148,7 @@ def test_accuracy_definition():
         "out.w": np.array([[-4.0, 4.0]], dtype=np.float32),
         "out.b": np.array([2.0, -2.0], dtype=np.float32),
     }
-    m = ModelState(arch, params, init_seed=0)
+    m = ModelState(arch, params)
     images = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float32).reshape(4, 1, 1, 1)
     labels = np.array([0, 1, 0, 1])  # two of four are correct
     data = Dataset(images, labels, class_count=2)
@@ -162,8 +166,8 @@ def test_trace_lengths():
     tr_all = activation_traces(m, img, all_layers)[0]
     # conv1 16*16*8 + conv2 8*8*16 + dense1 32 + dense2 4
     assert tr_all.shape == (2048 + 1024 + 32 + 4,)
-    assert neuron_count(arch) == 3108
-    assert neuron_count(arch, ["dense1"]) == 32
+    assert trace_width(arch) == 3108
+    assert trace_width(arch, ["dense1"]) == 32
 
 
 def test_trace_deterministic_and_bulk_consistent():
@@ -205,7 +209,7 @@ def test_save_load_round_trip(tmp_path):
 def test_save_writes_canonical_parameter_order(tmp_path):
     m = build_model(desk_architecture(), seed=11)
     reversed_params = dict(reversed(list(m.parameters.items())))
-    shuffled = ModelState(m.architecture, reversed_params, m.init_seed)
+    shuffled = ModelState(m.architecture, reversed_params)
     save_model(m, tmp_path / "canonical.grcnn")
     save_model(shuffled, tmp_path / "reversed.grcnn")
     assert (tmp_path / "canonical.grcnn").read_bytes() == (tmp_path / "reversed.grcnn").read_bytes()
@@ -328,7 +332,7 @@ def test_forward_pass_matches_predict_and_activation_traces(batch_size):
     fp = forward_pass(m, images, batch_size=batch_size)
     # the pass keeps float32; activation_traces widens the same values
     assert fp.traces.dtype == np.float32
-    assert fp.traces.shape == (270, neuron_count(m.architecture))
+    assert fp.traces.shape == (270, trace_width(m.architecture))
     assert np.array_equal(fp.labels, predict(m, images, batch_size=batch_size)[0])
     columns = trace_columns(m.architecture)
     for name in m.architecture.neuron_layers():

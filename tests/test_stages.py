@@ -3,7 +3,7 @@ import pytest
 from guidedretrain.config import ExperimentConfig, with_overrides
 from guidedretrain.data import generate_synthetic, save_idx_dataset
 from guidedretrain.model import build_model, desk_architecture
-from guidedretrain.stages import points_fingerprint, scores_fingerprint, sets_fingerprint
+from guidedretrain.stages import Fingerprints, fingerprints
 
 MODEL = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
 ARCH = MODEL.architecture
@@ -42,51 +42,72 @@ def idx_config(tmp_path):
     return with_overrides(BASE, dataset="idx", **{k: str(v) for k, v in paths.items()}), paths
 
 
+def overridden(tmp_path, field, value):
+    """BASE with one key changed; "dataset" switches to IDX files under tmp_path."""
+    if field == "dataset":
+        return idx_config(tmp_path)[0]
+    return with_overrides(BASE, **{field: value})
+
+
+def test_fingerprints_keep_their_values():
+    # existing <out> directories stay fresh only while these hold
+    assert fingerprints(BASE, MODEL) == Fingerprints(
+        sets="05ab23c913f8bed88aa764a6d0d5a415596673583fe527a05ce447d66a7f799f",
+        scores="60ccbedecb73a5f69ac39677a88c6efe709ae2185db550639d738ba794f39945",
+        points="df4198bda1ee3d13acfc08f2b49110a1d53f3e08cecc9612268c715134a47bec",
+    )
+
+
 @pytest.mark.parametrize("field, value", SETS_FIELDS)
 def test_sets_follow_every_sets_key(tmp_path, field, value):
-    if field == "dataset":
-        cfg, _ = idx_config(tmp_path)
-    else:
-        cfg = with_overrides(BASE, **{field: value})
-    assert sets_fingerprint(cfg, MODEL) != sets_fingerprint(BASE, MODEL)
+    cfg = overridden(tmp_path, field, value)
+    assert fingerprints(cfg, MODEL).sets != fingerprints(BASE, MODEL).sets
 
 
 @pytest.mark.parametrize("field, value", SCORES_FIELDS)
 def test_scores_follow_their_own_keys_and_sets_do_not(field, value):
-    cfg = with_overrides(BASE, **{field: value})
-    sets_fp = sets_fingerprint(cfg, MODEL)
-    assert sets_fp == sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(cfg, ARCH, sets_fp) != scores_fingerprint(BASE, ARCH, sets_fp)
+    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
+    base = fingerprints(BASE, MODEL)
+    assert moved.sets == base.sets
+    assert moved.scores != base.scores
 
 
 @pytest.mark.parametrize("field, value", NEITHER_FIELDS)
 def test_other_keys_leave_both_fingerprints(field, value):
-    cfg = with_overrides(BASE, **{field: value})
-    sets_fp = sets_fingerprint(cfg, MODEL)
-    assert sets_fp == sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(cfg, ARCH, sets_fp) == scores_fingerprint(BASE, ARCH, sets_fp)
+    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
+    base = fingerprints(BASE, MODEL)
+    assert moved.sets == base.sets
+    assert moved.scores == base.scores
 
 
 @pytest.mark.parametrize("field, value", POINTS_FIELDS)
 def test_points_follow_their_own_keys_and_scores_do_not(field, value):
-    cfg = with_overrides(BASE, **{field: value})
-    sets_fp = sets_fingerprint(cfg, MODEL)
-    assert scores_fingerprint(cfg, ARCH, sets_fp) == scores_fingerprint(BASE, ARCH, sets_fp)
-    assert points_fingerprint(cfg, ARCH, sets_fp) != points_fingerprint(BASE, ARCH, sets_fp)
+    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
+    base = fingerprints(BASE, MODEL)
+    assert moved.scores == base.scores
+    assert moved.points != base.points
 
 
-@pytest.mark.parametrize("field, value", SCORES_FIELDS + [("train_epochs", 1), ("out", "x")])
-def test_points_follow_the_scores_and_no_other_key(field, value):
-    cfg = with_overrides(BASE, **{field: value})
-    moved = points_fingerprint(cfg, ARCH, "a") != points_fingerprint(BASE, ARCH, "a")
-    assert moved == ((field, value) in SCORES_FIELDS)
+UNCHAINED_FIELDS = [("train_epochs", 1), ("out", "x")]
+
+
+@pytest.mark.parametrize("field, value",
+                         SETS_FIELDS + SCORES_FIELDS + POINTS_FIELDS + UNCHAINED_FIELDS)
+def test_points_follow_the_scores_and_no_other_key(tmp_path, field, value):
+    # the points' fingerprint covers the scores', which covers the sets', so
+    # it moves for every key of the chain
+    cfg = overridden(tmp_path, field, value)
+    moved = fingerprints(cfg, MODEL).points != fingerprints(BASE, MODEL).points
+    assert moved == ((field, value) not in UNCHAINED_FIELDS)
 
 
 def test_model_weights_and_sets_feed_the_fingerprints():
-    other = build_model(MODEL.architecture, seed=4)
-    assert sets_fingerprint(BASE, other) != sets_fingerprint(BASE, MODEL)
-    assert scores_fingerprint(BASE, ARCH, "a") != scores_fingerprint(BASE, ARCH, "b")
-    assert points_fingerprint(BASE, ARCH, "a") != points_fingerprint(BASE, ARCH, "b")
+    # the same architecture, so the scores and points move through the sets
+    other = fingerprints(BASE, build_model(MODEL.architecture, seed=4))
+    base = fingerprints(BASE, MODEL)
+    assert other.sets != base.sets
+    assert other.scores != base.scores
+    assert other.points != base.points
 
 
 @pytest.mark.parametrize("field, spellings, other", [
@@ -98,7 +119,7 @@ def test_model_weights_and_sets_feed_the_fingerprints():
 def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field, spellings,
                                                                            other):
     def scores_fp(value):
-        return scores_fingerprint(with_overrides(BASE, **{field: value}), ARCH, "a")
+        return fingerprints(with_overrides(BASE, **{field: value}), MODEL).scores
 
     assert ARCH.neuron_layers() == ("conv1", "conv2", "dense1", "dense2")
     assert len({scores_fp(spelling) for spelling in spellings}) == 1
@@ -108,20 +129,20 @@ def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field
 def test_scores_fingerprint_keeps_a_layer_name_the_architecture_lacks():
     # prepare_data refuses such a name only when its metric runs
     cfg = with_overrides(BASE, dsa_layers="dense9,conv1", lsa_layer="relu3")
-    fp = scores_fingerprint(cfg, ARCH, "a")
-    assert fp != scores_fingerprint(with_overrides(cfg, dsa_layers="conv1"), ARCH, "a")
-    assert fp != scores_fingerprint(with_overrides(cfg, lsa_layer=""), ARCH, "a")
+    fp = fingerprints(cfg, MODEL).scores
+    assert fp != fingerprints(with_overrides(cfg, dsa_layers="conv1"), MODEL).scores
+    assert fp != fingerprints(with_overrides(cfg, lsa_layer=""), MODEL).scores
 
 
 def test_idx_file_bytes_feed_the_sets_fingerprint(tmp_path):
     cfg, paths = idx_config(tmp_path)
-    before = sets_fingerprint(cfg, MODEL)
-    assert sets_fingerprint(cfg, MODEL) == before
+    before = fingerprints(cfg, MODEL).sets
+    assert fingerprints(cfg, MODEL).sets == before
     for name, path in paths.items():
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 1
         path.write_bytes(bytes(raw))
-        assert sets_fingerprint(cfg, MODEL) != before, name
+        assert fingerprints(cfg, MODEL).sets != before, name
         raw[-1] ^= 1
         path.write_bytes(bytes(raw))
-    assert sets_fingerprint(cfg, MODEL) == before
+    assert fingerprints(cfg, MODEL).sets == before

@@ -23,6 +23,8 @@ LSA's kernel distances and DSA's exact rechecks come from this module's
 cdist, an in-order sum of each pair's squared differences, and LSA's
 log-density from _logsumexp. Both use numpy only and return the bits of
 SciPy's `cdist` and `logsumexp` (1.17), which the tests keep as oracles.
+This module writes no files: reports.py writes the scores_<metric>.csv
+tables.
 
 When Train* scores its float32 traces, a row predicted into its true class
 is its own reference, at cdist distance 0, the least there is. Between
@@ -575,19 +577,3 @@ def score_metrics(metrics, model: ModelState, train_star: Dataset,
     forward pass, which is freed when scoring ends."""
     shared = SharedPass(model, train_star)
     return {metric: timed_scoring(metric, model, train_star, cfg, shared) for metric in metrics}
-
-
-def format_duration(seconds: float) -> str:
-    """hh:mm:ss, zero padded, whole seconds (sub-second durations show 00:00:00)."""
-    if seconds < 0:
-        raise ValueError("negative duration")
-    total = int(seconds)
-    return f"{total // 3600:02d}:{total % 3600 // 60:02d}:{total % 60:02d}"
-
-
-def scores_to_csv(metric: str, values, path) -> None:
-    """input_id,metric,value rows, one per row id, values at 9 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("input_id,metric,value\n")
-        for i, v in enumerate(np.asarray(values, dtype=np.float64).tolist()):
-            fh.write(f"{i},{metric},{v:.9g}\n")

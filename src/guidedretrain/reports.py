@@ -1,12 +1,15 @@
 """Pipeline orchestration and report emission.
 
 A run writes one directory of CSV artifacts mirroring the study's tables:
-per-point accuracies, a summary with best accuracy and resource utilization
-per (configuration, metric), the C2-at-C3-budget comparison, metric timing,
-and per-configuration plot data. Reports are byte-deterministic for a fixed
-configuration except timing.csv and the manifest. A consistency pass
-recomputes every summary figure from the per-point CSV before the manifest
-is sealed.
+per-input metric scores, per-point accuracies, a summary with best accuracy
+and resource utilization per (configuration, metric), the C2-at-C3-budget
+comparison, metric timing, and per-configuration plot data. Every table is
+written by `write_table` and read by `read_table`. Reports are
+byte-deterministic for a fixed configuration except timing.csv and the
+manifest. A consistency pass rebuilds every summary row from the per-point
+CSV with `summary_row`, which wrote it, before the manifest is sealed. The
+score and report stages remove the CSVs of metrics and configurations the
+config leaves out, so <out> never mixes two configs' tables.
 
 The score, retrain and report stages below, with stages.py's spine, are
 the one implementation of each stage: `run_pipeline` and the CLI's stage
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,8 +29,10 @@ import numpy as np
 
 from ._blas import blas_runtime
 from .config import ExperimentConfig, config_echo, with_overrides
-from .metrics import format_duration, scores_to_csv
+from .metrics import METRICS
 from .retrain import (
+    CONFIG_KINDS,
+    SWEEP_POINTS,
     ExperimentRecord,
     RetrainBatch,
     RetrainRun,
@@ -57,117 +62,124 @@ TREND_SUMMARY_CSV = "trend_summary.csv"
 @dataclass
 class ReportBundle:
     out_dir: Path
-    config: ExperimentConfig
     original_accuracy: float
     records: list
     files: dict
-    consistency_ok: bool
 
 
-# ------------------------------------------------------------- CSV writers
+# ------------------------------------------------------------- CSV tables
+
+
+def write_table(path, header: str, rows) -> None:
+    """The header line, then one line per row: its fields' str(), comma
+    separated. Every row is formatted before the file is opened, so a row
+    that fails to format leaves an existing file untouched."""
+    lines = [header + "\n"] + [",".join(map(str, row)) + "\n" for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def read_table(path) -> list[dict]:
+    """{column: text} per row. A line whose field count differs from the
+    header's is refused, naming the path and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        columns, *rows = [line.split(",") for line in fh.read().splitlines()] or [[""]]
+    for number, fields in enumerate(rows, start=2):
+        if len(fields) != len(columns):
+            raise ValueError(f"{path} line {number} has {len(fields)} fields, "
+                             f"its header {len(columns)}")
+    return [dict(zip(columns, fields)) for fields in rows]
+
+
+def format_duration(seconds: float) -> str:
+    """hh:mm:ss, zero padded, whole seconds (sub-second durations show 00:00:00)."""
+    if seconds < 0:
+        raise ValueError("negative duration")
+    total = int(seconds)
+    return f"{total // 3600:02d}:{total % 3600 // 60:02d}:{total % 60:02d}"
+
+
+def scores_to_csv(metric: str, values, path) -> None:
+    """input_id,metric,value rows, one per row id, values at 9 significant digits."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    write_table(path, "input_id,metric,value", ((i, metric, f"{v:.9g}") for i, v in enumerate(values)))
 
 
 def write_points_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("config,metric,point_index,input_size,pool_total,"
-                 "accuracy_test_star,accuracy_test,accuracy_adv_test\n")
-        for rec in records:
-            for r in rec.runs:
-                fh.write(f"{rec.kind},{rec.metric},{r.point_index},{r.input_size},"
-                         f"{rec.pool_total},{r.accuracy_test_star!r},"
-                         f"{r.accuracy_test!r},{r.accuracy_adv_test!r}\n")
+    write_table(path, "config,metric,point_index,input_size,pool_total,"
+                      "accuracy_test_star,accuracy_test,accuracy_adv_test",
+                ((rec.kind, rec.metric, r.point_index, r.input_size, rec.pool_total,
+                  r.accuracy_test_star, r.accuracy_test, r.accuracy_adv_test)
+                 for rec in records for r in rec.runs))
+
+
+SUMMARY_HEADER = ("config,metric,original_accuracy,best_accuracy,inputs_at_best,pool_total,"
+                  "resource,resource_utilization")
+
+
+def summary_row(rec: ExperimentRecord, original_accuracy: float) -> tuple[str, ...]:
+    """The summary.csv fields of one record; a bad resource ratio is refused."""
+    return (rec.kind, rec.metric, f"{original_accuracy:.3f}", f"{rec.best_accuracy:.3f}",
+            str(rec.best_input_size), str(rec.pool_total), rec.resource_string(),
+            f"{rec.resource_utilization:.4f}")
 
 
 def write_summary_csv(records, original_accuracy: float, path) -> None:
-    # every row first: a record refused for a bad ratio leaves no partial file
-    rows = [f"{rec.kind},{rec.metric},{original_accuracy:.3f},"
-            f"{rec.best_accuracy:.3f},{rec.best_input_size},{rec.pool_total},"
-            f"{rec.resource_string()},{rec.resource_utilization:.4f}\n" for rec in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("config,metric,original_accuracy,best_accuracy,inputs_at_best,"
-                 "pool_total,resource,resource_utilization\n")
-        fh.writelines(rows)
+    write_table(path, SUMMARY_HEADER, (summary_row(rec, original_accuracy) for rec in records))
 
 
 def write_comparison_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("config,metric,accuracy,inputs_used,pool_total,resource,flagged\n")
-        for row in rows:
-            fh.write(f"{row.kind},{row.metric},{row.accuracy:.3f},{row.inputs_used},"
-                     f"{row.pool_total},{row.resource_string()},{int(row.flagged)}\n")
+    write_table(path, "config,metric,accuracy,inputs_used,pool_total,resource,flagged",
+                ((row.kind, row.metric, f"{row.accuracy:.3f}", row.inputs_used, row.pool_total,
+                  row.resource_string(), int(row.flagged)) for row in rows))
 
 
 def write_timing_csv(timings, path) -> None:
     """timings: sequence of (metric, wall seconds)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,seconds,duration\n")
-        for metric, seconds in timings:
-            fh.write(f"{metric},{seconds:.9g},{format_duration(seconds)}\n")
+    write_table(path, "metric,seconds,duration",
+                ((metric, f"{seconds:.9g}", format_duration(seconds)) for metric, seconds in timings))
 
 
 def write_plot_csvs(records, out_dir: Path) -> dict:
     """One CSV per configuration: metric,input_size,accuracy_test_star."""
     paths = {}
-    kinds = sorted({rec.kind for rec in records})
-    for kind in kinds:
-        rows = []
-        for rec in records:
-            if rec.kind != kind:
-                continue
-            for r in rec.runs:
-                rows.append((rec.metric, r.input_size, r.accuracy_test_star))
-        rows.sort(key=lambda t: (t[0], t[1]))
-        path = out_dir / f"plot_{kind.lower()}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("metric,input_size,accuracy_test_star\n")
-            for metric, size, acc in rows:
-                fh.write(f"{metric},{size},{acc!r}\n")
-        paths[kind] = path
+    for kind in sorted({rec.kind for rec in records}):
+        paths[kind] = out_dir / f"plot_{kind.lower()}.csv"
+        write_table(paths[kind], "metric,input_size,accuracy_test_star",
+                    sorted((rec.metric, r.input_size, r.accuracy_test_star)
+                           for rec in records if rec.kind == kind for r in rec.runs))
     return paths
 
 
 def read_points_csv(path) -> list[ExperimentRecord]:
-    """Summary-grade records from a per-point CSV, in first-appearance order."""
+    """Summary-grade records from a per-point CSV, grouped in
+    first-appearance order, each record's points in file order."""
     groups: dict[tuple, list] = {}
     totals: dict[tuple, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            row = dict(zip(header, line.strip().split(",")))
-            key = (row["config"], row["metric"])
-            groups.setdefault(key, []).append(RetrainRun(
-                key[0], key[1], int(row["point_index"]), int(row["input_size"]),
-                float(row["accuracy_test_star"]), float(row["accuracy_test"]),
-                float(row["accuracy_adv_test"]), 0.0))
-            totals[key] = int(row["pool_total"])
-    return [ExperimentRecord(kind, metric, tuple(sorted(runs, key=lambda r: r.point_index)),
-                             totals[kind, metric])
-            for (kind, metric), runs in groups.items()]
+    for row in read_table(path):
+        key = (row["config"], row["metric"])
+        groups.setdefault(key, []).append(RetrainRun(
+            *key, int(row["point_index"]), int(row["input_size"]),
+            float(row["accuracy_test_star"]), float(row["accuracy_test"]),
+            float(row["accuracy_adv_test"]), 0.0))
+        totals[key] = int(row["pool_total"])
+    return [ExperimentRecord(*key, tuple(runs), totals[key]) for key, runs in groups.items()]
 
 
-def consistency_problems(records, summary_path) -> list[str]:
-    """Recompute every summary figure from the per-point records; list mismatches."""
+def consistency_problems(records, original_accuracy: float, summary_path) -> list[str]:
+    """Rebuild every summary row from the per-point records with
+    summary_row; list the fields that differ."""
     by_key = {(rec.kind, rec.metric): rec for rec in records}
     problems = []
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            row = dict(zip(header, line.strip().split(",")))
-            key = (row["config"], row["metric"])
-            rec = by_key.get(key)
-            if rec is None:
-                problems.append(f"{key}: summary row without per-point rows")
-                continue
-            checks = [
-                ("best_accuracy", f"{rec.best_accuracy:.3f}"),
-                ("inputs_at_best", str(rec.best_input_size)),
-                ("pool_total", str(rec.pool_total)),
-                ("resource", rec.resource_string()),
-                ("resource_utilization", f"{rec.resource_utilization:.4f}"),
-            ]
-            for column, expected in checks:
-                if row[column] != expected:
-                    problems.append(f"{key}: {column} is {row[column]}, recomputed {expected}")
+    for row in read_table(summary_path):
+        key = (row.get("config"), row.get("metric"))
+        if key not in by_key:
+            problems.append(f"{key}: summary row without per-point rows")
+            continue
+        problems += [f"{key}: {column} is {row.get(column)}, recomputed {text}"
+                     for column, text in zip(SUMMARY_HEADER.split(","),
+                                             summary_row(by_key[key], original_accuracy))
+                     if row.get(column) != text]
     return problems
 
 
@@ -180,7 +192,7 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: str,
-                   stage_seconds: dict | None = None, runtime: dict | None = None) -> Path:
+                   stage_seconds: dict, runtime: dict) -> Path:
     """`runtime` adds lines to the [runtime] section after the BLAS and
     numpy_version ones."""
     path = out_dir / MANIFEST
@@ -188,14 +200,13 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
         fh.write(f"status = {status}\n")
         fh.write(f"created_utc = {datetime.now(timezone.utc).isoformat()}\n")
         fh.write("[config]\n")
-        for line in config_echo(cfg):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in config_echo(cfg))
         fh.write("[files]\n")
         for name in sorted(files):
             fh.write(f"{sha256_file(files[name])}  {name}\n")
         fh.write("[runtime]\n")
         for key, value in {**blas_runtime(), "numpy_version": np.__version__,
-                           **(runtime or {})}.items():
+                           **runtime}.items():
             fh.write(f"{key} = {value}\n")
         if stage_seconds:  # last: readers take everything after [timings]
             fh.write("[timings]\n")
@@ -210,14 +221,17 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, files: dict, status: st
 def score_stage(spine: Spine) -> tuple[dict, dict]:
     """({metric: (values, seconds)}, {file name: path}) of the configured
     metrics (see Spine.scores), written to scores_<metric>.csv and
-    timing.csv."""
+    timing.csv; the scores_<metric>.csv of every other metric is removed."""
     out = spine.out
     scored = spine.scores(spine.cfg.metrics)
     files = {SCORES_FILE: out / SCORES_FILE}
-    for metric, (values, _) in scored.items():
-        name = f"scores_{metric.lower()}.csv"
-        scores_to_csv(metric, values, out / name)
-        files[name] = out / name
+    for metric in METRICS:
+        path = out / f"scores_{metric.lower()}.csv"
+        if metric in scored:
+            scores_to_csv(metric, scored[metric][0], path)
+            files[path.name] = path
+        else:
+            path.unlink(missing_ok=True)
     write_timing_csv([(m, seconds) for m, (_, seconds) in scored.items()], out / TIMING_CSV)
     files[TIMING_CSV] = out / TIMING_CSV
     return scored, files
@@ -236,13 +250,15 @@ def retrain_stage(spine: Spine, scored: dict) -> tuple[RetrainBatch, dict]:
     return batch, {POINTS_CSV: out / POINTS_CSV, POINTS_FINGERPRINT: stamp}
 
 
-def report_stage(spine: Spine, records=None) -> tuple[list, dict, list[str]]:
-    """(records, {file name: path}, consistency problems): summary,
-    comparison and plot CSVs from `records` (default: parsed from
-    points.csv), then the summary checked against points.csv. points.csv is
-    refused, before the sets are read, when points.fingerprint is missing or
-    stale: only the retrain stage writes points."""
-    out = spine.out
+def report_stage(spine: Spine, records=None) -> tuple[list, dict]:
+    """(records, {file name: path}): summary, comparison and plot CSVs from
+    `records` (default: parsed from points.csv), then the summary checked
+    against points.csv, raising on any mismatch; the plot CSV of every
+    other configuration is removed. points.csv is refused, before the sets
+    are read, when points.fingerprint is missing or stale (only the retrain
+    stage writes points), and unless it holds points 0..19 of every
+    configured sweep, in order."""
+    cfg, out = spine.cfg, spine.out
     points, stamp = out / POINTS_CSV, out / POINTS_FINGERPRINT
     if not points.exists():
         raise FileNotFoundError(f"{points} not found; run `retrain` or `run` first")
@@ -251,13 +267,24 @@ def report_stage(spine: Spine, records=None) -> tuple[list, dict, list[str]]:
         raise ValueError(f"{points} was not retrained under this config and M ({why}); "
                          f"run `retrain` or `run` first")
     parsed = read_points_csv(points)
+    if ([(rec.kind, rec.metric, [r.point_index for r in rec.runs]) for rec in parsed]
+            != [(kind, metric, list(range(SWEEP_POINTS))) for kind, metric in sweep_pairs(cfg)]):
+        raise ValueError(f"{points} does not hold points 0..{SWEEP_POINTS - 1} of every "
+                         f"configured sweep, in order; run `retrain` or `run` first")
     records = parsed if records is None else list(records)
     write_summary_csv(records, spine.original_accuracy, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
     files = {SUMMARY_CSV: out / SUMMARY_CSV, COMPARISON_CSV: out / COMPARISON_CSV}
-    for path in write_plot_csvs(records, out).values():
-        files[path.name] = path
-    return records, files, consistency_problems(parsed, out / SUMMARY_CSV)
+    plots = write_plot_csvs(records, out)
+    for kind in CONFIG_KINDS:
+        if kind in plots:
+            files[plots[kind].name] = plots[kind]
+        else:
+            (out / f"plot_{kind.lower()}.csv").unlink(missing_ok=True)
+    problems = consistency_problems(parsed, spine.original_accuracy, out / SUMMARY_CSV)
+    if problems:
+        raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
+    return records, files
 
 
 # ------------------------------------------------------------- pipeline
@@ -309,26 +336,16 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
 
         stage = "report"
         t = time.monotonic()
-        records, written, problems = report_stage(spine, batch.records)
+        records, written = report_stage(spine, batch.records)
         files.update(written)
-        if problems:
-            raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
         stage_seconds["report"] = time.monotonic() - t
     except Exception:
-        write_manifest(out_dir, cfg, files, status=f"failed: {stage}",
-                       stage_seconds=stage_seconds, runtime=runtime)
+        write_manifest(out_dir, cfg, files, f"failed: {stage}", stage_seconds, runtime)
         raise
-    write_manifest(out_dir, cfg, files, status="ok", stage_seconds=stage_seconds,
-                   runtime=runtime)
+    write_manifest(out_dir, cfg, files, "ok", stage_seconds, runtime)
     files[MANIFEST] = out_dir / MANIFEST
-    return ReportBundle(
-        out_dir=out_dir,
-        config=cfg,
-        original_accuracy=original_accuracy,
-        records=records,
-        files=files,
-        consistency_ok=True,
-    )
+    return ReportBundle(out_dir=out_dir, original_accuracy=original_accuracy, records=records,
+                        files=files)
 
 
 # ------------------------------------------------------------- trend report
@@ -398,19 +415,11 @@ def compute_trend(cfg: ExperimentConfig, seeds, out_dir) -> TrendReport:
         random_sizes.append(per_metric["RANDOM"])
     mean_sa = sum(sa_sizes) / len(sa_sizes)
     mean_random = sum(random_sizes) / len(random_sizes)
-    report = TrendReport(
-        rows=rows,
-        mean_sa_best=mean_sa,
-        mean_random=mean_random,
-        sa_reaches_with_fewer_inputs=mean_sa <= mean_random,
-    )
-    with open(out_dir / TREND_CSV, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("seed,metric,final_accuracy,size_at_95pct\n")
-        for row in rows:
-            fh.write(f"{row.seed},{row.metric},{row.final_accuracy!r},{row.size_at_95pct}\n")
-    with open(out_dir / TREND_SUMMARY_CSV, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"mean_size_at_95pct_sa_best,{mean_sa!r}\n")
-        fh.write(f"mean_size_at_95pct_random,{mean_random!r}\n")
-        fh.write(f"sa_reaches_with_fewer_inputs,{int(report.sa_reaches_with_fewer_inputs)}\n")
+    report = TrendReport(rows=rows, mean_sa_best=mean_sa, mean_random=mean_random,
+                         sa_reaches_with_fewer_inputs=mean_sa <= mean_random)
+    write_table(out_dir / TREND_CSV, "seed,metric,final_accuracy,size_at_95pct", map(astuple, rows))
+    write_table(out_dir / TREND_SUMMARY_CSV, "quantity,value", (
+        ("mean_size_at_95pct_sa_best", mean_sa),
+        ("mean_size_at_95pct_random", mean_random),
+        ("sa_reaches_with_fewer_inputs", int(report.sa_reaches_with_fewer_inputs))))
     return report

@@ -48,13 +48,13 @@ CONFIG_KINDS = ("C1", "C2", "C3")
 SWEEP_POINTS = 20
 
 
-def sweep_sizes(total: int, points: int = SWEEP_POINTS) -> list[int]:
-    """Strictly increasing input sizes round(i*total/points), ending at total."""
-    if total < points:
-        raise ValueError(f"need at least {points} inputs, got {total}")
+def sweep_sizes(total: int) -> list[int]:
+    """Strictly increasing input sizes round(i*total/SWEEP_POINTS), ending at total."""
+    if total < SWEEP_POINTS:
+        raise ValueError(f"need at least {SWEEP_POINTS} inputs, got {total}")
     sizes = []
-    for i in range(1, points + 1):
-        s = total if i == points else int(np.floor(i * total / points + 0.5))
+    for i in range(1, SWEEP_POINTS + 1):
+        s = total if i == SWEEP_POINTS else int(np.floor(i * total / SWEEP_POINTS + 0.5))
         if sizes and s <= sizes[-1]:  # collapse duplicates upward
             s = sizes[-1] + 1
         sizes.append(s)

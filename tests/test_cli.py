@@ -24,7 +24,7 @@ from guidedretrain.metrics import (
     score_metrics,
 )
 from guidedretrain.model import ForwardPass, forward_pass, load_model
-from guidedretrain.reports import compute_trend, run_pipeline
+from guidedretrain.reports import compute_trend, read_table, run_pipeline
 from guidedretrain.stages import Spine, prepare_data
 
 MINI_CONFIG = """
@@ -581,6 +581,59 @@ def test_report_refuses_a_hand_edited_u_above_pool_total(tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
     assert "bad resource ratio" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    # the first 7 of C2/RANDOM's 20 points, and no other sweep
+    pytest.param(lambda lines: lines[:8],
+                 "does not hold points 0..19 of every configured sweep", id="truncated"),
+    pytest.param(lambda lines: [*lines[:5], ",".join(lines[5].split(",")[:-2]) + "\n",
+                                *lines[6:]],
+                 "line 6 has 6 fields, its header 8", id="row-two-fields-short"),
+])
+def test_report_refuses_incomplete_points(tmp_path, capsys, edit, named):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    # points.fingerprint vouches for the config and M, not for the file's rows
+    lines = (out / "points.csv").read_text().splitlines(keepends=True)
+    (out / "points.csv").write_text("".join(edit(lines)))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'points.csv'}" in err and named in err
+    assert not (out / "summary.csv").exists()
+
+
+def manifest_files(out) -> list[str]:
+    """The file names of a manifest's [files] section."""
+    section = (out / "manifest.txt").read_text().split("[files]\n", 1)[1].split("\n[", 1)[0]
+    return [line.split("  ", 1)[1] for line in section.splitlines()]
+
+
+def test_every_listed_csv_reads_back_as_a_table(tmp_path):
+    out = tmp_path / "out"
+    stage("run", write_config(tmp_path), out)
+    listed = [name for name in manifest_files(out) if name.endswith(".csv")]
+    assert len(listed) == 8  # points, summary, comparison, timing, 2 plots, 2 scores
+    for name in listed:
+        lines = (out / name).read_text().splitlines()
+        rows = read_table(out / name)  # refuses a line of another field count
+        assert len(rows) == len(lines) - 1 > 0, name
+        assert all(list(row) == lines[0].split(",") for row in rows), name
+
+
+def test_a_narrower_run_leaves_only_its_own_csvs(tmp_path):
+    out = tmp_path / "out"
+    stage("run", write_config(tmp_path), out)
+    narrower = tmp_path / "narrower.cfg"
+    narrower.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = RANDOM")
+                        .replace("configs = C2,C3", "configs = C2"))
+    stage("run", narrower, out)
+    on_disk = sorted(path.name for path in out.glob("*.csv"))
+    assert on_disk == sorted(name for name in manifest_files(out) if name.endswith(".csv"))
+    assert on_disk == ["comparison.csv", "plot_c2.csv", "points.csv", "scores_random.csv",
+                       "summary.csv", "timing.csv"]
 
 
 TREND_SEED = 5

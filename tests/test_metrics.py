@@ -20,7 +20,6 @@ from guidedretrain.metrics import (
     dsa_scores,
     fit_dsa,
     fit_lsa,
-    format_duration,
     lsa_from_trace,
     lsa_scores,
     nc_scores,
@@ -30,7 +29,6 @@ from guidedretrain.metrics import (
     _BLOCK_ROWS,
     _present,
     score_metrics,
-    scores_to_csv,
     scott_bandwidths,
     timed_scoring,
 )
@@ -44,6 +42,7 @@ from guidedretrain.model import (
     forward_pass,
     trace_columns,
 )
+from guidedretrain.reports import format_duration, scores_to_csv
 from guidedretrain.rng import Pcg32
 from guidedretrain.stages import Spine
 

@@ -10,12 +10,14 @@ from guidedretrain.reports import (
     compute_trend,
     consistency_problems,
     read_points_csv,
+    read_table,
     run_pipeline,
     sha256_file,
+    write_comparison_csv,
     write_plot_csvs,
     write_summary_csv,
 )
-from guidedretrain.retrain import ExperimentRecord, RetrainRun
+from guidedretrain.retrain import ComparisonRow, ExperimentRecord, RetrainRun
 
 
 def mini_config(out, **overrides) -> ExperimentConfig:
@@ -49,7 +51,6 @@ DETERMINISTIC_FILES = (POINTS_CSV, SUMMARY_CSV, COMPARISON_CSV, "plot_c2.csv", "
 def test_pipeline_produces_reports(tmp_path, in_process):
     cfg = mini_config(tmp_path / "out")
     bundle = run_pipeline(cfg)
-    assert bundle.consistency_ok
     out = bundle.out_dir
     for name in DETERMINISTIC_FILES + (TIMING_CSV, "manifest.txt"):
         assert (out / name).exists(), name
@@ -156,12 +157,35 @@ def test_consistency_detects_mismatch(tmp_path):
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.700,20,20,20/20,1.0000\n")
     records = read_points_csv(points)
-    assert consistency_problems(records, summary) == []
+    assert consistency_problems(records, 0.4, summary) == []
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.900,20,20,20/20,1.0000\n")
-    assert any("best_accuracy" in p for p in consistency_problems(records, summary))
+    assert any("best_accuracy" in p for p in consistency_problems(records, 0.4, summary))
+
+
+def test_a_row_that_fails_to_format_leaves_the_file_untouched(tmp_path):
+    class UnformattableRow(ComparisonRow):
+        def resource_string(self):
+            raise ValueError("bad resource ratio 30/20")
+
+    path = tmp_path / "comparison.csv"
+    path.write_text("earlier bytes\n")
+    rows = [ComparisonRow("C2", "NC", 0.5, 10, 20, False),
+            UnformattableRow("C3", "NC", 0.5, 30, 20, False)]
+    with pytest.raises(ValueError, match="bad resource ratio"):
+        write_comparison_csv(rows, path)
+    assert path.read_text() == "earlier bytes\n"
+
+
+def test_read_table_refuses_a_line_of_another_width(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c\n1,2,3\n4,5\n")
+    with pytest.raises(ValueError, match=f"{path} line 3 has 2 fields, its header 3"):
+        read_table(path)
+    path.write_text("a,b,c\n1,2,3\n")
+    assert read_table(path) == [{"a": "1", "b": "2", "c": "3"}]
 
 
 def test_trend_report_smoke(tmp_path):

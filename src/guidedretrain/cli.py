@@ -5,10 +5,10 @@ Subcommands walk the pipeline end to end or stage by stage:
   train    train the original model M, save it to <out>/model.grcnn
   attack   build the augmented sets, export them as IDX files
   score    compute guidance metrics over Train*, write score and timing CSVs
-  retrain  run the requested (configuration, metric) sweeps, write points.csv
-           and its fingerprint to points.fingerprint
+  retrain  run the requested (configuration, metric) sweeps, write
+           points.npz and points.csv
   run      full pipeline plus summary/comparison/plot reports and manifest
-  report   rebuild summary/comparison/plot CSVs from an existing points.csv;
+  report   rebuild summary/comparison/plot CSVs from an existing points.npz;
            --trend-seeds N additionally runs the multi-seed SA-vs-Random
            comparison, one <out>/seed-<s>/ run directory per seed plus
            <out>/trend.csv and <out>/trend_summary.csv
@@ -17,16 +17,16 @@ Stages are deterministic functions of the configuration, and each has one
 implementation that `run` shares (stages.py, reports.py). Every command
 holds one stages.Spine, which reads what an earlier command left in <out>
 instead of recomputing it: M from model.grcnn, the augmented sets from
-sets.npz and the metric scores from scores.npz. The .npz artifacts carry a
-fingerprint of M's bytes and the config keys they depend on; the spine
-rebuilds one that is missing, unreadable or stale and says so on stderr.
-`report` refuses, with exit status 1, a points.csv whose points.fingerprint
-is missing or does not match M and the config, or that lacks a point of a
-configured sweep, since it cannot rebuild the points. GR_THREADS alone sets
-the number of processes that retrain the sweep points (default: every
-usable core; 1 runs them in-process). That pool is the only parallelism:
-each command runs its numerics on one OpenBLAS thread and restores the
-caller's count on return.
+sets.npz, the metric scores from scores.npz and the sweep points from
+points.npz. The .npz artifacts carry a fingerprint of M's bytes and the
+config keys they depend on; the spine rebuilds one that is missing,
+unreadable or stale and says so on stderr. `report` never retrains: it
+refuses, with exit status 1, a points.npz that is missing, unreadable or
+stale, naming the file and the reason. GR_THREADS alone sets the number of
+processes that retrain the sweep points (default: every usable core; 1
+runs them in-process). That pool is the only parallelism: each command
+runs its numerics on one OpenBLAS thread and restores the caller's count
+on return.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def cmd_score(cfg: ExperimentConfig) -> int:
 
 
 def cmd_retrain(cfg: ExperimentConfig) -> int:
-    spine = Spine(cfg)
-    batch, _ = retrain_stage(spine, spine.scores(cfg.metrics))
+    batch, _ = retrain_stage(Spine(cfg))
     for record in batch.records:
         print(f"{record.kind}/{record.metric}: best {record.best_accuracy:.3f} "
               f"at {record.resource_string()}")

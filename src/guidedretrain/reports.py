@@ -4,23 +4,25 @@ A run writes one directory of CSV artifacts mirroring the study's tables:
 per-input metric scores, per-point accuracies, a summary with best accuracy
 and resource utilization per (configuration, metric), the C2-at-C3-budget
 comparison, metric timing, and per-configuration plot data. Every table is
-written by `write_table` and read by `read_table`. Reports are
+written by `write_table`, never read to make another. Reports are
 byte-deterministic for a fixed configuration except timing.csv and the
-manifest. A consistency pass rebuilds every summary row from the per-point
-CSV with `summary_row`, which wrote it, before the manifest is sealed. The
-score and report stages remove the CSVs of metrics and configurations the
-config leaves out, so <out> never mixes two configs' tables.
+manifest. A consistency pass reads summary.csv back with `read_table` and
+rebuilds every row with `summary_row`, which wrote it, from the records
+read back from points.npz, before the manifest is sealed. The score and
+report stages remove the CSVs of metrics and configurations the config
+leaves out, so <out> never mixes two configs' tables.
 
 The score, retrain and report stages below, with stages.py's spine, are
 the one implementation of each stage: `run_pipeline` and the CLI's stage
-commands hand them one `stages.Spine`, and `compute_trend` makes one
-`run_pipeline` call per seed.
+commands hand them one `stages.Spine` and nothing else, and
+`compute_trend` makes one `run_pipeline` call per seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,25 +32,8 @@ import numpy as np
 from ._blas import blas_runtime
 from .config import ExperimentConfig, config_echo, with_overrides
 from .metrics import METRICS
-from .retrain import (
-    CONFIG_KINDS,
-    SWEEP_POINTS,
-    ExperimentRecord,
-    RetrainBatch,
-    RetrainRun,
-    compare_records,
-    run_experiments,
-)
-from .stages import (
-    MODEL_FILE,
-    POINTS_FINGERPRINT,
-    SCORES_FILE,
-    SETS_FILE,
-    Spine,
-    prepare_data,
-    retrain_hp,
-    sweep_pairs,
-)
+from .retrain import CONFIG_KINDS, ExperimentRecord, RetrainBatch, compare_records
+from .stages import MODEL_FILE, POINTS_FILE, SCORES_FILE, SETS_FILE, Spine, prepare_data
 
 POINTS_CSV = "points.csv"
 SUMMARY_CSV = "summary.csv"
@@ -151,24 +136,9 @@ def write_plot_csvs(records, out_dir: Path) -> dict:
     return paths
 
 
-def read_points_csv(path) -> list[ExperimentRecord]:
-    """Summary-grade records from a per-point CSV, grouped in
-    first-appearance order, each record's points in file order."""
-    groups: dict[tuple, list] = {}
-    totals: dict[tuple, int] = {}
-    for row in read_table(path):
-        key = (row["config"], row["metric"])
-        groups.setdefault(key, []).append(RetrainRun(
-            *key, int(row["point_index"]), int(row["input_size"]),
-            float(row["accuracy_test_star"]), float(row["accuracy_test"]),
-            float(row["accuracy_adv_test"]), 0.0))
-        totals[key] = int(row["pool_total"])
-    return [ExperimentRecord(*key, tuple(runs), totals[key]) for key, runs in groups.items()]
-
-
 def consistency_problems(records, original_accuracy: float, summary_path) -> list[str]:
     """Rebuild every summary row from the per-point records with
-    summary_row; list the fields that differ."""
+    summary_row; list the fields of summary_path that differ."""
     by_key = {(rec.kind, rec.metric): rec for rec in records}
     problems = []
     for row in read_table(summary_path):
@@ -237,41 +207,26 @@ def score_stage(spine: Spine) -> tuple[dict, dict]:
     return scored, files
 
 
-def retrain_stage(spine: Spine, scored: dict) -> tuple[RetrainBatch, dict]:
+def retrain_stage(spine: Spine) -> tuple[RetrainBatch, dict]:
     """(batch, {file name: path}) of every configured (configuration,
-    metric) sweep, written to points.csv and points.fingerprint."""
-    cfg, out = spine.cfg, spine.out
-    batch = run_experiments(spine.model, spine.sets, sweep_pairs(cfg), retrain_hp(cfg), scored,
-                            fresh_init_seed=cfg.seed_init + 1)  # C1 differs from M's init
-    stamp = out / POINTS_FINGERPRINT
-    stamp.unlink(missing_ok=True)  # never left vouching for other points
-    write_points_csv(batch.records, out / POINTS_CSV)
-    stamp.write_text(spine.fingerprints.points + "\n", encoding="utf-8")
-    return batch, {POINTS_CSV: out / POINTS_CSV, POINTS_FINGERPRINT: stamp}
+    metric) sweep (see Spine.points), written to points.csv."""
+    batch = spine.points
+    write_points_csv(batch.records, spine.out / POINTS_CSV)
+    return batch, {POINTS_CSV: spine.out / POINTS_CSV, POINTS_FILE: spine.out / POINTS_FILE}
 
 
-def report_stage(spine: Spine, records=None) -> tuple[list, dict]:
+def report_stage(spine: Spine) -> tuple[list, dict]:
     """(records, {file name: path}): summary, comparison and plot CSVs from
-    `records` (default: parsed from points.csv), then the summary checked
-    against points.csv, raising on any mismatch; the plot CSV of every
-    other configuration is removed. points.csv is refused, before the sets
-    are read, when points.fingerprint is missing or stale (only the retrain
-    stage writes points), and unless it holds points 0..19 of every
-    configured sweep, in order."""
-    cfg, out = spine.cfg, spine.out
-    points, stamp = out / POINTS_CSV, out / POINTS_FINGERPRINT
-    if not points.exists():
-        raise FileNotFoundError(f"{points} not found; run `retrain` or `run` first")
-    if not stamp.exists() or stamp.read_text(encoding="utf-8").strip() != spine.fingerprints.points:
-        why = f"stale {POINTS_FINGERPRINT}" if stamp.exists() else f"{POINTS_FINGERPRINT} missing"
-        raise ValueError(f"{points} was not retrained under this config and M ({why}); "
+    the spine's points (in `run`, the pool's), then the summary checked
+    against the records read back from points.npz, raising on any mismatch;
+    the plot CSV of every other configuration is removed. A points.npz that
+    is not fresh is refused before the sets are read: report never retrains."""
+    out = spine.out
+    stored, why = spine.stored_points()
+    if stored is None:
+        raise ValueError(f"cannot report from {out / POINTS_FILE} ({why}); "
                          f"run `retrain` or `run` first")
-    parsed = read_points_csv(points)
-    if ([(rec.kind, rec.metric, [r.point_index for r in rec.runs]) for rec in parsed]
-            != [(kind, metric, list(range(SWEEP_POINTS))) for kind, metric in sweep_pairs(cfg)]):
-        raise ValueError(f"{points} does not hold points 0..{SWEEP_POINTS - 1} of every "
-                         f"configured sweep, in order; run `retrain` or `run` first")
-    records = parsed if records is None else list(records)
+    records = list(spine.points.records)  # fresh, so loaded unless retrained in this spine
     write_summary_csv(records, spine.original_accuracy, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
     files = {SUMMARY_CSV: out / SUMMARY_CSV, COMPARISON_CSV: out / COMPARISON_CSV}
@@ -281,7 +236,7 @@ def report_stage(spine: Spine, records=None) -> tuple[list, dict]:
             files[plots[kind].name] = plots[kind]
         else:
             (out / f"plot_{kind.lower()}.csv").unlink(missing_ok=True)
-    problems = consistency_problems(parsed, spine.original_accuracy, out / SUMMARY_CSV)
+    problems = consistency_problems(stored, spine.original_accuracy, out / SUMMARY_CSV)
     if problems:
         raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
     return records, files
@@ -303,42 +258,33 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
     stage_seconds: dict = {}
     runtime: dict = {}
     stage = "data"
+
+    @contextmanager
+    def timed(name: str):
+        nonlocal stage
+        stage, t = name, time.monotonic()
+        yield
+        stage_seconds[name] = time.monotonic() - t
+
     try:
-        t = time.monotonic()
-        spine.data = prepare_data(cfg)  # prepared here, so the data stage is timed alone
-        stage_seconds["data"] = time.monotonic() - t
-
-        stage = "train"
-        t = time.monotonic()
-        spine.train()
-        files[MODEL_FILE] = out_dir / MODEL_FILE
-        stage_seconds["train"] = time.monotonic() - t
-
-        stage = "attack"
-        t = time.monotonic()
-        original_accuracy = spine.original_accuracy  # builds or loads the sets
-        files[SETS_FILE] = out_dir / SETS_FILE
-        stage_seconds["attack"] = time.monotonic() - t
-
-        stage = "score"
-        t = time.monotonic()
-        scored, written = score_stage(spine)
-        files.update(written)
-        stage_seconds["score"] = time.monotonic() - t
-
-        stage = "retrain"
-        t = time.monotonic()
-        batch, written = retrain_stage(spine, scored)
-        files.update(written)
-        runtime = {"retrain_workers": batch.workers,
-                   "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
-        stage_seconds["retrain"] = time.monotonic() - t
-
-        stage = "report"
-        t = time.monotonic()
-        records, written = report_stage(spine, batch.records)
-        files.update(written)
-        stage_seconds["report"] = time.monotonic() - t
+        with timed("data"):
+            spine.data = prepare_data(cfg)  # prepared here, so the data stage is timed alone
+        with timed("train"):
+            spine.train()
+            files[MODEL_FILE] = out_dir / MODEL_FILE
+        with timed("attack"):
+            original_accuracy = spine.original_accuracy  # builds or loads the sets
+            files[SETS_FILE] = out_dir / SETS_FILE
+        with timed("score"):
+            files.update(score_stage(spine)[1])
+        with timed("retrain"):
+            batch, written = retrain_stage(spine)
+            files.update(written)
+            runtime = {"retrain_workers": batch.workers,
+                       "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
+        with timed("report"):
+            records, written = report_stage(spine)
+            files.update(written)
     except Exception:
         write_manifest(out_dir, cfg, files, f"failed: {stage}", stage_seconds, runtime)
         raise

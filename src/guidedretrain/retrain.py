@@ -43,7 +43,8 @@ from .model import (
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
 
-CONFIG_KINDS = ("C1", "C2", "C3")
+_CONFIGS = {"C1": (False, False), "C2": (True, False), "C3": (True, True)}
+CONFIG_KINDS = tuple(_CONFIGS)
 
 SWEEP_POINTS = 20
 
@@ -111,15 +112,22 @@ def resource_utilization(u: int, total: int) -> float:
     return u / total
 
 
+def _configuration(kind: str) -> tuple[bool, bool]:
+    """What the paper defines of a configuration: (its points start from M,
+    not a fresh initialization; they retrain on Adv-Train only, not Train*)."""
+    if kind not in _CONFIGS:
+        raise ValueError(f"unknown configuration {kind!r}")
+    return _CONFIGS[kind]
+
+
 def sweep_pool_size(kind: str, metric: str, clean_rows: int, adversarial_rows: int) -> int:
     """Rows of the pool a (kind, metric) sweep retrains on: Train* (the clean
     rows and Adv-Train) for C1/C2, Adv-Train for C3. A pool smaller than the
     sweep is refused, naming the pair and where its size comes from."""
-    if kind not in CONFIG_KINDS:
-        raise ValueError(f"unknown configuration {kind!r}")
-    size = adversarial_rows if kind == "C3" else clean_rows + adversarial_rows
+    adversarial_only = _configuration(kind)[1]
+    size = adversarial_rows if adversarial_only else clean_rows + adversarial_rows
     if size < SWEEP_POINTS:
-        source = "Adv-Train, set by attack.fraction" if kind == "C3" else "all of Train*"
+        source = "Adv-Train, set by attack.fraction" if adversarial_only else "all of Train*"
         raise ValueError(f"{kind}/{metric} pool has {size} inputs; a {SWEEP_POINTS}-point "
                          f"sweep needs at least {SWEEP_POINTS} ({kind} retrains on {source})")
     return size
@@ -127,11 +135,8 @@ def sweep_pool_size(kind: str, metric: str, clean_rows: int, adversarial_rows: i
 
 def initial_model(kind: str, original: ModelState, fresh_init_seed: int) -> ModelState:
     """The weights a data point starts from: fresh init for C1, M for C2/C3."""
-    if kind == "C1":
-        return build_model(original.architecture, fresh_init_seed)
-    if kind in ("C2", "C3"):
-        return original
-    raise ValueError(f"unknown configuration {kind!r}")
+    return original if _configuration(kind)[0] else build_model(original.architecture,
+                                                                fresh_init_seed)
 
 
 def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> np.ndarray:
@@ -139,14 +144,11 @@ def ordered_pool_ids(kind: str, sets: AugmentedSets, order) -> np.ndarray:
 
     C1/C2 draw from all of Train*; C3 keeps only the adversarial rows.
     """
+    adversarial_only = _configuration(kind)[1]
     order = np.asarray(order, dtype=np.int64)
     if not np.array_equal(np.sort(order), np.arange(len(sets.train_star))):
         raise ValueError("ordering is not a permutation of Train* ids")
-    if kind in ("C1", "C2"):
-        return order
-    if kind == "C3":
-        return order[sets.train_star_is_adversarial[order]]
-    raise ValueError(f"unknown configuration {kind!r}")
+    return order[sets.train_star_is_adversarial[order]] if adversarial_only else order
 
 
 def retrain_point(kind: str, start: ModelState, pool: Dataset, size: int, hp: TrainParams,
@@ -198,7 +200,7 @@ class RetrainBatch:
     """The records of one `run_experiments` call, in the order of its pairs."""
 
     records: tuple
-    workers: int  # processes that ran the points; 1 means in-process
+    workers: int  # processes that ran the points; 1 means in-process, 0 none (loaded)
     worker_cpu_seconds: float  # user + system CPU of the pool's workers
 
 

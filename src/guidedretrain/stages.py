@@ -1,14 +1,15 @@
-"""The stage spine: data, M, the augmented sets and the metric scores of a run.
+"""The stage spine: data, M, the augmented sets, the scores and the points of a run.
 
 `run`, each stage command and each seed of the trend report hold one
-`Spine`: the config, M, M's fingerprint chain and the augmented sets, each
-read or built the first time it is used. Its links are files in <out>:
+`Spine`: the config, M, M's fingerprint chain, the augmented sets and the
+points, each read or built when first used. Its links are files in <out>:
 
-  model.grcnn         the original model M
-  sets.npz            Train*/Test* float32 images and labels, plus the
-                      attack's source row of each Adv-Train row
-  scores.npz          each metric's raw float64 scores over Train* and its seconds
-  points.fingerprint  the fingerprint of the sweep that wrote points.csv
+  model.grcnn  the original model M
+  sets.npz     Train*/Test* float32 images and labels, plus the attack's
+               source row of each Adv-Train row
+  scores.npz   each metric's raw float64 scores over Train* and its seconds
+  points.npz   each sweep point's input size, three accuracies and wall
+               seconds, and each sweep's pool total
 
 `fingerprints` computes the chain, and only this module computes a
 fingerprint. Each is a sha256 over a format tag, the canonical config lines
@@ -19,8 +20,8 @@ points' covers the scores'. A stage loads an artifact whose fingerprint
 matches, without unpickling, and rebuilds one that is missing, unreadable
 or stale: it writes the new file through a temporary one and notes on
 stderr why it rebuilt it. scores.npz keeps the metrics it has; a stage
-scores only those it lacks. The stages that write CSV files are in
-reports.py.
+scores only those it lacks; points.npz is retrained whole, never by
+`report`. The stages that write CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -53,12 +54,19 @@ from .model import (
     trace_columns,
     train,
 )
-from .retrain import sweep_pool_size
+from .retrain import (
+    SWEEP_POINTS,
+    ExperimentRecord,
+    RetrainBatch,
+    RetrainRun,
+    run_experiments,
+    sweep_pool_size,
+)
 
 MODEL_FILE = "model.grcnn"
 SETS_FILE = "sets.npz"
 SCORES_FILE = "scores.npz"
-POINTS_FINGERPRINT = "points.fingerprint"
+POINTS_FILE = "points.npz"
 
 # config keys each artifact depends on; a key ending in "." names its section
 _SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
@@ -216,17 +224,41 @@ def _sets_from_arrays(arrays) -> AugmentedSets:
     )
 
 
+def _checked(arrays, name: str, dtype, shape: tuple) -> np.ndarray:
+    """arrays[name], refused unless it has `dtype` and `shape`."""
+    values = arrays[name]
+    if values.dtype != dtype or values.shape != shape:
+        raise ValueError(f"{name} is {values.dtype} {values.shape}, "
+                         f"expected {np.dtype(dtype)} {shape}")
+    return values
+
+
 def _scores_from_arrays(arrays, rows: int) -> dict:
     scored = {}
     for name in arrays.files:
         if not name.startswith("scores_"):
             continue
         metric = name[len("scores_"):]
-        values = arrays[name]
-        if values.dtype != np.float64 or values.shape != (rows,):
-            raise ValueError(f"{name} is {values.dtype} {values.shape}, expected float64 ({rows},)")
-        scored[metric] = (values, float(arrays[f"seconds_{metric}"]))
+        scored[metric] = (_checked(arrays, name, np.float64, (rows,)),
+                          float(arrays[f"seconds_{metric}"]))
     return scored
+
+
+# points.npz: a (pairs, points) array per stored RetrainRun field, and pool_total
+_POINT_FIELDS = (("input_size", np.int64), ("accuracy_test_star", np.float64),
+                 ("accuracy_test", np.float64), ("accuracy_adv_test", np.float64),
+                 ("wall_seconds", np.float64))
+
+
+def _points_from_arrays(arrays, pairs) -> tuple:
+    shape = (len(pairs), SWEEP_POINTS)
+    columns = {name: _checked(arrays, name, dtype, shape).tolist() for name, dtype in _POINT_FIELDS}
+    totals = _checked(arrays, "pool_total", np.int64, shape[:1]).tolist()
+    return tuple(
+        ExperimentRecord(kind, metric, tuple(
+            RetrainRun(kind, metric, i, **{name: column[p][i] for name, column in columns.items()})
+            for i in range(SWEEP_POINTS)), totals[p])
+        for p, (kind, metric) in enumerate(pairs))
 
 
 # ------------------------------------------------------------- the spine
@@ -234,11 +266,11 @@ def _scores_from_arrays(arrays, rows: int) -> dict:
 
 @dataclass
 class Spine:
-    """One run's chain in <out>: the config, M, M's fingerprints and the
-    augmented sets, each read or built the first time it is used. The data
-    are prepared at most once; M is loaded from model.grcnn, or trained when
-    that is absent; the sets are loaded from sets.npz when fresh, else built
-    and saved."""
+    """One run's chain in <out>: the config, M, M's fingerprints, the
+    augmented sets and the points, each read or built the first time it is
+    used. The data are prepared at most once; M is loaded from model.grcnn,
+    or trained when that is absent; the sets and the points are loaded from
+    sets.npz and points.npz when fresh, else built and saved."""
 
     cfg: ExperimentConfig
 
@@ -308,3 +340,29 @@ class Spine:
                 arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
             _save(path, self.fingerprints.scores, arrays, why or f"lacked {', '.join(missing)}")
         return {m: stored[m] for m in metrics}
+
+    @cached_property
+    def points(self) -> RetrainBatch:
+        """The sweep of every configured (configuration, metric) pair, in
+        sweep_pairs order: loaded from <out>/points.npz when fresh, with 0
+        workers, since no point ran; else every point retrained and saved."""
+        records, why = self.stored_points()
+        if records is not None:
+            return RetrainBatch(records, workers=0, worker_cpu_seconds=0.0)
+        batch = run_experiments(self.model, self.sets, sweep_pairs(self.cfg), retrain_hp(self.cfg),
+                                self.scores(self.cfg.metrics),
+                                fresh_init_seed=self.cfg.seed_init + 1)  # C1 differs from M's init
+        arrays = {name: np.array([[getattr(r, name) for r in rec.runs] for rec in batch.records],
+                                 dtype) for name, dtype in _POINT_FIELDS}
+        arrays["pool_total"] = np.array([rec.pool_total for rec in batch.records], np.int64)
+        _save(self.out / POINTS_FILE, self.fingerprints.points, arrays, why)
+        return batch
+
+    def stored_points(self) -> tuple:
+        """(records, None) read back from a fresh <out>/points.npz, else (None,
+        why). A missing file is found before M is loaded or trained."""
+        path = self.out / POINTS_FILE
+        if not path.exists():
+            return None, "missing"
+        return _load(path, self.fingerprints.points,
+                     lambda arrays: _points_from_arrays(arrays, sweep_pairs(self.cfg)))

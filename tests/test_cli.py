@@ -551,58 +551,131 @@ def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys, 
     # refused before the sets are loaded or built, and before any scoring
     assert main(["report", "--config", str(cfg), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
-    assert f"{out / 'points.csv'}" in err and "(stale points.fingerprint)" in err
+    assert f"{out / 'points.npz'} (stale fingerprint)" in err
     assert not (out / "summary.csv").exists()
     assert calls == {}
     stage("report", cfg, out)
     (out / "summary.csv").unlink()
-    (out / "points.fingerprint").unlink()
+    (out / "points.npz").unlink()
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "(points.fingerprint missing)" in capsys.readouterr().err
+    assert f"{out / 'points.npz'} (missing)" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
 
 
-def test_report_refuses_a_hand_edited_u_above_pool_total(tmp_path, capsys):
+def test_report_reads_points_npz_not_a_hand_edited_points_csv(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    stage("retrain", cfg, out)
-    # C3's pool_total edited down to 2, below every sweep size, so u > Tn;
-    # points.fingerprint vouches for the config and M, not for the file's bytes
+    stage("run", cfg, out)
+    summary = (out / "summary.csv").read_bytes()
+    # points.csv is a table only: an edited pool_total reaches no report
     lines = (out / "points.csv").read_text().splitlines(keepends=True)
     column = lines[0].split(",").index("pool_total")
     edited = [lines[0]]
     for line in lines[1:]:
         fields = line.split(",")
-        if fields[0] == "C3":
-            fields[column] = "2"
+        fields[column] = "400"
         edited.append(",".join(fields))
     (out / "points.csv").write_text("".join(edited))
+    (out / "summary.csv").unlink()
+    stage("report", cfg, out)
+    assert (out / "summary.csv").read_bytes() == summary
+
+
+def refused_report(cfg, out, capsys) -> str:
+    """stderr of a `report` that exits 1 and writes no summary.csv."""
     capsys.readouterr()
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "bad resource ratio" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+    return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, named", [
-    # the first 7 of C2/RANDOM's 20 points, and no other sweep
-    pytest.param(lambda lines: lines[:8],
-                 "does not hold points 0..19 of every configured sweep", id="truncated"),
-    pytest.param(lambda lines: [*lines[:5], ",".join(lines[5].split(",")[:-2]) + "\n",
-                                *lines[6:]],
-                 "line 6 has 6 fields, its header 8", id="row-two-fields-short"),
-])
-def test_report_refuses_incomplete_points(tmp_path, capsys, edit, named):
+def test_report_refuses_a_truncated_points_npz(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     stage("retrain", cfg, out)
-    # points.fingerprint vouches for the config and M, not for the file's rows
-    lines = (out / "points.csv").read_text().splitlines(keepends=True)
-    (out / "points.csv").write_text("".join(edit(lines)))
+    stored = (out / "points.npz").read_bytes()
+    (out / "points.npz").write_bytes(stored[:len(stored) // 2])
+    assert f"{out / 'points.npz'} (unreadable: " in refused_report(cfg, out, capsys)
+
+
+def test_report_refuses_points_npz_missing_a_pair(tmp_path, capsys):
+    cfg = write_config(tmp_path)  # 2 configurations x 2 metrics
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    with np.load(out / "points.npz", allow_pickle=False) as stored:
+        arrays = dict(stored)
+    # the right fingerprint over the arrays of the first three pairs
+    np.savez(out / "points.npz", **{name: values if name == "fingerprint" else values[:-1]
+                                    for name, values in arrays.items()})
+    assert (f"{out / 'points.npz'} (unreadable: ValueError: input_size is int64 (3, 20), "
+            "expected int64 (4, 20))") in refused_report(cfg, out, capsys)
+
+
+def test_report_into_an_empty_out_loads_and_trains_nothing(tmp_path, monkeypatch, capsys):
+    from guidedretrain import stages
+
+    trained = []
+    real = stages.train_original
+    monkeypatch.setattr(stages, "train_original",
+                        lambda *args: trained.append(args) or real(*args))
+    out = tmp_path / "out"
+    err = refused_report(write_config(tmp_path), out, capsys)
+    assert f"{out / 'points.npz'} (missing)" in err
+    assert not (out / "model.grcnn").exists()
+    assert trained == []
+
+
+def count_points(monkeypatch) -> list:
+    """The (kind, metric, point) of every retrain_point call from here on;
+    only points run in-process (GR_THREADS=1) are seen."""
+    from guidedretrain import retrain
+
+    calls = []
+    real = retrain.retrain_point
+
+    def counting(kind, start, pool, size, hp, point_index, eval_sets, metric=""):
+        calls.append((kind, metric, point_index))
+        return real(kind, start, pool, size, hp, point_index, eval_sets, metric=metric)
+
+    monkeypatch.setattr(retrain, "retrain_point", counting)
+    return calls
+
+
+def test_points_npz_reads_back_the_pool_records(tmp_path):
+    cfg = with_overrides(parse_config(MINI_CONFIG), out=str(tmp_path / "out"))
+    with _blas.one_blas_thread():
+        batch = Spine(cfg).points
+        loaded = Spine(cfg).points
+    assert batch.workers >= 1 and all(r.wall_seconds > 0 for rec in batch.records
+                                      for r in rec.runs)
+    # every field, wall seconds included, bit for bit
+    assert loaded.records == batch.records
+    assert Spine(cfg).stored_points() == (batch.records, None)
+    assert (loaded.workers, loaded.worker_cpu_seconds) == (0, 0.0)
+
+
+@pytest.mark.parametrize("step", ["retrain", "run"])
+def test_second_retrain_or_run_loads_the_points(tmp_path, monkeypatch, capsys, step):
+    monkeypatch.setenv("GR_THREADS", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    calls = count_points(monkeypatch)
+    stage(step, cfg, out)
+    assert len(calls) == 4 * 20
+    written = {path.name: path.read_bytes() for path in out.glob("*.csv")
+               if path.name != "timing.csv"}
+    assert "points.csv" in written
+    calls.clear()
     capsys.readouterr()
-    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"{out / 'points.csv'}" in err and named in err
-    assert not (out / "summary.csv").exists()
+    stage(step, cfg, out)
+    assert calls == []
+    assert "rebuilt" not in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in written} == written
+    if step == "run":
+        runtime = manifest_runtime(out)
+        assert runtime["retrain_workers"] == "0"
+        assert runtime["retrain_worker_cpu_seconds"] == "0.000"
+        assert "points.npz" in manifest_files(out)
 
 
 def manifest_files(out) -> list[str]:
@@ -656,13 +729,19 @@ def test_trend_seed_directory_holds_the_run_points(tmp_path):
 
 
 def test_second_trend_call_rebuilds_and_rescores_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("GR_THREADS", "1")  # so that every retrain_point call is counted
     cfg = trend_config(tmp_path / "unused")
+    points = count_points(monkeypatch)
     compute_trend(cfg, [TREND_SEED], tmp_path / "trend")
-    trend = (tmp_path / "trend" / "trend.csv").read_bytes()
+    assert len(points) == 3 * 20  # LSA, DSA and Random under C2
+    tables = {name: (tmp_path / "trend" / name).read_bytes()
+              for name in ("trend.csv", "trend_summary.csv")}
     calls = count_rebuilds(monkeypatch)
+    points.clear()
     compute_trend(cfg, [TREND_SEED], tmp_path / "trend")
     assert calls == {}
-    assert (tmp_path / "trend" / "trend.csv").read_bytes() == trend
+    assert points == []
+    assert {name: (tmp_path / "trend" / name).read_bytes() for name in tables} == tables
 
 
 # each command runs on one OpenBLAS thread and restores the caller's count

@@ -9,7 +9,6 @@ from guidedretrain.reports import (
     TIMING_CSV,
     compute_trend,
     consistency_problems,
-    read_points_csv,
     read_table,
     run_pipeline,
     sha256_file,
@@ -145,18 +144,14 @@ def test_summary_renders_resource_both_ways(tmp_path):
 
 
 def test_consistency_detects_mismatch(tmp_path):
-    points = tmp_path / "points.csv"
     summary = tmp_path / "summary.csv"
-    points.write_text(
-        "config,metric,point_index,input_size,pool_total,"
-        "accuracy_test_star,accuracy_test,accuracy_adv_test\n"
-        "C2,DSA,0,10,20,0.5,0.5,0.5\n"
-        "C2,DSA,1,20,20,0.7,0.7,0.7\n")
+    runs = (RetrainRun("C2", "DSA", 0, 10, 0.5, 0.5, 0.5, 0.0),
+            RetrainRun("C2", "DSA", 1, 20, 0.7, 0.7, 0.7, 0.0))
+    records = [ExperimentRecord("C2", "DSA", runs, 20)]
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.700,20,20,20/20,1.0000\n")
-    records = read_points_csv(points)
     assert consistency_problems(records, 0.4, summary) == []
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .autodiff import backward_grads, forward_eval
-from .model import Dataset, ModelState
+from .model import INFERENCE_BATCH, Dataset, ModelState
 from .rng import Pcg32
 
 
@@ -73,7 +73,7 @@ def _rows_from(star: Dataset, start: int) -> Dataset:
 
 
 def fgsm(model: ModelState, images: np.ndarray, labels, epsilon: float,
-         batch_size: int = 256) -> np.ndarray:
+         batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Adversarial counterpart(s) of `images` under the true `labels`.
 
     Accepts a single (H, W, C) input or a batch; returns the same shape.

@@ -46,9 +46,9 @@ class ExperimentConfig:
     attack_fraction: float = 0.16
     # guidance metrics
     nc_threshold: float = 0.5
-    lsa_layer: str = ""  # empty: last hidden dense layer
+    lsa_layer: str = ""  # resolved by metrics.guidance_layers
     lsa_variance_threshold: float = 1e-5
-    dsa_layers: str = ""  # comma separated; empty: all conv/dense layers
+    dsa_layers: str = ""  # comma separated; resolved by metrics.guidance_layers
     # experiment plan
     metrics: tuple = ("LSA", "DSA", "NC", "RANDOM")
     configs: tuple = ("C1", "C2", "C3")
@@ -97,11 +97,6 @@ class ExperimentConfig:
                        if not getattr(self, name)]
             if missing:
                 raise ConfigError(f"idx dataset needs {', '.join(missing)}")
-
-    @property
-    def dsa_layer_names(self) -> tuple:
-        """dsa.layers split at its commas; empty means every conv/dense layer."""
-        return tuple(p.strip() for p in self.dsa_layers.split(",") if p.strip())
 
 
 def _require(cfg: ExperimentConfig, field_name: str, ok, bound: str) -> None:

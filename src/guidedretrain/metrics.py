@@ -19,6 +19,10 @@ wide matrix at a time. Widening float32 is exact and all arithmetic runs in
 float64, so the scores have the bits of a float64 trace matrix, at half its
 memory.
 
+guidance_layers is the one reading of lsa.layer and dsa.layers: the
+scoring fits LSA and DSA on the layers it names, and stages.py refuses a
+name without neurons and fingerprints scores.npz from the same names.
+
 LSA's kernel distances and DSA's exact rechecks come from this module's
 cdist, an in-order sum of each pair's squared differences, and LSA's
 log-density from _logsumexp. Both use numpy only and return the bits of
@@ -198,6 +202,18 @@ def default_lsa_layer(arch) -> str:
     if not hidden:
         raise ValueError("architecture has no hidden neuron layer")
     return hidden[-1]
+
+
+def guidance_layers(cfg: ExperimentConfig, arch) -> dict:
+    """{config key: layer names} the SA metrics read on `arch`: lsa.layer's,
+    else default_lsa_layer, and dsa.layers' split at its commas, in
+    architecture order, else every neuron layer. A name `arch` lacks goes
+    last, as spelled; prepare_data refuses it when its metric runs."""
+    known = arch.neuron_layers()
+    names = {p.strip() for p in cfg.dsa_layers.split(",")} - {""}
+    dsa = tuple(n for n in known if n in names) + tuple(sorted(names - set(known)))
+    return {"lsa.layer": (cfg.lsa_layer or default_lsa_layer(arch),),
+            "dsa.layers": dsa or known}
 
 
 def fit_lsa(fp: ForwardPass, train_star: Dataset, layer: str | None = None,
@@ -532,14 +548,15 @@ def _trace_metric_values(metric: str, fp: ForwardPass, train_star: Dataset,
                          cfg: ExperimentConfig) -> np.ndarray:
     if metric == "NC":
         return nc_scores(fp, cfg.nc_threshold)
+    layers = guidance_layers(cfg, fp.architecture)
     if metric == "LSA":
-        est = fit_lsa(fp, train_star, layer=cfg.lsa_layer or None,
+        est = fit_lsa(fp, train_star, layer=layers["lsa.layer"][0],
                       variance_threshold=cfg.lsa_variance_threshold)
         return lsa_scores(est, fp)
     if metric == "DSA":
         # Train* scores itself: the index's own block, so no row is copied
         # and the rows that are their own reference skip the search
-        index = fit_dsa(fp, train_star, layers=cfg.dsa_layer_names or None)
+        index = fit_dsa(fp, train_star, layers=layers["dsa.layers"])
         return dsa_from_traces(index, index.traces, fp.labels)
     raise ValueError(f"unknown metric {metric!r}")
 

@@ -49,7 +49,6 @@ class ReportBundle:
     out_dir: Path
     original_accuracy: float
     records: list
-    files: dict
 
 
 # ------------------------------------------------------------- CSV tables
@@ -289,9 +288,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
         write_manifest(out_dir, cfg, files, f"failed: {stage}", stage_seconds, runtime)
         raise
     write_manifest(out_dir, cfg, files, "ok", stage_seconds, runtime)
-    files[MANIFEST] = out_dir / MANIFEST
-    return ReportBundle(out_dir=out_dir, original_accuracy=original_accuracy, records=records,
-                        files=files)
+    return ReportBundle(out_dir=out_dir, original_accuracy=original_accuracy, records=records)
 
 
 # ------------------------------------------------------------- trend report

@@ -15,13 +15,14 @@ points, each read or built when first used. Its links are files in <out>:
 fingerprint. Each is a sha256 over a format tag, the canonical config lines
 its artifact depends on, and the link before it: the sets' covers the bytes
 of M's model file (and of the IDX files), the scores' covers the sets' and
-names the LSA and DSA layers as selected on M's architecture, and the
-points' covers the scores'. A stage loads an artifact whose fingerprint
-matches, without unpickling, and rebuilds one that is missing, unreadable
-or stale: it writes the new file through a temporary one and notes on
-stderr why it rebuilt it. scores.npz keeps the metrics it has; a stage
-scores only those it lacks; points.npz is retrained whole, never by
-`report`. The stages that write CSV files are in reports.py.
+names the LSA and DSA layers that metrics.guidance_layers resolves on M's
+architecture, the layers the scoring reads, and the points' covers the
+scores'. A stage loads an artifact whose fingerprint matches, without
+unpickling, and rebuilds one that is missing, unreadable or stale: it
+writes the new file through a temporary one and notes on stderr why it
+rebuilt it. scores.npz keeps the metrics it has; a stage scores only those
+it lacks; points.npz is retrained whole, never by `report`. The stages
+that write CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .attack import AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import IdxFormatError, generate_synthetic, load_idx_dataset
-from .metrics import default_lsa_layer, score_metrics
+from .metrics import guidance_layers, score_metrics
 from .model import (
     Dataset,
     ModelState,
@@ -104,22 +105,18 @@ def prepare_data(cfg: ExperimentConfig):
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
     for kind, metric in sweep_pairs(cfg):
         sweep_pool_size(kind, metric, len(train_set), adversarial)
-    _check_guidance_layers(cfg, architecture_for(cfg, train_set))
-    return train_set, test_set
-
-
-def _check_guidance_layers(cfg: ExperimentConfig, arch) -> None:
-    lsa_layers = (cfg.lsa_layer,) if cfg.lsa_layer else ()
-    for metric, key, names in (("LSA", "lsa.layer", lsa_layers),
-                               ("DSA", "dsa.layers", cfg.dsa_layer_names)):
+    arch = architecture_for(cfg, train_set)
+    layers = guidance_layers(cfg, arch)
+    for metric, key in (("LSA", "lsa.layer"), ("DSA", "dsa.layers")):
         if metric not in cfg.metrics:
             continue
-        for name in names:
+        for name in layers[key]:
             try:
                 trace_columns(arch, [name])
             except KeyError as e:
                 raise ValueError(f"{key} names {name!r}: {e.args[0]}; the neuron layers are "
                                  f"{', '.join(arch.neuron_layers())}") from None
+    return train_set, test_set
 
 
 def architecture_for(cfg: ExperimentConfig, data: Dataset):
@@ -170,21 +167,12 @@ def fingerprints(cfg: ExperimentConfig, model: ModelState) -> Fingerprints:
             path = getattr(cfg, key.replace(".", "_"))
             digests.append(f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
     sets = _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
+    layers = guidance_layers(cfg, model.architecture)
     scores = _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
-                          [f"sets = {sets}", *_guidance_layers(cfg, model.architecture)])
+                          [f"sets = {sets}", *(f"{key} = {','.join(names)}"
+                                               for key, names in layers.items())])
     points = _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS, [f"scores = {scores}"])
     return Fingerprints(sets, scores, points)
-
-
-def _guidance_layers(cfg: ExperimentConfig, arch) -> list[str]:
-    """The LSA and DSA layers selected on `arch`, in architecture order, so
-    that every spelling of one selection shares a fingerprint. A name `arch`
-    lacks stays as spelled; prepare_data refuses it when its metric runs."""
-    known = arch.neuron_layers()
-    names = cfg.dsa_layer_names or known
-    dsa = [name for name in known if name in names] + sorted(set(names) - set(known))
-    return [f"lsa.layer = {cfg.lsa_layer or default_lsa_layer(arch)}",
-            f"dsa.layers = {','.join(dsa)}"]
 
 
 # ------------------------------------------------------------- artifact files

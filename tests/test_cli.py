@@ -275,6 +275,15 @@ def test_bad_guidance_layer_is_named(tmp_path, monkeypatch, capsys, line, named)
     assert trained == []
 
 
+@pytest.mark.parametrize("line", ["lsa.layer = relu3", "dsa.layers = conv1,dense9"])
+def test_bad_guidance_layer_of_an_absent_metric_runs(tmp_path, line):
+    # the mini config scores neither LSA nor DSA, so their layers are not checked
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, line + "\n")),
+                 "--out", str(out)]) == 0
+    assert "status = ok" in (out / "manifest.txt").read_text()
+
+
 def test_idx_test_label_beyond_the_train_classes_is_named(tmp_path, capsys):
     # the training set has classes 0..2, so the test set is read with 3
     # classes and its first class-3 row is refused before M is trained

@@ -90,11 +90,6 @@ def test_noise_sigma_non_negative():
     assert_accepted("synthetic.noise_sigma", "synthetic_noise_sigma", [("0", 0.0)])
 
 
-def test_dsa_layer_names_split_the_comma_list():
-    assert ExperimentConfig().dsa_layer_names == ()
-    assert parse_config("dsa.layers = conv1, ,dense1 ").dsa_layer_names == ("conv1", "dense1")
-
-
 def test_duplicate_metrics_rejected():
     assert_rejected("metrics", "metrics", [("LSA, nc, lsa", ("LSA", "NC", "LSA"))])
 

@@ -20,6 +20,7 @@ from guidedretrain.metrics import (
     dsa_scores,
     fit_dsa,
     fit_lsa,
+    guidance_layers,
     lsa_from_trace,
     lsa_scores,
     nc_scores,
@@ -278,6 +279,19 @@ def test_fit_lsa_rejects_small_class():
 
 def test_default_lsa_layer_is_last_hidden_dense():
     assert default_lsa_layer(desk_architecture()) == "dense1"
+
+
+def test_guidance_layers_split_the_comma_list():
+    arch = desk_architecture()
+    assert guidance_layers(ExperimentConfig(), arch) == {
+        "lsa.layer": ("dense1",), "dsa.layers": ("conv1", "conv2", "dense1", "dense2")}
+    # blank entries and spaces drop out; the architecture's order wins over the spelling's
+    cfg = parse_config("dsa.layers = dense1, ,conv1 ,dense1")
+    assert guidance_layers(cfg, arch)["dsa.layers"] == ("conv1", "dense1")
+    # names the architecture lacks go last, as spelled
+    cfg = parse_config("dsa.layers = relu3,conv2,dense9\nlsa.layer = relu3")
+    assert guidance_layers(cfg, arch) == {
+        "lsa.layer": ("relu3",), "dsa.layers": ("conv2", "dense9", "relu3")}
 
 
 # ---------------------------------------------------------------- DSA

@@ -1,7 +1,9 @@
 import pytest
 
+from guidedretrain import metrics, stages
 from guidedretrain.config import ExperimentConfig, with_overrides
 from guidedretrain.data import generate_synthetic, save_idx_dataset
+from guidedretrain.metrics import score_metrics
 from guidedretrain.model import build_model, desk_architecture
 from guidedretrain.stages import Fingerprints, fingerprints
 
@@ -110,12 +112,16 @@ def test_model_weights_and_sets_feed_the_fingerprints():
     assert other.points != base.points
 
 
-@pytest.mark.parametrize("field, spellings, other", [
+# (field, spellings of one layer selection, another selection)
+LAYER_SPELLINGS = [
     ("dsa_layers", ["conv1,dense1", "dense1,conv1", "conv1, dense1", " dense1 ,conv1,conv1"],
      "conv1"),
     ("dsa_layers", ["", "conv1,conv2,dense1,dense2", "dense2,dense1,conv2,conv1"], "conv1"),
     ("lsa_layer", ["", "dense1"], "dense2"),
-])
+]
+
+
+@pytest.mark.parametrize("field, spellings, other", LAYER_SPELLINGS)
 def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field, spellings,
                                                                            other):
     def scores_fp(value):
@@ -124,6 +130,40 @@ def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field
     assert ARCH.neuron_layers() == ("conv1", "conv2", "dense1", "dense2")
     assert len({scores_fp(spelling) for spelling in spellings}) == 1
     assert scores_fp(other) != scores_fp(spellings[0])
+
+
+@pytest.mark.parametrize("field, spellings, other", LAYER_SPELLINGS)
+def test_scoring_fits_the_layers_the_scores_fingerprint_names(monkeypatch, field, spellings,
+                                                              other):
+    # a scores.npz is trusted only while its fingerprint names the layers
+    # that the scoring reads
+    train_star = generate_synthetic(4, 3, 8, 1.0, seed=5)
+    fitted, named = [], []
+    real_lsa, real_dsa, real_fingerprint = metrics.fit_lsa, metrics.fit_dsa, stages._fingerprint
+
+    def fit_lsa(fp, data, layer=None, **kwargs):
+        fitted.append(f"lsa.layer = {layer}")
+        return real_lsa(fp, data, layer, **kwargs)
+
+    def fit_dsa(fp, data, layers=None):
+        fitted.append(f"dsa.layers = {','.join(layers)}")
+        return real_dsa(fp, data, layers)
+
+    def fingerprint(tag, cfg, keys, digests):
+        if tag.startswith("guidedretrain scores"):
+            named.extend(d for d in digests if d.startswith(("lsa.layer = ", "dsa.layers = ")))
+        return real_fingerprint(tag, cfg, keys, digests)
+
+    monkeypatch.setattr(metrics, "fit_lsa", fit_lsa)
+    monkeypatch.setattr(metrics, "fit_dsa", fit_dsa)
+    monkeypatch.setattr(stages, "_fingerprint", fingerprint)
+    for value in [*spellings, other]:
+        fitted.clear()
+        named.clear()
+        cfg = with_overrides(BASE, **{field: value})
+        fingerprints(cfg, MODEL)
+        score_metrics(["LSA", "DSA"], MODEL, train_star, cfg)
+        assert len(named) == 2 and fitted == named, value
 
 
 def test_scores_fingerprint_keeps_a_layer_name_the_architecture_lacks():

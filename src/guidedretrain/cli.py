@@ -20,13 +20,13 @@ instead of recomputing it: M from model.grcnn, the augmented sets from
 sets.npz, the metric scores from scores.npz and the sweep points from
 points.npz. The .npz artifacts carry a fingerprint of M's bytes and the
 config keys they depend on; the spine rebuilds one that is missing,
-unreadable or stale and says so on stderr. `report` never retrains: it
-refuses, with exit status 1, a points.npz that is missing, unreadable or
-stale, naming the file and the reason. GR_THREADS alone sets the number of
-processes that retrain the sweep points (default: every usable core; 1
-runs them in-process). That pool is the only parallelism: each command
-runs its numerics on one OpenBLAS thread and restores the caller's count
-on return.
+unreadable or stale, adds the metrics or pairs a fresh one lacks, and says
+so on stderr. `report` never retrains: it refuses, with exit status 1, a
+points.npz that is missing, unreadable, stale or short of a pair, naming the
+file and the reason. GR_THREADS alone sets the number of processes that
+retrain the sweep points (default: every usable core; 1 runs them
+in-process). That pool is the only parallelism: each command runs its
+numerics on one OpenBLAS thread and restores the caller's count on return.
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def score_stage(spine: Spine) -> tuple[dict, dict]:
     metrics (see Spine.scores), written to scores_<metric>.csv and
     timing.csv; the scores_<metric>.csv of every other metric is removed."""
     out = spine.out
-    scored = spine.scores(spine.cfg.metrics)
+    scored = spine.scores
     files = {SCORES_FILE: out / SCORES_FILE}
     for metric in METRICS:
         path = out / f"scores_{metric.lower()}.csv"
@@ -216,10 +216,10 @@ def retrain_stage(spine: Spine) -> tuple[RetrainBatch, dict]:
 
 def report_stage(spine: Spine) -> tuple[list, dict]:
     """(records, {file name: path}): summary, comparison and plot CSVs from
-    the spine's points (in `run`, the pool's), then the summary checked
-    against the records read back from points.npz, raising on any mismatch;
-    the plot CSV of every other configuration is removed. A points.npz that
-    is not fresh is refused before the sets are read: report never retrains."""
+    the spine's points (the pool's, for pairs `run` retrained), the summary
+    checked against the records read back from points.npz, raising on any
+    mismatch; the plot CSV of every other configuration is removed. A
+    points.npz that is not fresh or lacks a pair is refused before the sets are read."""
     out = spine.out
     stored, why = spine.stored_points()
     if stored is None:

@@ -8,8 +8,8 @@ points, each read or built when first used. Its links are files in <out>:
   sets.npz     Train*/Test* float32 images and labels, plus the attack's
                source row of each Adv-Train row
   scores.npz   each metric's raw float64 scores over Train* and its seconds
-  points.npz   each sweep point's input size, three accuracies and wall
-               seconds, and each sweep's pool total
+  points.npz   per sweep pair, each point's input size, three accuracies and
+               wall seconds, and the sweep's pool total
 
 `fingerprints` computes the chain, and only this module computes a
 fingerprint. Each is a sha256 over a format tag, the canonical config lines
@@ -20,9 +20,9 @@ architecture, the layers the scoring reads, and the points' covers the
 scores'. A stage loads an artifact whose fingerprint matches, without
 unpickling, and rebuilds one that is missing, unreadable or stale: it
 writes the new file through a temporary one and notes on stderr why it
-rebuilt it. scores.npz keeps the metrics it has; a stage scores only those
-it lacks; points.npz is retrained whole, never by `report`. The stages
-that write CSV files are in reports.py.
+rebuilt it. scores.npz holds an entry per metric, points.npz one per sweep
+pair; a stage adds those a fresh file lacks, but `report` never retrains.
+The stages that write CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import hashlib
 import os
 import sys
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -73,7 +73,7 @@ POINTS_FILE = "points.npz"
 _SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
               "seed.attack")
 _SCORES_KEYS = ("nc.threshold", "lsa.variance_threshold", "seed.random_metric")
-_POINTS_KEYS = ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle")
+_POINTS_KEYS = ("retrain.", "seed.init", "seed.shuffle")
 _IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
 
 
@@ -83,9 +83,10 @@ def sweep_pairs(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def prepare_data(cfg: ExperimentConfig):
-    """(train, test) datasets; a config whose sweep pools would be too small,
-    or whose SA metrics name a layer without neurons, is refused here,
-    before M is trained."""
+    """(train, test) datasets; a config whose IDX test images differ in shape
+    from its training images, whose sweep pools would be too small, or whose
+    SA metrics name a layer without neurons, is refused here, before M is
+    trained."""
     if cfg.dataset == "synthetic":
         train_set = generate_synthetic(cfg.synthetic_classes, cfg.synthetic_per_class_train,
                                        cfg.synthetic_image_size, cfg.synthetic_noise_sigma,
@@ -102,6 +103,10 @@ def prepare_data(cfg: ExperimentConfig):
             raise
         except ValueError as err:  # a test label beyond the training set's classes
             raise ValueError(f"idx.test_labels ({cfg.idx_test_labels}): {err}") from None
+        if test_set.images.shape[1:] != train_set.images.shape[1:]:
+            raise ValueError(f"idx.test_images ({cfg.idx_test_images}): images are "
+                             f"{test_set.images.shape[1:]}, the training images "
+                             f"{train_set.images.shape[1:]}")
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
     for kind, metric in sweep_pairs(cfg):
         sweep_pool_size(kind, metric, len(train_set), adversarial)
@@ -171,7 +176,7 @@ def fingerprints(cfg: ExperimentConfig, model: ModelState) -> Fingerprints:
     scores = _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
                           [f"sets = {sets}", *(f"{key} = {','.join(names)}"
                                                for key, names in layers.items())])
-    points = _fingerprint("guidedretrain points v1", cfg, _POINTS_KEYS, [f"scores = {scores}"])
+    points = _fingerprint("guidedretrain points v2", cfg, _POINTS_KEYS, [f"scores = {scores}"])
     return Fingerprints(sets, scores, points)
 
 
@@ -212,41 +217,50 @@ def _sets_from_arrays(arrays) -> AugmentedSets:
     )
 
 
-def _checked(arrays, name: str, dtype, shape: tuple) -> np.ndarray:
-    """arrays[name], refused unless it has `dtype` and `shape`."""
-    values = arrays[name]
-    if values.dtype != dtype or values.shape != shape:
-        raise ValueError(f"{name} is {values.dtype} {values.shape}, "
-                         f"expected {np.dtype(dtype)} {shape}")
-    return values
+def _entries(path: Path, fingerprint: str, fields: dict, entries, build=None) -> tuple:
+    """({entry: (array per field)}, why the file was rebuilt) of an .npz of
+    arrays named <field>_<entry>, each of the (dtype, shape) `fields` gives
+    its field, or the file is unreadable. build(lacked) gives {entry: (value
+    per field)} of the entries a fresh file lacks, saved beside what it held;
+    without `build`, (None, why) unless it lacks none."""
+    def read(arrays) -> dict:
+        held = {name: arrays[name] for name in arrays.files if name != "fingerprint"}
+        for entry in entries:
+            for field, (dtype, shape) in fields.items():
+                values = held.get(f"{field}_{entry}")
+                if values is not None and (values.dtype, values.shape) != (dtype, shape):
+                    raise ValueError(f"{field}_{entry} is {values.dtype} {values.shape}, "
+                                     f"expected {np.dtype(dtype)} {shape}")
+        return held
+
+    held, why = _load(path, fingerprint, read)
+    held = held or {}
+    lacked = [entry for entry in entries if any(f"{field}_{entry}" not in held for field in fields)]
+    if lacked:
+        why = why or f"lacked {', '.join(lacked)}"
+        if build is None:
+            return None, why
+        for entry, values in build(lacked).items():
+            held.update({f"{field}_{entry}": np.asarray(value, dtype)
+                         for (field, (dtype, _)), value in zip(fields.items(), values)})
+        _save(path, fingerprint, held, why)
+    return {entry: tuple(held[f"{field}_{entry}"] for field in fields) for entry in entries}, why
 
 
-def _scores_from_arrays(arrays, rows: int) -> dict:
-    scored = {}
-    for name in arrays.files:
-        if not name.startswith("scores_"):
-            continue
-        metric = name[len("scores_"):]
-        scored[metric] = (_checked(arrays, name, np.float64, (rows,)),
-                          float(arrays[f"seconds_{metric}"]))
-    return scored
+# points.npz: per sweep pair <configuration>_<metric>, an array of its points
+# per stored RetrainRun field, then its pool_total
+_RUN_FIELDS = ("input_size", "accuracy_test_star", "accuracy_test", "accuracy_adv_test",
+               "wall_seconds")
+_POINT_FIELDS = {**{name: (np.float64, (SWEEP_POINTS,)) for name in _RUN_FIELDS},
+                 "input_size": (np.int64, (SWEEP_POINTS,)), "pool_total": (np.int64, ())}
 
 
-# points.npz: a (pairs, points) array per stored RetrainRun field, and pool_total
-_POINT_FIELDS = (("input_size", np.int64), ("accuracy_test_star", np.float64),
-                 ("accuracy_test", np.float64), ("accuracy_adv_test", np.float64),
-                 ("wall_seconds", np.float64))
-
-
-def _points_from_arrays(arrays, pairs) -> tuple:
-    shape = (len(pairs), SWEEP_POINTS)
-    columns = {name: _checked(arrays, name, dtype, shape).tolist() for name, dtype in _POINT_FIELDS}
-    totals = _checked(arrays, "pool_total", np.int64, shape[:1]).tolist()
-    return tuple(
-        ExperimentRecord(kind, metric, tuple(
-            RetrainRun(kind, metric, i, **{name: column[p][i] for name, column in columns.items()})
-            for i in range(SWEEP_POINTS)), totals[p])
-        for p, (kind, metric) in enumerate(pairs))
+def _record(entry: str, values) -> ExperimentRecord:
+    kind, metric = entry.split("_")
+    *columns, total = (array.tolist() for array in values)
+    return ExperimentRecord(kind, metric, tuple(
+        RetrainRun(kind, metric, i, **dict(zip(_RUN_FIELDS, point)))
+        for i, point in enumerate(zip(*columns))), total)
 
 
 # ------------------------------------------------------------- the spine
@@ -255,10 +269,10 @@ def _points_from_arrays(arrays, pairs) -> tuple:
 @dataclass
 class Spine:
     """One run's chain in <out>: the config, M, M's fingerprints, the
-    augmented sets and the points, each read or built the first time it is
-    used. The data are prepared at most once; M is loaded from model.grcnn,
-    or trained when that is absent; the sets and the points are loaded from
-    sets.npz and points.npz when fresh, else built and saved."""
+    augmented sets, the scores and the points, each read or built the first
+    time it is used. The data are prepared at most once; M is loaded from
+    model.grcnn, or trained when that is absent; the other links are read
+    from their .npz files when fresh, and what they lack is built and saved."""
 
     cfg: ExperimentConfig
 
@@ -311,46 +325,47 @@ class Spine:
         """M's accuracy on Test*."""
         return accuracy(self.model, self.sets.test_star)
 
-    def scores(self, metrics) -> dict:
-        """{metric: (values, seconds)} over Train*: read from <out>/scores.npz
-        when fresh; metrics it lacks are scored and added to it."""
-        path = self.out / SCORES_FILE
-        rows = len(self.sets.train_star)
-        stored, why = _load(path, self.fingerprints.scores,
-                            lambda arrays: _scores_from_arrays(arrays, rows))
-        stored = stored or {}
-        missing = [m for m in metrics if m not in stored]
-        if missing:
-            stored.update(score_metrics(missing, self.model, self.sets.train_star, self.cfg))
-            arrays = {}
-            for metric, (values, seconds) in stored.items():
-                arrays[f"scores_{metric}"] = values
-                arrays[f"seconds_{metric}"] = np.array(seconds, dtype=np.float64)
-            _save(path, self.fingerprints.scores, arrays, why or f"lacked {', '.join(missing)}")
-        return {m: stored[m] for m in metrics}
+    @cached_property
+    def scores(self) -> dict:
+        """{metric: (values, seconds)} of the configured metrics over Train*,
+        read from a fresh <out>/scores.npz, which gains the metrics it lacks."""
+        train_star = self.sets.train_star
+        fields = {"scores": (np.float64, (len(train_star),)), "seconds": (np.float64, ())}
+        held, _ = _entries(self.out / SCORES_FILE, self.fingerprints.scores, fields, self.cfg.metrics,
+                           lambda lacked: score_metrics(lacked, self.model, train_star, self.cfg))
+        return {metric: (values, float(seconds)) for metric, (values, seconds) in held.items()}
 
     @cached_property
     def points(self) -> RetrainBatch:
-        """The sweep of every configured (configuration, metric) pair, in
-        sweep_pairs order: loaded from <out>/points.npz when fresh, with 0
-        workers, since no point ran; else every point retrained and saved."""
-        records, why = self.stored_points()
-        if records is not None:
-            return RetrainBatch(records, workers=0, worker_cpu_seconds=0.0)
-        batch = run_experiments(self.model, self.sets, sweep_pairs(self.cfg), retrain_hp(self.cfg),
-                                self.scores(self.cfg.metrics),
-                                fresh_init_seed=self.cfg.seed_init + 1)  # C1 differs from M's init
-        arrays = {name: np.array([[getattr(r, name) for r in rec.runs] for rec in batch.records],
-                                 dtype) for name, dtype in _POINT_FIELDS}
-        arrays["pool_total"] = np.array([rec.pool_total for rec in batch.records], np.int64)
-        _save(self.out / POINTS_FILE, self.fingerprints.points, arrays, why)
-        return batch
+        """The sweep of every configured (configuration, metric) pair in
+        sweep_pairs order, read from a fresh <out>/points.npz, which gains the
+        pairs it lacks: those the pool retrains, its records and its workers."""
+        pool = RetrainBatch((), workers=0, worker_cpu_seconds=0.0)
+
+        def retrain(lacked):
+            nonlocal pool
+            pool = run_experiments(self.model, self.sets, [entry.split("_") for entry in lacked],
+                                   retrain_hp(self.cfg), self.scores,
+                                   fresh_init_seed=self.cfg.seed_init + 1)  # C1 differs from M's init
+            return {f"{rec.kind}_{rec.metric}": [*([getattr(r, name) for r in rec.runs]
+                                                   for name in _RUN_FIELDS), rec.pool_total]
+                    for rec in pool.records}
+
+        held, _ = _entries(self.out / POINTS_FILE, self.fingerprints.points, _POINT_FIELDS,
+                           self._pair_entries, retrain)
+        retrained = {f"{rec.kind}_{rec.metric}": rec for rec in pool.records}
+        return replace(pool, records=tuple(retrained.get(entry) or _record(entry, values)
+                                           for entry, values in held.items()))
+
+    @property
+    def _pair_entries(self) -> list[str]:
+        return [f"{kind}_{metric}" for kind, metric in sweep_pairs(self.cfg)]
 
     def stored_points(self) -> tuple:
-        """(records, None) read back from a fresh <out>/points.npz, else (None,
-        why). A missing file is found before M is loaded or trained."""
+        """(records, None) read back from a fresh <out>/points.npz holding every
+        pair, else (None, why). A missing file is found before M is loaded."""
         path = self.out / POINTS_FILE
         if not path.exists():
             return None, "missing"
-        return _load(path, self.fingerprints.points,
-                     lambda arrays: _points_from_arrays(arrays, sweep_pairs(self.cfg)))
+        held, why = _entries(path, self.fingerprints.points, _POINT_FIELDS, self._pair_entries)
+        return held and tuple(_record(entry, values) for entry, values in held.items()), why

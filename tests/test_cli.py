@@ -307,6 +307,25 @@ def test_idx_test_label_beyond_the_train_classes_is_named(tmp_path, capsys):
     assert not (out / "model.grcnn").exists()
 
 
+def test_idx_test_images_of_another_shape_are_named(tmp_path, capsys):
+    # refused before M is trained, not when the attack meets M's input layer
+    paths = {}
+    for part, size in (("train", 16), ("test", 8)):
+        paths[part] = (tmp_path / f"{part}-images", tmp_path / f"{part}-labels")
+        save_idx_dataset(generate_synthetic(4, 10, size, 0.1, seed=5), *paths[part])
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(MINI_CONFIG + "dataset = idx\n" + "".join(
+        f"idx.{part}_{kind} = {path}\n"
+        for part, (images, labels) in paths.items()
+        for kind, path in (("images", images), ("labels", labels))))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert (f"idx.test_images ({paths['test'][0]}): images are (8, 8, 1), "
+            "the training images (16, 16, 1)") in capsys.readouterr().err
+    assert "status = failed: data" in (out / "manifest.txt").read_text()
+    assert not (out / "model.grcnn").exists()
+
+
 def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
     cfg = tmp_path / "all.cfg"
     cfg.write_text(ALL_CONFIG)
@@ -614,10 +633,13 @@ def test_report_refuses_points_npz_missing_a_pair(tmp_path, capsys):
     with np.load(out / "points.npz", allow_pickle=False) as stored:
         arrays = dict(stored)
     # the right fingerprint over the arrays of the first three pairs
-    np.savez(out / "points.npz", **{name: values if name == "fingerprint" else values[:-1]
-                                    for name, values in arrays.items()})
-    assert (f"{out / 'points.npz'} (unreadable: ValueError: input_size is int64 (3, 20), "
-            "expected int64 (4, 20))") in refused_report(cfg, out, capsys)
+    np.savez(out / "points.npz", **{name: values for name, values in arrays.items()
+                                    if not name.endswith("_C3_NC")})
+    assert f"{out / 'points.npz'} (lacked C3_NC)" in refused_report(cfg, out, capsys)
+    # a held pair whose arrays do not have their shape makes the file unreadable
+    np.savez(out / "points.npz", **{**arrays, "input_size_C2_NC": arrays["input_size_C2_NC"][:-1]})
+    assert (f"{out / 'points.npz'} (unreadable: ValueError: input_size_C2_NC is int64 (19,), "
+            "expected int64 (20,))") in refused_report(cfg, out, capsys)
 
 
 def test_report_into_an_empty_out_loads_and_trains_nothing(tmp_path, monkeypatch, capsys):
@@ -685,6 +707,82 @@ def test_second_retrain_or_run_loads_the_points(tmp_path, monkeypatch, capsys, s
         assert runtime["retrain_workers"] == "0"
         assert runtime["retrain_worker_cpu_seconds"] == "0.000"
         assert "points.npz" in manifest_files(out)
+
+
+def csv_bytes(out) -> dict:
+    """{name: bytes} of every CSV in out but the timing one."""
+    return {path.name: path.read_bytes() for path in out.glob("*.csv") if path.name != "timing.csv"}
+
+
+def test_a_wider_metric_list_retrains_only_the_new_pairs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GR_THREADS", "1")
+    out = tmp_path / "out"
+    stage("run", write_config(tmp_path), out)
+    wider = tmp_path / "wider.cfg"
+    wider.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = RANDOM,NC,LSA"))
+    calls = count_points(monkeypatch)
+    capsys.readouterr()
+    stage("run", wider, out)
+    assert sorted(calls) == sorted((kind, "LSA", i) for kind in ("C2", "C3") for i in range(20))
+    assert f"rebuilt {out / 'points.npz'} (lacked C2_LSA, C3_LSA)" in capsys.readouterr().err
+    fresh = tmp_path / "fresh"
+    stage("run", wider, fresh)
+    assert csv_bytes(out) == csv_bytes(fresh)
+    calls.clear()
+    capsys.readouterr()
+    stage("run", wider, out)
+    assert calls == []
+    assert "rebuilt" not in capsys.readouterr().err
+    assert csv_bytes(out) == csv_bytes(fresh)
+
+
+def test_narrowing_the_configurations_and_widening_back_retrains_nothing(tmp_path, monkeypatch,
+                                                                          capsys):
+    monkeypatch.setenv("GR_THREADS", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("run", cfg, out)
+    written = csv_bytes(out)
+    narrower = tmp_path / "narrower.cfg"
+    narrower.write_text(MINI_CONFIG.replace("configs = C2,C3", "configs = C2"))
+    calls = count_points(monkeypatch)
+    capsys.readouterr()
+    stage("run", narrower, out)
+    assert "plot_c3.csv" not in csv_bytes(out)
+    stage("run", cfg, out)
+    assert calls == []
+    assert f"rebuilt {out / 'points.npz'}" not in capsys.readouterr().err
+    assert csv_bytes(out) == written
+
+
+def test_points_npz_of_the_whole_sweep_layout_is_rebuilt_as_stale(tmp_path, monkeypatch, capsys):
+    # the earlier layout: one (pairs, points) array per field under a
+    # fingerprint that named the metrics and configurations
+    from guidedretrain import stages
+
+    monkeypatch.setenv("GR_THREADS", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("run", cfg, out)
+    written = csv_bytes(out)
+    run_cfg = with_overrides(parse_config(MINI_CONFIG), out=str(out))
+    fingerprint = stages._fingerprint(
+        "guidedretrain points v1", run_cfg,
+        ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle"),
+        [f"scores = {Spine(run_cfg).fingerprints.scores}"])
+    pairs = [f"{kind}_{metric}" for kind in ("C2", "C3") for metric in ("RANDOM", "NC")]
+    with np.load(out / "points.npz", allow_pickle=False) as stored:
+        whole = {field: np.stack([stored[f"{field}_{pair}"] for pair in pairs])
+                 for field in ("input_size", "accuracy_test_star", "accuracy_test",
+                               "accuracy_adv_test", "wall_seconds", "pool_total")}
+    np.savez(out / "points.npz", fingerprint=np.array(fingerprint), **whole)
+    (out / "summary.csv").unlink()
+    assert f"{out / 'points.npz'} (stale fingerprint)" in refused_report(cfg, out, capsys)
+    calls = count_points(monkeypatch)
+    stage("run", cfg, out)
+    assert len(calls) == 4 * 20
+    assert f"rebuilt {out / 'points.npz'} (stale fingerprint)" in capsys.readouterr().err
+    assert csv_bytes(out) == written
 
 
 def manifest_files(out) -> list[str]:

@@ -24,8 +24,7 @@ SCORES_FIELDS = [
 ]
 POINTS_FIELDS = [
     ("retrain_epochs", 1), ("retrain_batch_size", 8), ("retrain_lr", 0.1),
-    ("retrain_momentum", 0.5), ("metrics", ("NC",)), ("configs", ("C3",)), ("seed_init", 12),
-    ("seed_shuffle", 23),
+    ("retrain_momentum", 0.5), ("seed_init", 12), ("seed_shuffle", 23),
 ]
 NEITHER_FIELDS = [
     ("train_epochs", 1), ("train_lr", 0.1), ("retrain_epochs", 1), ("retrain_batch_size", 8),
@@ -56,7 +55,7 @@ def test_fingerprints_keep_their_values():
     assert fingerprints(BASE, MODEL) == Fingerprints(
         sets="05ab23c913f8bed88aa764a6d0d5a415596673583fe527a05ce447d66a7f799f",
         scores="60ccbedecb73a5f69ac39677a88c6efe709ae2185db550639d738ba794f39945",
-        points="df4198bda1ee3d13acfc08f2b49110a1d53f3e08cecc9612268c715134a47bec",
+        points="d95f592e730800a2d549bc0d3d3809696c7a13b75d785be7a317e7f6646a746a",
     )
 
 
@@ -90,7 +89,8 @@ def test_points_follow_their_own_keys_and_scores_do_not(field, value):
     assert moved.points != base.points
 
 
-UNCHAINED_FIELDS = [("train_epochs", 1), ("out", "x")]
+# points.npz holds each sweep pair apart, so the pair lists leave its fingerprint
+UNCHAINED_FIELDS = [("train_epochs", 1), ("out", "x"), ("metrics", ("NC",)), ("configs", ("C3",))]
 
 
 @pytest.mark.parametrize("field, value",

@@ -18,12 +18,12 @@ implementation that `run` shares (stages.py, reports.py). Every command
 holds one stages.Spine, which reads what an earlier command left in <out>
 instead of recomputing it: M from model.grcnn, the augmented sets from
 sets.npz, the metric scores from scores.npz and the sweep points from
-points.npz. The .npz artifacts carry a fingerprint of M's bytes and the
-config keys they depend on; the spine rebuilds one that is missing,
-unreadable or stale, adds the metrics or pairs a fresh one lacks, and says
-so on stderr. `report` never retrains: it refuses, with exit status 1, a
-points.npz that is missing, unreadable, stale or short of a pair, naming the
-file and the reason. GR_THREADS alone sets the number of processes that
+points.npz. Each entry of an .npz (the sets, a metric, a sweep pair) keeps
+the fingerprint lines of M and the config keys it depends on; the spine
+rebuilds the entries that are missing or whose lines differ, and names on
+stderr the first line that changed. `report` never retrains: it refuses,
+with exit status 1, a points.npz that is unreadable or lacks a configured
+pair fresh, naming the file and the reason. GR_THREADS alone sets the number of processes that
 retrain the sweep points (default: every usable core; 1 runs them
 in-process). That pool is the only parallelism: each command runs its
 numerics on one OpenBLAS thread and restores the caller's count on return.

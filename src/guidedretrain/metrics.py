@@ -21,7 +21,7 @@ memory.
 
 guidance_layers is the one reading of lsa.layer and dsa.layers: the
 scoring fits LSA and DSA on the layers it names, and stages.py refuses a
-name without neurons and fingerprints scores.npz from the same names.
+name without neurons and writes the same names into their fingerprints.
 
 LSA's kernel distances and DSA's exact rechecks come from this module's
 cdist, an in-order sum of each pair's squared differences, and LSA's

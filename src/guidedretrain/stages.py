@@ -1,28 +1,24 @@
 """The stage spine: data, M, the augmented sets, the scores and the points of a run.
 
 `run`, each stage command and each seed of the trend report hold one
-`Spine`: the config, M, M's fingerprint chain, the augmented sets and the
-points, each read or built when first used. Its links are files in <out>:
+`Spine`: the config, M, the fingerprints, the augmented sets and the points,
+each read or built when first used. Its links are files in <out>:
 
   model.grcnn  the original model M
   sets.npz     Train*/Test* float32 images and labels, plus the attack's
                source row of each Adv-Train row
-  scores.npz   each metric's raw float64 scores over Train* and its seconds
+  scores.npz   per metric, its raw float64 scores over Train* and its seconds
   points.npz   per sweep pair, each point's input size, three accuracies and
                wall seconds, and the sweep's pool total
 
-`fingerprints` computes the chain, and only this module computes a
-fingerprint. Each is a sha256 over a format tag, the canonical config lines
-its artifact depends on, and the link before it: the sets' covers the bytes
-of M's model file (and of the IDX files), the scores' covers the sets' and
-names the LSA and DSA layers that metrics.guidance_layers resolves on M's
-architecture, the layers the scoring reads, and the points' covers the
-scores'. A stage loads an artifact whose fingerprint matches, without
-unpickling, and rebuilds one that is missing, unreadable or stale: it
-writes the new file through a temporary one and notes on stderr why it
-rebuilt it. scores.npz holds an entry per metric, points.npz one per sweep
-pair; a stage adds those a fresh file lacks, but `report` never retrains.
-The stages that write CSV files are in reports.py.
+`fingerprints` gives each entry (the sets, each metric of scores.npz, each
+<configuration>_<metric> pair of points.npz) its fingerprint from the link
+table `_LINKS`: text lines, stored beside the entry's arrays, that hold the
+lines of the entry it covers, its link's tag and its link's config lines.
+The sets cover M's model file and the IDX files by sha256. A stage loads,
+without unpickling, each entry whose lines are equal, rebuilds the others
+through a temporary file and names on stderr the first changed line.
+`report` never retrains. The stages that write CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -33,15 +29,15 @@ import sys
 import zipfile
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .attack import AugmentedSets, attack_count, build_augmented_sets
 from .config import ExperimentConfig, config_echo
 from .data import IdxFormatError, generate_synthetic, load_idx_dataset
-from .metrics import guidance_layers, score_metrics
+from .metrics import METRICS, guidance_layers, score_metrics
 from .model import (
     Dataset,
     ModelState,
@@ -56,6 +52,7 @@ from .model import (
     train,
 )
 from .retrain import (
+    CONFIG_KINDS,
     SWEEP_POINTS,
     ExperimentRecord,
     RetrainBatch,
@@ -69,17 +66,9 @@ SETS_FILE = "sets.npz"
 SCORES_FILE = "scores.npz"
 POINTS_FILE = "points.npz"
 
-# config keys each artifact depends on; a key ending in "." names its section
-_SETS_KEYS = ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction",
-              "seed.attack")
-_SCORES_KEYS = ("nc.threshold", "lsa.variance_threshold", "seed.random_metric")
-_POINTS_KEYS = ("retrain.", "seed.init", "seed.shuffle")
-_IDX_KEYS = ("idx.train_images", "idx.train_labels", "idx.test_images", "idx.test_labels")
-
-
-def sweep_pairs(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    """The (configuration, metric) pairs of a run's sweeps, in record order."""
-    return [(kind, metric) for kind in cfg.configs for metric in cfg.metrics]
+def pair_entries(cfg: ExperimentConfig) -> list[str]:
+    """The <configuration>_<metric> pairs of a run's sweeps, in record order."""
+    return [f"{kind}_{metric}" for kind in cfg.configs for metric in cfg.metrics]
 
 
 def prepare_data(cfg: ExperimentConfig):
@@ -108,8 +97,8 @@ def prepare_data(cfg: ExperimentConfig):
                              f"{test_set.images.shape[1:]}, the training images "
                              f"{train_set.images.shape[1:]}")
     adversarial = attack_count(len(train_set), cfg.attack_fraction)
-    for kind, metric in sweep_pairs(cfg):
-        sweep_pool_size(kind, metric, len(train_set), adversarial)
+    for entry in pair_entries(cfg):
+        sweep_pool_size(*entry.split("_"), len(train_set), adversarial)
     arch = architecture_for(cfg, train_set)
     layers = guidance_layers(cfg, arch)
     for metric, key in (("LSA", "lsa.layer"), ("DSA", "dsa.layers")):
@@ -144,64 +133,71 @@ def retrain_hp(cfg: ExperimentConfig) -> TrainParams:
 
 # ------------------------------------------------------------- fingerprints
 
-
-def _fingerprint(tag: str, cfg: ExperimentConfig, keys, digests) -> str:
-    """sha256 over the tag, the given digest lines and the config_echo lines of `keys`."""
-    lines = [tag, *digests]
-    for line in config_echo(cfg):
-        key = line.split(" = ", 1)[0]
-        if any(key.startswith(k) if k.endswith(".") else key == k for k in keys):
-            lines.append(line)
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-class Fingerprints(NamedTuple):
-    """The fingerprint chain of a run's derived artifacts."""
-
-    sets: str
-    scores: str
-    points: str
+# each link's tag, then the config keys it reads ("." ends a section), the SA
+# layers as metrics.guidance_layers resolves them, the layers the scoring
+# reads; a metric covers the sets, and a <configuration>_<metric> pair its metric
+_LINKS = {
+    "sets": ("guidedretrain sets v3", "dataset", "synthetic.", "idx.", "attack.epsilon",
+             "attack.fraction", "seed.attack"),
+    "NC": ("guidedretrain NC v3", "nc.threshold"),
+    "LSA": ("guidedretrain LSA v3", "lsa.layer", "lsa.variance_threshold"),
+    "DSA": ("guidedretrain DSA v3", "dsa.layers"),
+    "RANDOM": ("guidedretrain RANDOM v3", "seed.random_metric"),
+    "pair": ("guidedretrain pair v3", "retrain.", "seed.init", "seed.shuffle"),
+}
 
 
-def fingerprints(cfg: ExperimentConfig, model: ModelState) -> Fingerprints:
-    """The fingerprints of the sets, scores and points that `cfg` and M
-    determine; each covers the one before it."""
+def fingerprints(cfg: ExperimentConfig, model: ModelState) -> dict[str, tuple[str, ...]]:
+    """{entry: fingerprint lines} of the sets, each metric and each
+    <configuration>_<metric> pair that `cfg` and M determine."""
+    resolved = {key: f"{key} = {','.join(names)}"
+                for key, names in guidance_layers(cfg, model.architecture).items()}
+    echo = [resolved.get(line.split(" = ", 1)[0], line) for line in config_echo(cfg)]
+
+    def link(name: str, covered) -> tuple[str, ...]:
+        tag, *keys = _LINKS[name]
+        keys = tuple(k if k.endswith(".") else f"{k} = " for k in keys)
+        return (*covered, tag, *(line for line in echo if line.startswith(keys)))
+
     digests = [f"model sha256 = {hashlib.sha256(model_bytes(model)).hexdigest()}"]
     if cfg.dataset == "idx":
-        for key in _IDX_KEYS:
-            path = getattr(cfg, key.replace(".", "_"))
-            digests.append(f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
-    sets = _fingerprint("guidedretrain sets v2", cfg, _SETS_KEYS, digests)
-    layers = guidance_layers(cfg, model.architecture)
-    scores = _fingerprint("guidedretrain scores v2", cfg, _SCORES_KEYS,
-                          [f"sets = {sets}", *(f"{key} = {','.join(names)}"
-                                               for key, names in layers.items())])
-    points = _fingerprint("guidedretrain points v2", cfg, _POINTS_KEYS, [f"scores = {scores}"])
-    return Fingerprints(sets, scores, points)
+        digests += [f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}"
+                    for key, path in (line.split(" = ", 1) for line in echo if line.startswith("idx."))]
+    lines = {"sets": link("sets", digests)}
+    for metric in METRICS:
+        lines[metric] = link(metric, lines["sets"])
+        lines.update({f"{kind}_{metric}": link("pair", lines[metric]) for kind in CONFIG_KINDS})
+    return lines
+
+
+def _change(stored: np.ndarray, lines) -> str:
+    """'' when the stored lines are `lines`, else the first change, "old -> new"."""
+    return next((f"{old} -> {new}" for old, new in zip_longest(
+        np.ravel(stored).tolist(), lines, fillvalue="(none)") if old != new), "")
 
 
 # ------------------------------------------------------------- artifact files
 
 
-def _load(path: Path, fingerprint: str, parse):
-    """(parse(arrays), None) for a fresh artifact, else (None, why it is not)."""
+def _load(path: Path, parse, lines=None):
+    """(parse(arrays), None) for a readable artifact whose `fingerprint` holds
+    `lines`, when given, else (None, why it is not)."""
     if not path.exists():
         return None, "missing"
     try:
         with np.load(path, allow_pickle=False) as arrays:
-            if str(arrays["fingerprint"]) != fingerprint:
-                return None, "stale fingerprint"
-            return parse(arrays), None
+            why = lines and _change(arrays["fingerprint"], lines)
+            return (None, why) if why else (parse(arrays), None)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         return None, f"unreadable: {type(exc).__name__}: {exc}"
 
 
-def _save(path: Path, fingerprint: str, arrays: dict, why: str) -> None:
+def _save(path: Path, arrays: dict, why: str) -> None:
     """Write the artifact through a temporary file and note why on stderr."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, fingerprint=np.array(fingerprint), **arrays)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -217,12 +213,12 @@ def _sets_from_arrays(arrays) -> AugmentedSets:
     )
 
 
-def _entries(path: Path, fingerprint: str, fields: dict, entries, build=None) -> tuple:
+def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tuple:
     """({entry: (array per field)}, why the file was rebuilt) of an .npz of
-    arrays named <field>_<entry>, each of the (dtype, shape) `fields` gives
-    its field, or the file is unreadable. build(lacked) gives {entry: (value
-    per field)} of the entries a fresh file lacks, saved beside what it held;
-    without `build`, (None, why) unless it lacks none."""
+    arrays <field>_<entry> of the (dtype, shape) `fields` gives (else it is
+    unreadable) and fingerprint_<entry>. An entry is stale when missing or
+    when its fingerprint is not lines[entry]; build(stale) gives {entry: (value
+    per field)}, saved beside the fresh ones; else (None, why) if any is stale."""
     def read(arrays) -> dict:
         held = {name: arrays[name] for name in arrays.files if name != "fingerprint"}
         for entry in entries:
@@ -233,17 +229,24 @@ def _entries(path: Path, fingerprint: str, fields: dict, entries, build=None) ->
                                      f"expected {np.dtype(dtype)} {shape}")
         return held
 
-    held, why = _load(path, fingerprint, read)
+    held, why = _load(path, read)
     held = held or {}
-    lacked = [entry for entry in entries if any(f"{field}_{entry}" not in held for field in fields)]
-    if lacked:
-        why = why or f"lacked {', '.join(lacked)}"
+
+    def change(entry: str) -> str:
+        names = [f"{field}_{entry}" for field in (*fields, "fingerprint")]
+        return _change(held[names[-1]], lines[entry]) if held.keys() >= set(names) else "missing"
+
+    stale = {entry: what for entry in entries if (what := change(entry))}
+    if stale:
+        why = why or "; ".join(f"{', '.join(e for e in stale if stale[e] == what)} {what}"
+                               for what in dict.fromkeys(stale.values()))
         if build is None:
             return None, why
-        for entry, values in build(lacked).items():
+        for entry, values in build(list(stale)).items():
             held.update({f"{field}_{entry}": np.asarray(value, dtype)
                          for (field, (dtype, _)), value in zip(fields.items(), values)})
-        _save(path, fingerprint, held, why)
+            held[f"fingerprint_{entry}"] = np.array(lines[entry])
+        _save(path, held, why)
     return {entry: tuple(held[f"{field}_{entry}"] for field in fields) for entry in entries}, why
 
 
@@ -268,11 +271,11 @@ def _record(entry: str, values) -> ExperimentRecord:
 
 @dataclass
 class Spine:
-    """One run's chain in <out>: the config, M, M's fingerprints, the
+    """One run's chain in <out>: the config, M, the fingerprints, the
     augmented sets, the scores and the points, each read or built the first
     time it is used. The data are prepared at most once; M is loaded from
     model.grcnn, or trained when that is absent; the other links are read
-    from their .npz files when fresh, and what they lack is built and saved."""
+    from their .npz files, and their stale entries are built and saved."""
 
     cfg: ExperimentConfig
 
@@ -299,18 +302,19 @@ class Spine:
         return self.model
 
     @cached_property
-    def fingerprints(self) -> Fingerprints:
+    def fingerprints(self) -> dict:
         return fingerprints(self.cfg, self.model)
 
     @cached_property
     def sets(self) -> AugmentedSets:
         path = self.out / SETS_FILE
-        sets, why = _load(path, self.fingerprints.sets, _sets_from_arrays)
+        sets, why = _load(path, _sets_from_arrays, self.fingerprints["sets"])
         if sets is None:
             train_set, test_set = self.data
             sets = build_augmented_sets(self.model, train_set, test_set, self.cfg.attack_fraction,
                                         self.cfg.attack_epsilon, seed=self.cfg.seed_attack)
-            _save(path, self.fingerprints.sets, {
+            _save(path, {
+                "fingerprint": np.array(self.fingerprints["sets"]),
                 "class_count": np.array(sets.train_star.class_count),
                 "train_images": sets.train_star.images,
                 "train_labels": sets.train_star.labels,
@@ -328,44 +332,40 @@ class Spine:
     @cached_property
     def scores(self) -> dict:
         """{metric: (values, seconds)} of the configured metrics over Train*,
-        read from a fresh <out>/scores.npz, which gains the metrics it lacks."""
+        read from <out>/scores.npz, which gains the metrics it lacks fresh."""
         train_star = self.sets.train_star
         fields = {"scores": (np.float64, (len(train_star),)), "seconds": (np.float64, ())}
-        held, _ = _entries(self.out / SCORES_FILE, self.fingerprints.scores, fields, self.cfg.metrics,
-                           lambda lacked: score_metrics(lacked, self.model, train_star, self.cfg))
+        held, _ = _entries(self.out / SCORES_FILE, fields, self.fingerprints, self.cfg.metrics,
+                           lambda stale: score_metrics(stale, self.model, train_star, self.cfg))
         return {metric: (values, float(seconds)) for metric, (values, seconds) in held.items()}
 
     @cached_property
     def points(self) -> RetrainBatch:
         """The sweep of every configured (configuration, metric) pair in
-        sweep_pairs order, read from a fresh <out>/points.npz, which gains the
-        pairs it lacks: those the pool retrains, its records and its workers."""
+        pair_entries order, read from <out>/points.npz, which gains the pairs it
+        lacks fresh: those the pool retrains, its records and its workers."""
         pool = RetrainBatch((), workers=0, worker_cpu_seconds=0.0)
 
-        def retrain(lacked):
+        def retrain(stale):
             nonlocal pool
-            pool = run_experiments(self.model, self.sets, [entry.split("_") for entry in lacked],
+            pool = run_experiments(self.model, self.sets, [entry.split("_") for entry in stale],
                                    retrain_hp(self.cfg), self.scores,
                                    fresh_init_seed=self.cfg.seed_init + 1)  # C1 differs from M's init
             return {f"{rec.kind}_{rec.metric}": [*([getattr(r, name) for r in rec.runs]
                                                    for name in _RUN_FIELDS), rec.pool_total]
                     for rec in pool.records}
 
-        held, _ = _entries(self.out / POINTS_FILE, self.fingerprints.points, _POINT_FIELDS,
-                           self._pair_entries, retrain)
+        held, _ = _entries(self.out / POINTS_FILE, _POINT_FIELDS, self.fingerprints,
+                           pair_entries(self.cfg), retrain)
         retrained = {f"{rec.kind}_{rec.metric}": rec for rec in pool.records}
         return replace(pool, records=tuple(retrained.get(entry) or _record(entry, values)
                                            for entry, values in held.items()))
 
-    @property
-    def _pair_entries(self) -> list[str]:
-        return [f"{kind}_{metric}" for kind, metric in sweep_pairs(self.cfg)]
-
     def stored_points(self) -> tuple:
-        """(records, None) read back from a fresh <out>/points.npz holding every
-        pair, else (None, why). A missing file is found before M is loaded."""
+        """(records, None) read back from <out>/points.npz holding every pair
+        fresh, else (None, why). A missing file is found before M is loaded."""
         path = self.out / POINTS_FILE
         if not path.exists():
             return None, "missing"
-        held, why = _entries(path, self.fingerprints.points, _POINT_FIELDS, self._pair_entries)
+        held, why = _entries(path, _POINT_FIELDS, self.fingerprints, pair_entries(self.cfg))
         return held and tuple(_record(entry, values) for entry, values in held.items()), why

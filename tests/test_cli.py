@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from guidedretrain import _blas, cli
 from guidedretrain.cli import main
 from guidedretrain.attack import build_augmented_sets
-from guidedretrain.config import ExperimentConfig, parse_config, with_overrides
+from guidedretrain.config import ExperimentConfig, config_echo, parse_config, with_overrides
 from guidedretrain.data import generate_synthetic, load_idx_dataset, save_idx_dataset
 from guidedretrain.metrics import (
     TRACE_METRICS,
@@ -18,12 +19,14 @@ from guidedretrain.metrics import (
     dsa_from_traces,
     fit_dsa,
     fit_lsa,
+    guidance_layers,
     lsa_scores,
     nc_scores,
     random_scores,
     score_metrics,
 )
-from guidedretrain.model import ForwardPass, forward_pass, load_model
+from guidedretrain.model import (ForwardPass, build_model, desk_architecture, forward_pass,
+                                 load_model, model_bytes)
 from guidedretrain.reports import compute_trend, read_table, run_pipeline
 from guidedretrain.stages import Spine, prepare_data
 
@@ -410,7 +413,8 @@ def test_changed_attack_seed_rebuilds_the_sets(tmp_path, monkeypatch, capsys):
     calls = count_rebuilds(monkeypatch)
     stage("score", cfg, out, "--seed-attack", "7")
     assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
-    assert f"rebuilt {out / 'sets.npz'} (stale fingerprint)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'sets.npz'} (seed.attack = 33 -> seed.attack = 7)" in err
     assert (out / "sets.npz").read_bytes() != old_sets
     fresh = tmp_path / "fresh"
     stage("score", cfg, fresh, "--seed-attack", "7")
@@ -444,8 +448,9 @@ def test_damaged_artifacts_are_rebuilt_not_trusted(tmp_path, monkeypatch, capsys
             (out / "sets.npz").write_bytes(damage)
         else:
             np.savez(out / "sets.npz", **{**arrays, **damage})
-        # well-formed, but under another fingerprint, with scores that would
-        # reorder every sweep if they were read
+        # well-formed, but in the earlier layout of one fingerprint for the
+        # whole file, with scores that would reorder every sweep if they were
+        # read
         np.savez(out / "scores.npz", fingerprint=np.array("0" * 64),
                  scores_NC=np.zeros(180), seconds_NC=np.array(0.0),
                  scores_RANDOM=np.zeros(180), seconds_RANDOM=np.array(0.0))
@@ -455,7 +460,7 @@ def test_damaged_artifacts_are_rebuilt_not_trusted(tmp_path, monkeypatch, capsys
         assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
         err = capsys.readouterr().err
         assert f"rebuilt {out / 'sets.npz'} (unreadable: " in err
-        assert f"rebuilt {out / 'scores.npz'} (stale fingerprint)" in err
+        assert f"rebuilt {out / 'scores.npz'} (RANDOM, NC missing)" in err
         assert_same_scores(out, reference)
         assert (out / "sets.npz").read_bytes() == sets
 
@@ -465,14 +470,17 @@ def test_retrained_m_makes_both_artifacts_stale(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     stage("train", cfg, out)
     stage("score", cfg, out)
+    old = hashlib.sha256((out / "model.grcnn").read_bytes()).hexdigest()
     stage("train", cfg, out, "--seed-init", "12")
+    new = hashlib.sha256((out / "model.grcnn").read_bytes()).hexdigest()
     capsys.readouterr()
     calls = count_rebuilds(monkeypatch)
     stage("score", cfg, out, "--seed-init", "12")
     assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
     err = capsys.readouterr().err
-    for name in ("sets.npz", "scores.npz"):
-        assert f"rebuilt {out / name} (stale fingerprint)" in err
+    change = f"model sha256 = {old} -> model sha256 = {new}"
+    assert f"rebuilt {out / 'sets.npz'} ({change})" in err
+    assert f"rebuilt {out / 'scores.npz'} (RANDOM, NC {change})" in err
     fresh = tmp_path / "fresh"
     stage("train", cfg, fresh, "--seed-init", "12")
     stage("score", cfg, fresh, "--seed-init", "12")
@@ -489,15 +497,16 @@ def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsy
     wider.write_text(MINI_CONFIG.replace("metrics = RANDOM,NC", "metrics = RANDOM,NC,LSA"))
     stage("score", wider, out)
     assert calls == {"timed_scoring": 1}
-    assert f"rebuilt {out / 'scores.npz'} (lacked LSA)" in capsys.readouterr().err
+    assert f"rebuilt {out / 'scores.npz'} (LSA missing)" in capsys.readouterr().err
     # the retraining order reads every bit of a score, not its 9 CSV digits
     run_cfg = with_overrides(parse_config(wider.read_text()), out=str(out))
     spine = Spine(run_cfg)
     with _blas.one_blas_thread():
         fresh = score_metrics(("RANDOM", "NC", "LSA"), spine.model, spine.sets.train_star, run_cfg)
     with np.load(out / "scores.npz", allow_pickle=False) as stored:
-        assert sorted(stored.files) == ["fingerprint", "scores_LSA", "scores_NC", "scores_RANDOM",
-                                        "seconds_LSA", "seconds_NC", "seconds_RANDOM"]
+        assert sorted(stored.files) == [f"{field}_{metric}"
+                                        for field in ("fingerprint", "scores", "seconds")
+                                        for metric in ("LSA", "NC", "RANDOM")]
         for metric, (values, _) in fresh.items():
             loaded = stored[f"scores_{metric}"]
             assert loaded.dtype == np.float64 and np.array_equal(
@@ -565,12 +574,17 @@ def test_each_guidance_and_attack_key_reaches_its_function(tmp_path):
         assert values.tobytes() != defaults[metric][0].tobytes(), metric
 
 
-@pytest.mark.parametrize("flag, value", [
-    pytest.param("--seed-attack", "7", id="sets-key"),  # seed-33 sets, not seed-7 ones
-    pytest.param("--seed-random-metric", "45", id="scores-key"),
-    pytest.param("--seed-shuffle", "23", id="points-key"),
+@pytest.mark.parametrize("flag, value, stale", [
+    # seed-33 sets, not seed-7 ones
+    pytest.param("--seed-attack", "7", "C2_RANDOM, C2_NC, C3_RANDOM, C3_NC seed.attack = 33 -> "
+                 "seed.attack = 7", id="sets-key"),
+    pytest.param("--seed-random-metric", "45", "C2_RANDOM, C3_RANDOM seed.random_metric = 44 -> "
+                 "seed.random_metric = 45", id="scores-key"),
+    pytest.param("--seed-shuffle", "23", "C2_RANDOM, C2_NC, C3_RANDOM, C3_NC seed.shuffle = 22 -> "
+                 "seed.shuffle = 23", id="points-key"),
 ])
-def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys, flag, value):
+def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys, flag, value,
+                                                  stale):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     stage("retrain", cfg, out)
@@ -579,7 +593,7 @@ def test_report_refuses_points_of_another_config(tmp_path, monkeypatch, capsys, 
     # refused before the sets are loaded or built, and before any scoring
     assert main(["report", "--config", str(cfg), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
-    assert f"{out / 'points.npz'} (stale fingerprint)" in err
+    assert f"{out / 'points.npz'} ({stale})" in err
     assert not (out / "summary.csv").exists()
     assert calls == {}
     stage("report", cfg, out)
@@ -632,10 +646,10 @@ def test_report_refuses_points_npz_missing_a_pair(tmp_path, capsys):
     stage("retrain", cfg, out)
     with np.load(out / "points.npz", allow_pickle=False) as stored:
         arrays = dict(stored)
-    # the right fingerprint over the arrays of the first three pairs
+    # the first three pairs, each with its arrays and its fingerprint
     np.savez(out / "points.npz", **{name: values for name, values in arrays.items()
                                     if not name.endswith("_C3_NC")})
-    assert f"{out / 'points.npz'} (lacked C3_NC)" in refused_report(cfg, out, capsys)
+    assert f"{out / 'points.npz'} (C3_NC missing)" in refused_report(cfg, out, capsys)
     # a held pair whose arrays do not have their shape makes the file unreadable
     np.savez(out / "points.npz", **{**arrays, "input_size_C2_NC": arrays["input_size_C2_NC"][:-1]})
     assert (f"{out / 'points.npz'} (unreadable: ValueError: input_size_C2_NC is int64 (19,), "
@@ -724,7 +738,7 @@ def test_a_wider_metric_list_retrains_only_the_new_pairs(tmp_path, monkeypatch, 
     capsys.readouterr()
     stage("run", wider, out)
     assert sorted(calls) == sorted((kind, "LSA", i) for kind in ("C2", "C3") for i in range(20))
-    assert f"rebuilt {out / 'points.npz'} (lacked C2_LSA, C3_LSA)" in capsys.readouterr().err
+    assert f"rebuilt {out / 'points.npz'} (C2_LSA, C3_LSA missing)" in capsys.readouterr().err
     fresh = tmp_path / "fresh"
     stage("run", wider, fresh)
     assert csv_bytes(out) == csv_bytes(fresh)
@@ -755,21 +769,54 @@ def test_narrowing_the_configurations_and_widening_back_retrains_nothing(tmp_pat
     assert csv_bytes(out) == written
 
 
-def test_points_npz_of_the_whole_sweep_layout_is_rebuilt_as_stale(tmp_path, monkeypatch, capsys):
-    # the earlier layout: one (pairs, points) array per field under a
-    # fingerprint that named the metrics and configurations
-    from guidedretrain import stages
+def earlier_fingerprint(cfg, tag, digests, keys) -> str:
+    """A fingerprint of the earlier layouts, one per file: a sha256 over the
+    tag, the digest lines and the config_echo lines of `keys` (a key ending
+    in "." names its section)."""
+    keys = tuple(k if k.endswith(".") else f"{k} = " for k in keys)
+    lines = [tag, *digests, *(line for line in config_echo(cfg) if line.startswith(keys))]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
+
+def earlier_fingerprints(cfg, model) -> dict:
+    """The sets, scores and points fingerprints of the one-fingerprint-per-file
+    layout, each covering the one before it, for a synthetic-data `cfg`."""
+    model_sha = hashlib.sha256(model_bytes(model)).hexdigest()
+    sets = earlier_fingerprint(
+        cfg, "guidedretrain sets v2", [f"model sha256 = {model_sha}"],
+        ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction", "seed.attack"))
+    layers = [f"{key} = {','.join(names)}"
+              for key, names in guidance_layers(cfg, model.architecture).items()]
+    scores = earlier_fingerprint(cfg, "guidedretrain scores v2", [f"sets = {sets}", *layers],
+                                 ("nc.threshold", "lsa.variance_threshold", "seed.random_metric"))
+    points = earlier_fingerprint(cfg, "guidedretrain points v2", [f"scores = {scores}"],
+                                 ("retrain.", "seed.init", "seed.shuffle"))
+    return {"sets": sets, "scores": scores, "points": points}
+
+
+def test_earlier_fingerprints_are_those_the_earlier_layout_stored():
+    # the values that layout pinned for the default config and this model
+    model = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
+    assert earlier_fingerprints(ExperimentConfig(), model) == {
+        "sets": "05ab23c913f8bed88aa764a6d0d5a415596673583fe527a05ce447d66a7f799f",
+        "scores": "60ccbedecb73a5f69ac39677a88c6efe709ae2185db550639d738ba794f39945",
+        "points": "d95f592e730800a2d549bc0d3d3809696c7a13b75d785be7a317e7f6646a746a",
+    }
+
+
+def test_points_npz_of_the_whole_sweep_layout_is_rebuilt_as_stale(tmp_path, monkeypatch, capsys):
+    # the earliest layout: one (pairs, points) array per field under a
+    # fingerprint that named the metrics and configurations
     monkeypatch.setenv("GR_THREADS", "1")
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     stage("run", cfg, out)
     written = csv_bytes(out)
     run_cfg = with_overrides(parse_config(MINI_CONFIG), out=str(out))
-    fingerprint = stages._fingerprint(
-        "guidedretrain points v1", run_cfg,
-        ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle"),
-        [f"scores = {Spine(run_cfg).fingerprints.scores}"])
+    scores = earlier_fingerprints(run_cfg, load_model(out / "model.grcnn"))["scores"]
+    fingerprint = earlier_fingerprint(
+        run_cfg, "guidedretrain points v1", [f"scores = {scores}"],
+        ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle"))
     pairs = [f"{kind}_{metric}" for kind in ("C2", "C3") for metric in ("RANDOM", "NC")]
     with np.load(out / "points.npz", allow_pickle=False) as stored:
         whole = {field: np.stack([stored[f"{field}_{pair}"] for pair in pairs])
@@ -777,12 +824,75 @@ def test_points_npz_of_the_whole_sweep_layout_is_rebuilt_as_stale(tmp_path, monk
                                "accuracy_adv_test", "wall_seconds", "pool_total")}
     np.savez(out / "points.npz", fingerprint=np.array(fingerprint), **whole)
     (out / "summary.csv").unlink()
-    assert f"{out / 'points.npz'} (stale fingerprint)" in refused_report(cfg, out, capsys)
+    stale = "C2_RANDOM, C2_NC, C3_RANDOM, C3_NC missing"
+    assert f"{out / 'points.npz'} ({stale})" in refused_report(cfg, out, capsys)
     calls = count_points(monkeypatch)
     stage("run", cfg, out)
     assert len(calls) == 4 * 20
-    assert f"rebuilt {out / 'points.npz'} (stale fingerprint)" in capsys.readouterr().err
+    assert f"rebuilt {out / 'points.npz'} ({stale})" in capsys.readouterr().err
     assert csv_bytes(out) == written
+
+
+def test_files_of_the_one_fingerprint_layout_are_rebuilt_not_read(tmp_path, monkeypatch, capsys):
+    # sets.npz, scores.npz and points.npz as the one-fingerprint-per-file
+    # layout wrote them for this config and M, with arrays that would reorder
+    # the sweep and move every accuracy if they were read
+    monkeypatch.setenv("GR_THREADS", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("run", cfg, out)
+    written = csv_bytes(out)
+    earlier = earlier_fingerprints(with_overrides(parse_config(MINI_CONFIG), out=str(out)),
+                                   load_model(out / "model.grcnn"))
+    for link in ("sets", "scores", "points"):
+        with np.load(out / f"{link}.npz", allow_pickle=False) as stored:
+            arrays = {name: 1 - values if name.startswith(("train_images", "scores_", "accuracy_"))
+                      else values for name, values in stored.items()
+                      if not name.startswith("fingerprint")}
+        np.savez(out / f"{link}.npz", fingerprint=np.array(earlier[link]), **arrays)
+    calls, points = count_rebuilds(monkeypatch), count_points(monkeypatch)
+    capsys.readouterr()
+    stage("run", cfg, out)
+    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+    assert len(points) == 4 * 20
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'sets.npz'} ({earlier['sets']} -> model sha256 = " in err
+    assert f"rebuilt {out / 'scores.npz'} (RANDOM, NC missing)" in err
+    assert f"rebuilt {out / 'points.npz'} (C2_RANDOM, C2_NC, C3_RANDOM, C3_NC missing)" in err
+    assert csv_bytes(out) == written
+    for link in ("scores", "points"):
+        with np.load(out / f"{link}.npz", allow_pickle=False) as stored:
+            assert "fingerprint" not in stored.files, link
+    # rebuilt once: the next run reads every entry
+    calls.clear()
+    points.clear()
+    stage("run", cfg, out)
+    assert (calls, points) == ({}, [])
+
+
+@pytest.mark.parametrize("line, metric, change", [
+    ("seed.random_metric = 45", "RANDOM", "seed.random_metric = 44 -> seed.random_metric = 45"),
+    ("nc.threshold = 0.25", "NC", "nc.threshold = 0.5 -> nc.threshold = 0.25"),
+])
+def test_a_changed_scoring_key_rescores_and_retrains_only_its_metric(tmp_path, monkeypatch,
+                                                                     capsys, line, metric, change):
+    monkeypatch.setenv("GR_THREADS", "1")
+    out = tmp_path / "out"
+    stage("run", write_config(tmp_path), out)
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(MINI_CONFIG + line + "\n")
+    calls, points = count_rebuilds(monkeypatch), count_points(monkeypatch)
+    capsys.readouterr()
+    stage("run", changed, out)
+    assert sorted(points) == sorted((kind, metric, i) for kind in ("C2", "C3") for i in range(20))
+    assert calls == {"timed_scoring": 1}
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'scores.npz'} ({metric} {change})\n" in err
+    assert f"rebuilt {out / 'points.npz'} (C2_{metric}, C3_{metric} {change})\n" in err
+    assert err.count("rebuilt") == 2
+    fresh = tmp_path / "fresh"
+    stage("run", changed, fresh)
+    assert csv_bytes(out) == csv_bytes(fresh)
 
 
 def manifest_files(out) -> list[str]:

@@ -3,9 +3,9 @@ import pytest
 from guidedretrain import metrics, stages
 from guidedretrain.config import ExperimentConfig, with_overrides
 from guidedretrain.data import generate_synthetic, save_idx_dataset
-from guidedretrain.metrics import score_metrics
+from guidedretrain.metrics import METRICS, score_metrics
 from guidedretrain.model import build_model, desk_architecture
-from guidedretrain.stages import Fingerprints, fingerprints
+from guidedretrain.stages import fingerprints
 
 MODEL = build_model(desk_architecture(input_shape=(8, 8, 1), classes=4), seed=3)
 ARCH = MODEL.architecture
@@ -43,6 +43,26 @@ def idx_config(tmp_path):
     return with_overrides(BASE, dataset="idx", **{k: str(v) for k, v in paths.items()}), paths
 
 
+# the metric whose entry each scoring key feeds
+OWNER = {"nc_threshold": "NC", "lsa_layer": "LSA", "lsa_variance_threshold": "LSA",
+         "dsa_layers": "DSA", "seed_random_metric": "RANDOM"}
+KINDS = ("C1", "C2", "C3")
+PAIRS = {f"{kind}_{metric}" for kind in KINDS for metric in METRICS}
+EVERY_ENTRY = {"sets", *METRICS, *PAIRS}
+
+
+def own(metric):
+    """A metric's entry and its pairs' entries."""
+    return {metric, *(f"{kind}_{metric}" for kind in KINDS)}
+
+
+def moved(cfg, model=MODEL) -> set:
+    """The entries whose fingerprint lines differ from BASE's under MODEL."""
+    lines, base = fingerprints(cfg, model), fingerprints(BASE, MODEL)
+    assert set(lines) == set(base) == EVERY_ENTRY
+    return {entry for entry in base if lines[entry] != base[entry]}
+
+
 def overridden(tmp_path, field, value):
     """BASE with one key changed; "dataset" switches to IDX files under tmp_path."""
     if field == "dataset":
@@ -52,64 +72,77 @@ def overridden(tmp_path, field, value):
 
 def test_fingerprints_keep_their_values():
     # existing <out> directories stay fresh only while these hold
-    assert fingerprints(BASE, MODEL) == Fingerprints(
-        sets="05ab23c913f8bed88aa764a6d0d5a415596673583fe527a05ce447d66a7f799f",
-        scores="60ccbedecb73a5f69ac39677a88c6efe709ae2185db550639d738ba794f39945",
-        points="d95f592e730800a2d549bc0d3d3809696c7a13b75d785be7a317e7f6646a746a",
+    sets = (
+        "model sha256 = 13dae4e5cebb4cf41d08117870a3080a68099e6e67c162b6dde12c4d612a2bef",
+        "guidedretrain sets v3",
+        "attack.epsilon = 0.1", "attack.fraction = 0.16", "dataset = synthetic",
+        "idx.test_images = ", "idx.test_labels = ", "idx.train_images = ", "idx.train_labels = ",
+        "seed.attack = 33", "synthetic.classes = 4", "synthetic.image_size = 16",
+        "synthetic.noise_sigma = 1.0", "synthetic.per_class_test = 125",
+        "synthetic.per_class_train = 500", "synthetic.seed = 1234",
     )
+    metrics = {
+        "NC": ("guidedretrain NC v3", "nc.threshold = 0.5"),
+        "LSA": ("guidedretrain LSA v3", "lsa.layer = dense1", "lsa.variance_threshold = 1e-05"),
+        "DSA": ("guidedretrain DSA v3", "dsa.layers = conv1,conv2,dense1,dense2"),
+        "RANDOM": ("guidedretrain RANDOM v3", "seed.random_metric = 44"),
+    }
+    pair = ("guidedretrain pair v3", "retrain.batch_size = 32", "retrain.epochs = 5",
+            "retrain.lr = 0.01", "retrain.momentum = 0.9", "seed.init = 11", "seed.shuffle = 22")
+    want = {"sets": sets}
+    for metric, lines in metrics.items():
+        want[metric] = sets + lines
+        want.update({f"{kind}_{metric}": sets + lines + pair for kind in KINDS})
+    assert fingerprints(BASE, MODEL) == want
 
 
 @pytest.mark.parametrize("field, value", SETS_FIELDS)
 def test_sets_follow_every_sets_key(tmp_path, field, value):
-    cfg = overridden(tmp_path, field, value)
-    assert fingerprints(cfg, MODEL).sets != fingerprints(BASE, MODEL).sets
+    # every metric covers the sets, and every pair its metric
+    assert moved(overridden(tmp_path, field, value)) == EVERY_ENTRY
 
 
 @pytest.mark.parametrize("field, value", SCORES_FIELDS)
 def test_scores_follow_their_own_keys_and_sets_do_not(field, value):
-    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
-    base = fingerprints(BASE, MODEL)
-    assert moved.sets == base.sets
-    assert moved.scores != base.scores
+    # a scoring key moves its metric's entry and that metric's pairs only
+    assert moved(with_overrides(BASE, **{field: value})) == own(OWNER[field])
 
 
 @pytest.mark.parametrize("field, value", NEITHER_FIELDS)
 def test_other_keys_leave_both_fingerprints(field, value):
-    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
-    base = fingerprints(BASE, MODEL)
-    assert moved.sets == base.sets
-    assert moved.scores == base.scores
+    # no sets or metric entry moves; the retraining keys move the pairs, and
+    # the pair lists, train.* and out move nothing
+    retraining = field in {name for name, _ in POINTS_FIELDS}
+    assert moved(with_overrides(BASE, **{field: value})) == (PAIRS if retraining else set())
 
 
 @pytest.mark.parametrize("field, value", POINTS_FIELDS)
 def test_points_follow_their_own_keys_and_scores_do_not(field, value):
-    moved = fingerprints(with_overrides(BASE, **{field: value}), MODEL)
-    base = fingerprints(BASE, MODEL)
-    assert moved.scores == base.scores
-    assert moved.points != base.points
+    assert moved(with_overrides(BASE, **{field: value})) == PAIRS
 
 
-# points.npz holds each sweep pair apart, so the pair lists leave its fingerprint
+# points.npz holds each sweep pair apart, so the pair lists leave its fingerprints
 UNCHAINED_FIELDS = [("train_epochs", 1), ("out", "x"), ("metrics", ("NC",)), ("configs", ("C3",))]
 
 
 @pytest.mark.parametrize("field, value",
                          SETS_FIELDS + SCORES_FIELDS + POINTS_FIELDS + UNCHAINED_FIELDS)
 def test_points_follow_the_scores_and_no_other_key(tmp_path, field, value):
-    # the points' fingerprint covers the scores', which covers the sets', so
-    # it moves for every key of the chain
-    cfg = overridden(tmp_path, field, value)
-    moved = fingerprints(cfg, MODEL).points != fingerprints(BASE, MODEL).points
-    assert moved == ((field, value) not in UNCHAINED_FIELDS)
+    # a pair's lines are its metric's lines, which are the sets' lines, each
+    # followed by the link's own; a pair's own lines move for its keys only
+    lines, base = fingerprints(overridden(tmp_path, field, value), MODEL), fingerprints(BASE, MODEL)
+    for metric in METRICS:
+        assert lines[metric][:len(lines["sets"])] == lines["sets"]
+        for kind in KINDS:
+            pair, covered = lines[f"{kind}_{metric}"], len(lines[metric])
+            assert pair[:covered] == lines[metric]
+            moved_alone = pair[covered:] != base[f"{kind}_{metric}"][len(base[metric]):]
+            assert moved_alone == ((field, value) in POINTS_FIELDS)
 
 
 def test_model_weights_and_sets_feed_the_fingerprints():
-    # the same architecture, so the scores and points move through the sets
-    other = fingerprints(BASE, build_model(MODEL.architecture, seed=4))
-    base = fingerprints(BASE, MODEL)
-    assert other.sets != base.sets
-    assert other.scores != base.scores
-    assert other.points != base.points
+    # the same architecture, so every entry moves through the sets
+    assert moved(BASE, build_model(MODEL.architecture, seed=4)) == EVERY_ENTRY
 
 
 # (field, spellings of one layer selection, another selection)
@@ -124,22 +157,22 @@ LAYER_SPELLINGS = [
 @pytest.mark.parametrize("field, spellings, other", LAYER_SPELLINGS)
 def test_scores_fingerprint_follows_the_selected_layers_not_their_spelling(field, spellings,
                                                                            other):
-    def scores_fp(value):
-        return fingerprints(with_overrides(BASE, **{field: value}), MODEL).scores
+    def lines(value):
+        return fingerprints(with_overrides(BASE, **{field: value}), MODEL)[OWNER[field]]
 
     assert ARCH.neuron_layers() == ("conv1", "conv2", "dense1", "dense2")
-    assert len({scores_fp(spelling) for spelling in spellings}) == 1
-    assert scores_fp(other) != scores_fp(spellings[0])
+    assert len({lines(spelling) for spelling in spellings}) == 1
+    assert lines(other) != lines(spellings[0])
 
 
 @pytest.mark.parametrize("field, spellings, other", LAYER_SPELLINGS)
 def test_scoring_fits_the_layers_the_scores_fingerprint_names(monkeypatch, field, spellings,
                                                               other):
-    # a scores.npz is trusted only while its fingerprint names the layers
-    # that the scoring reads
+    # an LSA or DSA entry is trusted only while its fingerprint names the
+    # layers that the scoring reads
     train_star = generate_synthetic(4, 3, 8, 1.0, seed=5)
-    fitted, named = [], []
-    real_lsa, real_dsa, real_fingerprint = metrics.fit_lsa, metrics.fit_dsa, stages._fingerprint
+    fitted = []
+    real_lsa, real_dsa = metrics.fit_lsa, metrics.fit_dsa
 
     def fit_lsa(fp, data, layer=None, **kwargs):
         fitted.append(f"lsa.layer = {layer}")
@@ -149,19 +182,14 @@ def test_scoring_fits_the_layers_the_scores_fingerprint_names(monkeypatch, field
         fitted.append(f"dsa.layers = {','.join(layers)}")
         return real_dsa(fp, data, layers)
 
-    def fingerprint(tag, cfg, keys, digests):
-        if tag.startswith("guidedretrain scores"):
-            named.extend(d for d in digests if d.startswith(("lsa.layer = ", "dsa.layers = ")))
-        return real_fingerprint(tag, cfg, keys, digests)
-
     monkeypatch.setattr(metrics, "fit_lsa", fit_lsa)
     monkeypatch.setattr(metrics, "fit_dsa", fit_dsa)
-    monkeypatch.setattr(stages, "_fingerprint", fingerprint)
     for value in [*spellings, other]:
         fitted.clear()
-        named.clear()
         cfg = with_overrides(BASE, **{field: value})
-        fingerprints(cfg, MODEL)
+        lines = fingerprints(cfg, MODEL)
+        named = [line for metric, key in (("LSA", "lsa.layer = "), ("DSA", "dsa.layers = "))
+                 for line in lines[metric] if line.startswith(key)]
         score_metrics(["LSA", "DSA"], MODEL, train_star, cfg)
         assert len(named) == 2 and fitted == named, value
 
@@ -169,20 +197,22 @@ def test_scoring_fits_the_layers_the_scores_fingerprint_names(monkeypatch, field
 def test_scores_fingerprint_keeps_a_layer_name_the_architecture_lacks():
     # prepare_data refuses such a name only when its metric runs
     cfg = with_overrides(BASE, dsa_layers="dense9,conv1", lsa_layer="relu3")
-    fp = fingerprints(cfg, MODEL).scores
-    assert fp != fingerprints(with_overrides(cfg, dsa_layers="conv1"), MODEL).scores
-    assert fp != fingerprints(with_overrides(cfg, lsa_layer=""), MODEL).scores
+    lines = fingerprints(cfg, MODEL)
+    assert "dsa.layers = conv1,dense9" in lines["DSA"] and "lsa.layer = relu3" in lines["LSA"]
+    assert lines["DSA"] != fingerprints(with_overrides(cfg, dsa_layers="conv1"), MODEL)["DSA"]
+    assert lines["LSA"] != fingerprints(with_overrides(cfg, lsa_layer=""), MODEL)["LSA"]
 
 
 def test_idx_file_bytes_feed_the_sets_fingerprint(tmp_path):
     cfg, paths = idx_config(tmp_path)
-    before = fingerprints(cfg, MODEL).sets
-    assert fingerprints(cfg, MODEL).sets == before
+    before = fingerprints(cfg, MODEL)["sets"]
+    assert fingerprints(cfg, MODEL)["sets"] == before
+    assert sum(line.startswith("idx.") and " sha256 = " in line for line in before) == 4
     for name, path in paths.items():
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 1
         path.write_bytes(bytes(raw))
-        assert fingerprints(cfg, MODEL).sets != before, name
+        assert fingerprints(cfg, MODEL)["sets"] != before, name
         raw[-1] ^= 1
         path.write_bytes(bytes(raw))
-    assert fingerprints(cfg, MODEL).sets == before
+    assert fingerprints(cfg, MODEL)["sets"] == before

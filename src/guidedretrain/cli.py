@@ -2,7 +2,7 @@
 
 Subcommands walk the pipeline end to end or stage by stage:
 
-  train    train the original model M, save it to <out>/model.grcnn
+  train    train the original model M into <out>/model.grcnn, or load it
   attack   build the augmented sets, export them as IDX files
   score    compute guidance metrics over Train*, write score and timing CSVs
   retrain  run the requested (configuration, metric) sweeps, write
@@ -18,12 +18,12 @@ implementation that `run` shares (stages.py, reports.py). Every command
 holds one stages.Spine, which reads what an earlier command left in <out>
 instead of recomputing it: M from model.grcnn, the augmented sets from
 sets.npz, the metric scores from scores.npz and the sweep points from
-points.npz. Each entry of an .npz (the sets, a metric, a sweep pair) keeps
-the fingerprint lines of M and the config keys it depends on; the spine
-rebuilds the entries that are missing or whose lines differ, and names on
-stderr the first line that changed. `report` never retrains: it refuses,
-with exit status 1, a points.npz that is unreadable or lacks a configured
-pair fresh, naming the file and the reason. GR_THREADS alone sets the number of processes that
+points.npz. Each entry (M, the sets, a metric, a sweep pair) keeps the
+fingerprint lines of the config keys it depends on; the spine rebuilds
+those missing or whose lines differ, naming on stderr the first changed
+line. `report` never retrains: it refuses, with exit status 1, a
+points.npz that is unreadable or lacks a configured pair fresh, naming the
+file and the reason. GR_THREADS alone sets the number of processes that
 retrain the sweep points (default: every usable core; 1 runs them
 in-process). That pool is the only parallelism: each command runs its
 numerics on one OpenBLAS thread and restores the caller's count on return.
@@ -83,9 +83,9 @@ def _effective_config(args) -> ExperimentConfig:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     spine = Spine(cfg)
-    model = spine.train()
-    print(f"trained M: clean test accuracy {accuracy(model, spine.data[1]):.3f}, "
-          f"saved {spine.out / MODEL_FILE}")
+    model = spine.model
+    print(f"{'trained' if spine.trained else 'loaded'} M: clean test accuracy "
+          f"{accuracy(model, spine.data[1]):.3f}, in {spine.out / MODEL_FILE}")
     return 0
 
 

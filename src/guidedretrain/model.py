@@ -19,7 +19,7 @@ from .autodiff import Conv2D, Dense, Graph, MaxPool2D, Relu, backward_grads, for
 from .rng import Pcg32
 
 MAGIC = b"GRCNN1\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2 added the lines after the descriptor; 1 still loads
 # Rows per inference forward. A row's outputs do not depend on its batch, so
 # the size bounds memory, not results: each batch's float64 temporaries take
 # about 3.1 MB at 32 rows. Larger batches gain little (a Test* pass took 44,
@@ -366,20 +366,24 @@ def forward_pass(model: ModelState, images: np.ndarray, batch_size: int = INFERE
     return ForwardPass(model.architecture, labels, traces)
 
 
-def model_bytes(model: ModelState) -> bytes:
-    """The model file's bytes: magic, version, descriptor JSON, raw float32 blobs."""
-    blob = model.architecture.to_json().encode("utf-8")
-    return b"".join([MAGIC, bytes([FORMAT_VERSION]), len(blob).to_bytes(8, "little"), blob]
+def model_bytes(model: ModelState, lines=()) -> bytes:
+    """The model file's bytes: magic, version, the descriptor JSON and `lines`
+    (newline-ended), each after its byte length, then raw float32 blobs."""
+    blobs = [text.encode("utf-8") for text in
+             (model.architecture.to_json(), "".join(f"{line}\n" for line in lines))]
+    return b"".join([MAGIC, bytes([FORMAT_VERSION])]
+                    + [len(blob).to_bytes(8, "little") + blob for blob in blobs]
                     + [np.ascontiguousarray(model.parameters[key], dtype="<f4").tobytes()
                        for key in _param_shapes(model.architecture)])
 
 
-def save_model(model: ModelState, path) -> None:
+def save_model(model: ModelState, path, lines=()) -> None:
     with open(path, "wb") as fh:
-        fh.write(model_bytes(model))
+        fh.write(model_bytes(model, lines))
 
 
-def load_model(path) -> ModelState:
+def load_model(path) -> tuple[ModelState, tuple[str, ...]]:
+    """(the model, the file's lines); a version 1 file has no lines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 9:
@@ -387,15 +391,17 @@ def load_model(path) -> ModelState:
     if raw[:len(MAGIC)] != MAGIC:
         raise BadMagicError(f"bad magic {raw[:len(MAGIC)]!r}")
     version = raw[len(MAGIC)]
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"format version {version}, expected {FORMAT_VERSION}")
+    if version not in (1, FORMAT_VERSION):
+        raise VersionMismatchError(f"format version {version}, expected 1 or {FORMAT_VERSION}")
     off = len(MAGIC) + 1
-    blob_len = int.from_bytes(raw[off:off + 8], "little")
-    off += 8
-    if len(raw) < off + blob_len:
-        raise TruncatedFileError("descriptor truncated")
-    arch = ArchitectureDescriptor.from_json(raw[off:off + blob_len].decode("utf-8"))
-    off += blob_len
+    texts = []
+    for part in ("descriptor", "lines")[:version]:
+        end = off + 8 + int.from_bytes(raw[off:off + 8], "little")
+        if len(raw) < end:
+            raise TruncatedFileError(f"{part} truncated")
+        texts.append(raw[off + 8:end].decode("utf-8"))
+        off = end
+    arch = ArchitectureDescriptor.from_json(texts[0])
     params = {}
     for key, shape in _param_shapes(arch).items():
         count = int(np.prod(shape))
@@ -406,4 +412,4 @@ def load_model(path) -> ModelState:
         off = end
     if off != len(raw):
         raise TruncatedFileError(f"{len(raw) - off} trailing bytes after parameters")
-    return ModelState(arch, _freeze(params))
+    return ModelState(arch, _freeze(params)), tuple("".join(texts[1:]).split("\n")[:-1])

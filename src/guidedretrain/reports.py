@@ -245,7 +245,7 @@ def report_stage(spine: Spine) -> tuple[list, dict]:
 
 
 def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
-    """Full run: train M, attack, score, sweep, report.
+    """Full run: train or load M, attack, score, sweep, report.
 
     On a stage failure the manifest is still written with a failure marker
     naming the stage, partial outputs left in place, and the error re-raised.
@@ -269,7 +269,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
         with timed("data"):
             spine.data = prepare_data(cfg)  # prepared here, so the data stage is timed alone
         with timed("train"):
-            spine.train()
+            spine.model  # loads M, or trains it when model.grcnn is not fresh
+            runtime["model"] = "trained" if spine.trained else "loaded"
             files[MODEL_FILE] = out_dir / MODEL_FILE
         with timed("attack"):
             original_accuracy = spine.original_accuracy  # builds or loads the sets
@@ -279,8 +280,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
         with timed("retrain"):
             batch, written = retrain_stage(spine)
             files.update(written)
-            runtime = {"retrain_workers": batch.workers,
-                       "retrain_worker_cpu_seconds": f"{batch.worker_cpu_seconds:.3f}"}
+            runtime.update(retrain_workers=batch.workers,
+                           retrain_worker_cpu_seconds=f"{batch.worker_cpu_seconds:.3f}")
         with timed("report"):
             records, written = report_stage(spine)
             files.update(written)

@@ -1,24 +1,24 @@
 """The stage spine: data, M, the augmented sets, the scores and the points of a run.
 
 `run`, each stage command and each seed of the trend report hold one
-`Spine`: the config, M, the fingerprints, the augmented sets and the points,
+`Spine`: the config, the fingerprints, M, the augmented sets and the points,
 each read or built when first used. Its links are files in <out>:
 
-  model.grcnn  the original model M
+  model.grcnn  the original model M and its fingerprint lines
   sets.npz     Train*/Test* float32 images and labels, plus the attack's
                source row of each Adv-Train row
   scores.npz   per metric, its raw float64 scores over Train* and its seconds
   points.npz   per sweep pair, each point's input size, three accuracies and
                wall seconds, and the sweep's pool total
 
-`fingerprints` gives each entry (the sets, each metric of scores.npz, each
-<configuration>_<metric> pair of points.npz) its fingerprint from the link
-table `_LINKS`: text lines, stored beside the entry's arrays, that hold the
-lines of the entry it covers, its link's tag and its link's config lines.
-The sets cover M's model file and the IDX files by sha256. A stage loads,
+`fingerprints` gives each entry (M, the sets, each metric of scores.npz,
+each <configuration>_<metric> pair of points.npz) its fingerprint from the
+link table `_LINKS` and the config alone: text lines, stored with the
+entry, that hold the lines of the entry it covers, its link's tag and its
+link's config lines. M covers the IDX files by sha256. A stage loads,
 without unpickling, each entry whose lines are equal, rebuilds the others
 through a temporary file and names on stderr the first changed line.
-`report` never retrains. The stages that write CSV files are in reports.py.
+`report` never retrains; the stages that write CSV files are in reports.py.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .model import (
     build_model,
     desk_architecture,
     load_model,
-    model_bytes,
     save_model,
     trace_columns,
     train,
@@ -133,25 +132,27 @@ def retrain_hp(cfg: ExperimentConfig) -> TrainParams:
 
 # ------------------------------------------------------------- fingerprints
 
-# each link's tag, then the config keys it reads ("." ends a section), the SA
-# layers as metrics.guidance_layers resolves them, the layers the scoring
-# reads; a metric covers the sets, and a <configuration>_<metric> pair its metric
+# each link's tag and the config keys it reads ("." ends a section; the SA
+# layers as metrics.guidance_layers resolves them, which the scoring reads);
+# the sets cover M, a metric the sets, a <configuration>_<metric> pair its metric
 _LINKS = {
-    "sets": ("guidedretrain sets v3", "dataset", "synthetic.", "idx.", "attack.epsilon",
-             "attack.fraction", "seed.attack"),
+    "model": ("guidedretrain model v1", "dataset", "synthetic.", "idx.", "train.", "seed.init",
+              "seed.shuffle"),
+    "sets": ("guidedretrain sets v3", "attack.epsilon", "attack.fraction", "seed.attack"),
     "NC": ("guidedretrain NC v3", "nc.threshold"),
     "LSA": ("guidedretrain LSA v3", "lsa.layer", "lsa.variance_threshold"),
     "DSA": ("guidedretrain DSA v3", "dsa.layers"),
     "RANDOM": ("guidedretrain RANDOM v3", "seed.random_metric"),
-    "pair": ("guidedretrain pair v3", "retrain.", "seed.init", "seed.shuffle"),
+    "pair": ("guidedretrain pair v3", "retrain."),
 }
 
 
-def fingerprints(cfg: ExperimentConfig, model: ModelState) -> dict[str, tuple[str, ...]]:
-    """{entry: fingerprint lines} of the sets, each metric and each
-    <configuration>_<metric> pair that `cfg` and M determine."""
+def fingerprints(cfg: ExperimentConfig) -> dict[str, tuple[str, ...]]:
+    """{entry: fingerprint lines} of M, the sets, each metric and each
+    <configuration>_<metric> pair, from `cfg` and its IDX files alone. The SA
+    layers resolve on the desk CNN, whose layer names no data shape changes."""
     resolved = {key: f"{key} = {','.join(names)}"
-                for key, names in guidance_layers(cfg, model.architecture).items()}
+                for key, names in guidance_layers(cfg, desk_architecture()).items()}
     echo = [resolved.get(line.split(" = ", 1)[0], line) for line in config_echo(cfg)]
 
     def link(name: str, covered) -> tuple[str, ...]:
@@ -159,18 +160,18 @@ def fingerprints(cfg: ExperimentConfig, model: ModelState) -> dict[str, tuple[st
         keys = tuple(k if k.endswith(".") else f"{k} = " for k in keys)
         return (*covered, tag, *(line for line in echo if line.startswith(keys)))
 
-    digests = [f"model sha256 = {hashlib.sha256(model_bytes(model)).hexdigest()}"]
-    if cfg.dataset == "idx":
-        digests += [f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}"
-                    for key, path in (line.split(" = ", 1) for line in echo if line.startswith("idx."))]
-    lines = {"sets": link("sets", digests)}
+    digests = [f"{key} sha256 = {hashlib.sha256(Path(path).read_bytes()).hexdigest()}"
+               for key, path in (line.split(" = ", 1) for line in echo if line.startswith("idx."))
+               if cfg.dataset == "idx"]
+    lines = {"model": link("model", digests)}
+    lines["sets"] = link("sets", lines["model"])
     for metric in METRICS:
         lines[metric] = link(metric, lines["sets"])
         lines.update({f"{kind}_{metric}": link("pair", lines[metric]) for kind in CONFIG_KINDS})
     return lines
 
 
-def _change(stored: np.ndarray, lines) -> str:
+def _change(stored, lines) -> str:
     """'' when the stored lines are `lines`, else the first change, "old -> new"."""
     return next((f"{old} -> {new}" for old, new in zip_longest(
         np.ravel(stored).tolist(), lines, fillvalue="(none)") if old != new), "")
@@ -179,38 +180,38 @@ def _change(stored: np.ndarray, lines) -> str:
 # ------------------------------------------------------------- artifact files
 
 
-def _load(path: Path, parse, lines=None):
-    """(parse(arrays), None) for a readable artifact whose `fingerprint` holds
-    `lines`, when given, else (None, why it is not)."""
+def _load(path: Path, read, lines=None):
+    """(value, None) when read(path) gives (value, the lines the artifact
+    stores) and those are `lines`, when given; else (None, why not)."""
     if not path.exists():
         return None, "missing"
     try:
-        with np.load(path, allow_pickle=False) as arrays:
-            why = lines and _change(arrays["fingerprint"], lines)
-            return (None, why) if why else (parse(arrays), None)
+        value, stored = read(path)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         return None, f"unreadable: {type(exc).__name__}: {exc}"
+    why = lines and _change(stored, lines)
+    return (None, why) if why else (value, None)
 
 
-def _save(path: Path, arrays: dict, why: str) -> None:
-    """Write the artifact through a temporary file and note why on stderr."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+def _save(path: Path, write, why: str) -> None:
+    """write(a temporary path), moved to `path`; note why on stderr."""
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp{path.suffix}")  # np.savez keeps .npz
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     print(f"rebuilt {path} ({why})", file=sys.stderr)
 
 
-def _sets_from_arrays(arrays) -> AugmentedSets:
-    classes = int(arrays["class_count"])
-    return AugmentedSets(
-        train_star=Dataset(arrays["train_images"], arrays["train_labels"], classes),
-        test_star=Dataset(arrays["test_images"], arrays["test_labels"], classes),
-        train_sources=arrays["train_sources"],
-    )
+def _read_sets(path: Path) -> tuple[AugmentedSets, np.ndarray]:
+    with np.load(path, allow_pickle=False) as arrays:
+        classes = int(arrays["class_count"])
+        return AugmentedSets(
+            train_star=Dataset(arrays["train_images"], arrays["train_labels"], classes),
+            test_star=Dataset(arrays["test_images"], arrays["test_labels"], classes),
+            train_sources=arrays["train_sources"],
+        ), arrays["fingerprint"]
 
 
 def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tuple:
@@ -219,15 +220,16 @@ def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tupl
     unreadable) and fingerprint_<entry>. An entry is stale when missing or
     when its fingerprint is not lines[entry]; build(stale) gives {entry: (value
     per field)}, saved beside the fresh ones; else (None, why) if any is stale."""
-    def read(arrays) -> dict:
-        held = {name: arrays[name] for name in arrays.files if name != "fingerprint"}
+    def read(path: Path) -> tuple[dict, None]:
+        with np.load(path, allow_pickle=False) as arrays:
+            held = {name: arrays[name] for name in arrays.files if name != "fingerprint"}
         for entry in entries:
             for field, (dtype, shape) in fields.items():
                 values = held.get(f"{field}_{entry}")
                 if values is not None and (values.dtype, values.shape) != (dtype, shape):
                     raise ValueError(f"{field}_{entry} is {values.dtype} {values.shape}, "
                                      f"expected {np.dtype(dtype)} {shape}")
-        return held
+        return held, None
 
     held, why = _load(path, read)
     held = held or {}
@@ -246,7 +248,7 @@ def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tupl
             held.update({f"{field}_{entry}": np.asarray(value, dtype)
                          for (field, (dtype, _)), value in zip(fields.items(), values)})
             held[f"fingerprint_{entry}"] = np.array(lines[entry])
-        _save(path, held, why)
+        _save(path, lambda tmp: np.savez(tmp, **held), why)
     return {entry: tuple(held[f"{field}_{entry}"] for field in fields) for entry in entries}, why
 
 
@@ -271,13 +273,12 @@ def _record(entry: str, values) -> ExperimentRecord:
 
 @dataclass
 class Spine:
-    """One run's chain in <out>: the config, M, the fingerprints, the
-    augmented sets, the scores and the points, each read or built the first
-    time it is used. The data are prepared at most once; M is loaded from
-    model.grcnn, or trained when that is absent; the other links are read
-    from their .npz files, and their stale entries are built and saved."""
+    """One run's chain in <out>: the config, the fingerprints, M, the sets,
+    the scores and the points, each read from its file, or built and saved
+    where stale, the first time it is used. The data are prepared at most once."""
 
     cfg: ExperimentConfig
+    trained = False  # whether `model` trained M rather than loading it
 
     @property
     def out(self) -> Path:
@@ -289,31 +290,31 @@ class Spine:
         return prepare_data(self.cfg)
 
     @cached_property
-    def model(self) -> ModelState:
-        path = self.out / MODEL_FILE
-        return load_model(path) if path.exists() else self.train()
-
-    def train(self) -> ModelState:
-        """M trained on Train and saved to <out>/model.grcnn. It is the
-        spine's M from here on, so train before the fingerprints are used."""
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.model = train_original(self.cfg, self.data[0])
-        save_model(self.model, self.out / MODEL_FILE)
-        return self.model
+    def fingerprints(self) -> dict:
+        return fingerprints(self.cfg)
 
     @cached_property
-    def fingerprints(self) -> dict:
-        return fingerprints(self.cfg, self.model)
+    def model(self) -> ModelState:
+        """M, read from <out>/model.grcnn when the file holds the model
+        entry's lines, else trained on Train and saved there with them."""
+        path, lines = self.out / MODEL_FILE, self.fingerprints["model"]
+        model, why = _load(path, load_model, lines)
+        if model is None:
+            model = train_original(self.cfg, self.data[0])
+            self.trained = True
+            self.out.mkdir(parents=True, exist_ok=True)
+            _save(path, lambda tmp: save_model(model, tmp, lines), why)
+        return model
 
     @cached_property
     def sets(self) -> AugmentedSets:
         path = self.out / SETS_FILE
-        sets, why = _load(path, _sets_from_arrays, self.fingerprints["sets"])
+        sets, why = _load(path, _read_sets, self.fingerprints["sets"])
         if sets is None:
             train_set, test_set = self.data
             sets = build_augmented_sets(self.model, train_set, test_set, self.cfg.attack_fraction,
                                         self.cfg.attack_epsilon, seed=self.cfg.seed_attack)
-            _save(path, {
+            _save(path, lambda tmp: np.savez(tmp, **{
                 "fingerprint": np.array(self.fingerprints["sets"]),
                 "class_count": np.array(sets.train_star.class_count),
                 "train_images": sets.train_star.images,
@@ -321,7 +322,7 @@ class Spine:
                 "train_sources": sets.train_sources,
                 "test_images": sets.test_star.images,
                 "test_labels": sets.test_star.labels,
-            }, why)
+            }), why)
         return sets
 
     @cached_property
@@ -363,9 +364,11 @@ class Spine:
 
     def stored_points(self) -> tuple:
         """(records, None) read back from <out>/points.npz holding every pair
-        fresh, else (None, why). A missing file is found before M is loaded."""
-        path = self.out / POINTS_FILE
-        if not path.exists():
-            return None, "missing"
-        held, why = _entries(path, _POINT_FIELDS, self.fingerprints, pair_entries(self.cfg))
-        return held and tuple(_record(entry, values) for entry, values in held.items()), why
+        fresh, else (None, why). Unless the spine has its points, they are
+        these records, loaded by no worker, so `report` reads the file once."""
+        held, why = _entries(self.out / POINTS_FILE, _POINT_FIELDS, self.fingerprints,
+                             pair_entries(self.cfg))
+        records = held and tuple(_record(entry, values) for entry, values in held.items())
+        if records is not None:
+            vars(self).setdefault("points", RetrainBatch(records, workers=0, worker_cpu_seconds=0.0))
+        return records, why

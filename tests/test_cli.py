@@ -131,8 +131,8 @@ def test_seed_override_changes_model(tmp_path):
     out_b = tmp_path / "b"
     assert main(["train", "--config", str(cfg), "--out", str(out_a), "--seed-init", "1"]) == 0
     assert main(["train", "--config", str(cfg), "--out", str(out_b), "--seed-init", "2"]) == 0
-    a = load_model(out_a / "model.grcnn")
-    b = load_model(out_b / "model.grcnn")
+    a, _ = load_model(out_a / "model.grcnn")
+    b, _ = load_model(out_b / "model.grcnn")
     assert any(not np.array_equal(a.parameters[k], b.parameters[k]) for k in a.parameters)
 
 
@@ -339,8 +339,8 @@ def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
     assert_same_bytes(staged, tmp_path / "run")
     for name in ("sets.npz", "scores.npz"):
         assert (tmp_path / "run" / name).is_file(), name
-    # again into the same directory: train writes M's same bytes, so every
-    # artifact is fresh and loaded, and the outputs do not move
+    # again into the same directory: train loads M, every artifact is fresh
+    # and loaded, and the outputs do not move
     capsys.readouterr()
     for step in ("train", "attack", "score", "retrain", "report"):
         assert main([step, "--config", str(cfg), "--out", str(staged)]) == 0, step
@@ -349,12 +349,17 @@ def test_stage_commands_write_the_run_bytes(tmp_path, capsys):
 
 
 def count_rebuilds(monkeypatch) -> Counter:
-    """Counts scorings and augmented-set builds from here on."""
+    """Counts M's trainings, scorings and augmented-set builds from here on."""
     from guidedretrain import metrics, retrain, stages
 
     calls = Counter()
     timed_scoring = metrics.timed_scoring
     build_augmented_sets = stages.build_augmented_sets
+    train_original = stages.train_original
+
+    def counting_training(*args, **kwargs):
+        calls["train_original"] += 1
+        return train_original(*args, **kwargs)
 
     def counting_scoring(metric, *args, **kwargs):
         calls["timed_scoring"] += 1
@@ -367,6 +372,7 @@ def count_rebuilds(monkeypatch) -> Counter:
     monkeypatch.setattr(metrics, "timed_scoring", counting_scoring)
     monkeypatch.setattr(retrain, "timed_scoring", counting_scoring)
     monkeypatch.setattr(stages, "build_augmented_sets", counting_build)
+    monkeypatch.setattr(stages, "train_original", counting_training)
     return calls
 
 
@@ -401,7 +407,7 @@ def test_stage_command_into_an_empty_out_prepares_the_data_once(tmp_path, monkey
     calls = count_rebuilds(monkeypatch)
     stage("score", write_config(tmp_path), tmp_path / "out")
     assert len(prepared) == 1
-    assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
+    assert calls == {"train_original": 1, "build_augmented_sets": 1, "timed_scoring": 2}
 
 
 def test_changed_attack_seed_rebuilds_the_sets(tmp_path, monkeypatch, capsys):
@@ -470,21 +476,76 @@ def test_retrained_m_makes_both_artifacts_stale(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     stage("train", cfg, out)
     stage("score", cfg, out)
-    old = hashlib.sha256((out / "model.grcnn").read_bytes()).hexdigest()
-    stage("train", cfg, out, "--seed-init", "12")
-    new = hashlib.sha256((out / "model.grcnn").read_bytes()).hexdigest()
     capsys.readouterr()
+    stage("train", cfg, out, "--seed-init", "12")
+    change = "seed.init = 11 -> seed.init = 12"
+    assert f"rebuilt {out / 'model.grcnn'} ({change})" in capsys.readouterr().err
     calls = count_rebuilds(monkeypatch)
     stage("score", cfg, out, "--seed-init", "12")
     assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
     err = capsys.readouterr().err
-    change = f"model sha256 = {old} -> model sha256 = {new}"
     assert f"rebuilt {out / 'sets.npz'} ({change})" in err
     assert f"rebuilt {out / 'scores.npz'} (RANDOM, NC {change})" in err
     fresh = tmp_path / "fresh"
     stage("train", cfg, fresh, "--seed-init", "12")
     stage("score", cfg, fresh, "--seed-init", "12")
     assert_same_scores(out, fresh)
+
+
+def test_a_stale_m_is_trained_again_not_scored(tmp_path, monkeypatch, capsys):
+    # `score` after `train` at another seed.init scores a fresh M, not the old one
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("train", cfg, out, "--seed-init", "11")
+    capsys.readouterr()
+    calls = count_rebuilds(monkeypatch)
+    stage("score", cfg, out, "--seed-init", "99")
+    assert calls == {"train_original": 1, "build_augmented_sets": 1, "timed_scoring": 2}
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'model.grcnn'} (seed.init = 11 -> seed.init = 99)" in err
+    fresh = tmp_path / "fresh"
+    stage("score", cfg, fresh, "--seed-init", "99")
+    assert (out / "model.grcnn").read_bytes() == (fresh / "model.grcnn").read_bytes()
+    with np.load(out / "scores.npz") as got, np.load(fresh / "scores.npz") as want:
+        assert got.files == want.files
+        for name in got.files:
+            if not name.startswith("seconds_"):  # each scoring's own time
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_report_refuses_the_points_of_a_stale_m_and_trains_nothing(tmp_path, monkeypatch,
+                                                                    capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    model = (out / "model.grcnn").read_bytes()
+    calls = count_rebuilds(monkeypatch)
+    err = refused_report(cfg, out, capsys, "--seed-init", "99")
+    assert (f"{out / 'points.npz'} (C2_RANDOM, C2_NC, C3_RANDOM, C3_NC seed.init = 11 -> "
+            "seed.init = 99)") in err
+    assert calls == {}
+    assert (out / "model.grcnn").read_bytes() == model
+
+
+def test_a_version_1_model_file_is_rebuilt_once_then_loaded(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("train", cfg, out)
+    written = (out / "model.grcnn").read_bytes()
+    model, lines = load_model(out / "model.grcnn")
+    assert lines[0] == "guidedretrain model v1"
+    (out / "model.grcnn").write_bytes(v1_bytes(model))
+    calls = count_rebuilds(monkeypatch)
+    capsys.readouterr()
+    stage("train", cfg, out)
+    assert calls == {"train_original": 1}
+    err = capsys.readouterr().err
+    assert f"rebuilt {out / 'model.grcnn'} ((none) -> guidedretrain model v1)" in err
+    assert (out / "model.grcnn").read_bytes() == written
+    calls.clear()
+    stage("train", cfg, out)
+    assert calls == {}
+    assert "rebuilt" not in capsys.readouterr().err
 
 
 def test_scores_file_gains_only_the_missing_metrics(tmp_path, monkeypatch, capsys):
@@ -623,10 +684,10 @@ def test_report_reads_points_npz_not_a_hand_edited_points_csv(tmp_path):
     assert (out / "summary.csv").read_bytes() == summary
 
 
-def refused_report(cfg, out, capsys) -> str:
+def refused_report(cfg, out, capsys, *extra) -> str:
     """stderr of a `report` that exits 1 and writes no summary.csv."""
     capsys.readouterr()
-    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["report", "--config", str(cfg), "--out", str(out), *extra]) == 1
     assert not (out / "summary.csv").exists()
     return capsys.readouterr().err
 
@@ -668,6 +729,22 @@ def test_report_into_an_empty_out_loads_and_trains_nothing(tmp_path, monkeypatch
     assert f"{out / 'points.npz'} (missing)" in err
     assert not (out / "model.grcnn").exists()
     assert trained == []
+
+
+def test_report_reads_points_npz_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("retrain", cfg, out)
+    opened = []
+    real = np.load
+
+    def counting(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting)
+    stage("report", cfg, out)
+    assert opened.count("points.npz") == 1
 
 
 def count_points(monkeypatch) -> list:
@@ -712,8 +789,10 @@ def test_second_retrain_or_run_loads_the_points(tmp_path, monkeypatch, capsys, s
     assert "points.csv" in written
     calls.clear()
     capsys.readouterr()
+    rebuilds = count_rebuilds(monkeypatch)
     stage(step, cfg, out)
     assert calls == []
+    assert rebuilds == {}  # M is loaded, not trained again
     assert "rebuilt" not in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in written} == written
     if step == "run":
@@ -778,10 +857,18 @@ def earlier_fingerprint(cfg, tag, digests, keys) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
+def v1_bytes(model) -> bytes:
+    """model.grcnn as format version 1 wrote it: no lines after the descriptor."""
+    raw = model_bytes(model)
+    descriptor_end = 16 + int.from_bytes(raw[8:16], "little")
+    return raw[:7] + bytes([1]) + raw[8:descriptor_end] + raw[descriptor_end + 8:]
+
+
 def earlier_fingerprints(cfg, model) -> dict:
     """The sets, scores and points fingerprints of the one-fingerprint-per-file
-    layout, each covering the one before it, for a synthetic-data `cfg`."""
-    model_sha = hashlib.sha256(model_bytes(model)).hexdigest()
+    layout, each covering the one before it, for a synthetic-data `cfg`; the
+    sets covered the sha256 of M's version 1 model file."""
+    model_sha = hashlib.sha256(v1_bytes(model)).hexdigest()
     sets = earlier_fingerprint(
         cfg, "guidedretrain sets v2", [f"model sha256 = {model_sha}"],
         ("dataset", "synthetic.", "idx.", "attack.epsilon", "attack.fraction", "seed.attack"))
@@ -813,7 +900,7 @@ def test_points_npz_of_the_whole_sweep_layout_is_rebuilt_as_stale(tmp_path, monk
     stage("run", cfg, out)
     written = csv_bytes(out)
     run_cfg = with_overrides(parse_config(MINI_CONFIG), out=str(out))
-    scores = earlier_fingerprints(run_cfg, load_model(out / "model.grcnn"))["scores"]
+    scores = earlier_fingerprints(run_cfg, load_model(out / "model.grcnn")[0])["scores"]
     fingerprint = earlier_fingerprint(
         run_cfg, "guidedretrain points v1", [f"scores = {scores}"],
         ("retrain.", "configs", "metrics", "seed.init", "seed.shuffle"))
@@ -843,7 +930,7 @@ def test_files_of_the_one_fingerprint_layout_are_rebuilt_not_read(tmp_path, monk
     stage("run", cfg, out)
     written = csv_bytes(out)
     earlier = earlier_fingerprints(with_overrides(parse_config(MINI_CONFIG), out=str(out)),
-                                   load_model(out / "model.grcnn"))
+                                   load_model(out / "model.grcnn")[0])
     for link in ("sets", "scores", "points"):
         with np.load(out / f"{link}.npz", allow_pickle=False) as stored:
             arrays = {name: 1 - values if name.startswith(("train_images", "scores_", "accuracy_"))
@@ -856,7 +943,7 @@ def test_files_of_the_one_fingerprint_layout_are_rebuilt_not_read(tmp_path, monk
     assert calls == {"build_augmented_sets": 1, "timed_scoring": 2}
     assert len(points) == 4 * 20
     err = capsys.readouterr().err
-    assert f"rebuilt {out / 'sets.npz'} ({earlier['sets']} -> model sha256 = " in err
+    assert f"rebuilt {out / 'sets.npz'} ({earlier['sets']} -> guidedretrain model v1)" in err
     assert f"rebuilt {out / 'scores.npz'} (RANDOM, NC missing)" in err
     assert f"rebuilt {out / 'points.npz'} (C2_RANDOM, C2_NC, C3_RANDOM, C3_NC missing)" in err
     assert csv_bytes(out) == written

@@ -194,7 +194,8 @@ def test_save_load_round_trip(tmp_path):
     m = build_model(desk_architecture(), seed=11)
     path = tmp_path / "model.grcnn"
     save_model(m, path)
-    loaded = load_model(path)
+    loaded, lines = load_model(path)
+    assert lines == ()
     assert loaded.architecture == m.architecture
     for key in m.parameters:
         assert np.array_equal(loaded.parameters[key], m.parameters[key])
@@ -213,7 +214,7 @@ def test_save_writes_canonical_parameter_order(tmp_path):
     save_model(m, tmp_path / "canonical.grcnn")
     save_model(shuffled, tmp_path / "reversed.grcnn")
     assert (tmp_path / "canonical.grcnn").read_bytes() == (tmp_path / "reversed.grcnn").read_bytes()
-    loaded = load_model(tmp_path / "reversed.grcnn")
+    loaded, _ = load_model(tmp_path / "reversed.grcnn")
     for key in m.parameters:
         assert np.array_equal(loaded.parameters[key], m.parameters[key])
 
@@ -221,10 +222,37 @@ def test_save_writes_canonical_parameter_order(tmp_path):
 def test_model_file_size(tmp_path):
     m = build_model(desk_architecture(), seed=11)
     path = tmp_path / "model.grcnn"
-    save_model(m, path)
+    save_model(m, path, ("a = 1", "b = é"))
     blob = m.architecture.to_json().encode("utf-8")
-    expected = 7 + 1 + 8 + len(blob) + 4 * DESK_PARAM_COUNT
+    lines = "a = 1\nb = é\n".encode("utf-8")
+    expected = 7 + 1 + 8 + len(blob) + 8 + len(lines) + 4 * DESK_PARAM_COUNT
     assert path.stat().st_size == expected
+
+
+def v1_bytes(model) -> bytes:
+    """The model file as format version 1 wrote it: no lines after the descriptor."""
+    raw = model_bytes(model)
+    descriptor_end = 16 + int.from_bytes(raw[8:16], "little")
+    assert raw[descriptor_end:descriptor_end + 8] == bytes(8)  # no lines
+    return raw[:7] + bytes([1]) + raw[8:descriptor_end] + raw[descriptor_end + 8:]
+
+
+@pytest.mark.parametrize("lines", [(), ("",), ("a = 1", "", "idx.train_images = data/x y")])
+def test_model_file_keeps_its_lines(tmp_path, lines):
+    m = build_model(tiny_arch(), seed=0)
+    save_model(m, tmp_path / "model.grcnn", lines)
+    loaded, stored = load_model(tmp_path / "model.grcnn")
+    assert stored == lines
+    assert model_bytes(loaded, stored) == model_bytes(m, lines)
+
+
+def test_version_1_model_file_still_loads(tmp_path):
+    m = build_model(desk_architecture(), seed=11)
+    (tmp_path / "v1.grcnn").write_bytes(v1_bytes(m))
+    assert len(v1_bytes(m)) == 38911  # the size the version 1 pin held
+    loaded, lines = load_model(tmp_path / "v1.grcnn")
+    assert lines == ()
+    assert model_bytes(loaded) == model_bytes(m)
 
 
 def test_model_file_errors(tmp_path):
@@ -252,6 +280,18 @@ def test_model_file_errors(tmp_path):
     trailing.write_bytes(raw + b"\x00\x00")
     with pytest.raises(TruncatedFileError):
         load_model(trailing)
+
+
+def test_truncated_lines_block_is_refused(tmp_path):
+    m = build_model(tiny_arch(), seed=0)
+    raw = model_bytes(m, ("seed.init = 11", "seed.shuffle = 22"))
+    lines_at = 16 + int.from_bytes(raw[8:16], "little")
+    # cut inside the length, inside the text, and a length beyond the file
+    for damaged in (raw[:lines_at + 3], raw[:lines_at + 12],
+                    raw[:lines_at] + (len(raw) * 2).to_bytes(8, "little") + raw[lines_at + 8:]):
+        (tmp_path / "model.grcnn").write_bytes(damaged)
+        with pytest.raises(TruncatedFileError, match="lines truncated"):
+            load_model(tmp_path / "model.grcnn")
 
 
 def test_dataset_validation():
@@ -306,9 +346,17 @@ DESK_JSON = (
 
 def test_desk_descriptor_and_model_bytes_are_pinned():
     assert desk_architecture().to_json() == DESK_JSON
-    raw = model_bytes(build_model(desk_architecture(), seed=11))
-    assert len(raw) == 38911
+    model = build_model(desk_architecture(), seed=11)
+    raw = model_bytes(model)
+    assert len(raw) == 38919
     assert hashlib.sha256(raw).hexdigest() == \
+        "a641cbf54b7004440c783b992007837291937363e904ba0342c237fd3ca9bcbf"
+    raw = model_bytes(model, ("guidedretrain model v1", "seed.init = 11"))
+    assert len(raw) == 38919 + 38
+    assert hashlib.sha256(raw).hexdigest() == \
+        "e86dc2e3780061785ddc072d83b4df7793439371d4b1e5694d5654b4b81968f1"
+    # version 1, with the pin it held
+    assert hashlib.sha256(v1_bytes(model)).hexdigest() == \
         "267bb6259b07bff8ec5f73dafcae8b0a3aabd587353425594a2b36d3d5e8902e"
 
 

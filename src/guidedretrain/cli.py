@@ -21,9 +21,9 @@ sets.npz, the metric scores from scores.npz and the sweep points from
 points.npz. Each entry (M, the sets, a metric, a sweep pair) keeps the
 fingerprint lines of the config keys it depends on; the spine rebuilds
 those missing or whose lines differ, naming on stderr the first changed
-line. `report` never retrains: it refuses, with exit status 1, a
-points.npz that is unreadable or lacks a configured pair fresh, naming the
-file and the reason. GR_THREADS alone sets the number of processes that
+line. `report` reads points.npz alone, M's Test* accuracy included, and
+exits 1, naming the file and the reason, if it is unreadable or lacks a
+configured pair fresh. GR_THREADS alone sets the number of processes that
 retrain the sweep points (default: every usable core; 1 runs them
 in-process). That pool is the only parallelism: each command runs its
 numerics on one OpenBLAS thread and restores the caller's count on return.
@@ -96,7 +96,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         save_idx_dataset(data, spine.out / f"{name}-images-idx3-ubyte",
                          spine.out / f"{name}-labels-idx1-ubyte")
     print(f"adv_train {len(sets.adv_train)} inputs, adv_test {len(sets.adv_test)} inputs; "
-          f"M accuracy on Test* {spine.original_accuracy:.3f}")
+          f"M accuracy on Test* {accuracy(spine.model, sets.test_star):.3f}")
     return 0
 
 

@@ -6,7 +6,8 @@ and resource utilization per (configuration, metric), the C2-at-C3-budget
 comparison, metric timing, and per-configuration plot data. Every table is
 written by `write_table`, never read to make another. Reports are
 byte-deterministic for a fixed configuration except timing.csv and the
-manifest. A consistency pass reads summary.csv back with `read_table` and
+manifest. The report stage reads points.npz alone, M's Test* accuracy
+included. A consistency pass reads summary.csv back with `read_table` and
 rebuilds every row with `summary_row`, which wrote it, from the records
 read back from points.npz, before the manifest is sealed. The score and
 report stages remove the CSVs of metrics and configurations the config
@@ -101,15 +102,15 @@ SUMMARY_HEADER = ("config,metric,original_accuracy,best_accuracy,inputs_at_best,
                   "resource,resource_utilization")
 
 
-def summary_row(rec: ExperimentRecord, original_accuracy: float) -> tuple[str, ...]:
+def summary_row(rec: ExperimentRecord) -> tuple[str, ...]:
     """The summary.csv fields of one record; a bad resource ratio is refused."""
-    return (rec.kind, rec.metric, f"{original_accuracy:.3f}", f"{rec.best_accuracy:.3f}",
+    return (rec.kind, rec.metric, f"{rec.original_accuracy:.3f}", f"{rec.best_accuracy:.3f}",
             str(rec.best_input_size), str(rec.pool_total), rec.resource_string(),
             f"{rec.resource_utilization:.4f}")
 
 
-def write_summary_csv(records, original_accuracy: float, path) -> None:
-    write_table(path, SUMMARY_HEADER, (summary_row(rec, original_accuracy) for rec in records))
+def write_summary_csv(records, path) -> None:
+    write_table(path, SUMMARY_HEADER, map(summary_row, records))
 
 
 def write_comparison_csv(rows, path) -> None:
@@ -135,7 +136,7 @@ def write_plot_csvs(records, out_dir: Path) -> dict:
     return paths
 
 
-def consistency_problems(records, original_accuracy: float, summary_path) -> list[str]:
+def consistency_problems(records, summary_path) -> list[str]:
     """Rebuild every summary row from the per-point records with
     summary_row; list the fields of summary_path that differ."""
     by_key = {(rec.kind, rec.metric): rec for rec in records}
@@ -146,8 +147,7 @@ def consistency_problems(records, original_accuracy: float, summary_path) -> lis
             problems.append(f"{key}: summary row without per-point rows")
             continue
         problems += [f"{key}: {column} is {row.get(column)}, recomputed {text}"
-                     for column, text in zip(SUMMARY_HEADER.split(","),
-                                             summary_row(by_key[key], original_accuracy))
+                     for column, text in zip(SUMMARY_HEADER.split(","), summary_row(by_key[key]))
                      if row.get(column) != text]
     return problems
 
@@ -216,17 +216,17 @@ def retrain_stage(spine: Spine) -> tuple[RetrainBatch, dict]:
 
 def report_stage(spine: Spine) -> tuple[list, dict]:
     """(records, {file name: path}): summary, comparison and plot CSVs from
-    the spine's points (the pool's, for pairs `run` retrained), the summary
-    checked against the records read back from points.npz, raising on any
-    mismatch; the plot CSV of every other configuration is removed. A
-    points.npz that is not fresh or lacks a pair is refused before the sets are read."""
+    the spine's points, the summary checked against the records read back
+    from points.npz, raising on any mismatch; the plot CSV of every other
+    configuration is removed. Nothing but points.npz is read: one that is
+    not fresh or lacks a pair is refused."""
     out = spine.out
     stored, why = spine.stored_points()
     if stored is None:
         raise ValueError(f"cannot report from {out / POINTS_FILE} ({why}); "
                          f"run `retrain` or `run` first")
     records = list(spine.points.records)  # fresh, so loaded unless retrained in this spine
-    write_summary_csv(records, spine.original_accuracy, out / SUMMARY_CSV)
+    write_summary_csv(records, out / SUMMARY_CSV)
     write_comparison_csv(compare_records(records), out / COMPARISON_CSV)
     files = {SUMMARY_CSV: out / SUMMARY_CSV, COMPARISON_CSV: out / COMPARISON_CSV}
     plots = write_plot_csvs(records, out)
@@ -235,7 +235,7 @@ def report_stage(spine: Spine) -> tuple[list, dict]:
             files[plots[kind].name] = plots[kind]
         else:
             (out / f"plot_{kind.lower()}.csv").unlink(missing_ok=True)
-    problems = consistency_problems(stored, spine.original_accuracy, out / SUMMARY_CSV)
+    problems = consistency_problems(stored, out / SUMMARY_CSV)
     if problems:
         raise AssertionError("summary inconsistent with per-point data: " + "; ".join(problems))
     return records, files
@@ -273,7 +273,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
             runtime["model"] = "trained" if spine.trained else "loaded"
             files[MODEL_FILE] = out_dir / MODEL_FILE
         with timed("attack"):
-            original_accuracy = spine.original_accuracy  # builds or loads the sets
+            spine.sets  # loads the sets, or builds them when sets.npz is not fresh
             files[SETS_FILE] = out_dir / SETS_FILE
         with timed("score"):
             files.update(score_stage(spine)[1])
@@ -289,7 +289,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ReportBundle:
         write_manifest(out_dir, cfg, files, f"failed: {stage}", stage_seconds, runtime)
         raise
     write_manifest(out_dir, cfg, files, "ok", stage_seconds, runtime)
-    return ReportBundle(out_dir=out_dir, original_accuracy=original_accuracy, records=records)
+    return ReportBundle(out_dir, records[0].original_accuracy, records)  # one M for every pair
 
 
 # ------------------------------------------------------------- trend report

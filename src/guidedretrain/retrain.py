@@ -36,6 +36,7 @@ from .model import (
     ModelState,
     TrainParams,
     _forward_batches,
+    accuracy,
     build_model,
     train,
 )
@@ -86,6 +87,7 @@ class ExperimentRecord:
     metric: str
     runs: tuple
     pool_total: int  # Tn
+    original_accuracy: float  # M's accuracy on Test*
 
     @property
     def best_accuracy(self) -> float:
@@ -253,7 +255,7 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
     independent jobs, run largest input first on a fork-based process pool
     of `max_workers()` processes, capped at the job count. With one worker,
     or without `fork`, they run in-process. Records come back in `pairs`
-    order, runs in point order.
+    order, runs in point order, each with M's accuracy on Test*.
     """
     plans = []
     for kind, metric in pairs:
@@ -281,9 +283,10 @@ def run_experiments(original: ModelState, sets: AugmentedSets, pairs, hp: TrainP
             runs, cpu = _pooled(ctx, workers, call, jobs)
     finally:
         del _SHARED[call]
+    original_accuracy = accuracy(original, sets.test_star)
     records = tuple(
         ExperimentRecord(kind, metric, tuple(runs[p, i] for i in range(len(pair_sizes))),
-                         len(pool))
+                         len(pool), original_accuracy)
         for p, (kind, metric, _, pool, pair_sizes) in enumerate(plans))
     return RetrainBatch(records=records, workers=workers, worker_cpu_seconds=cpu)
 

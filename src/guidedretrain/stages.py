@@ -9,7 +9,7 @@ each read or built when first used. Its links are files in <out>:
                source row of each Adv-Train row
   scores.npz   per metric, its raw float64 scores over Train* and its seconds
   points.npz   per sweep pair, each point's input size, three accuracies and
-               wall seconds, and the sweep's pool total
+               wall seconds, the sweep's pool total and M's accuracy on Test*
 
 `fingerprints` gives each entry (M, the sets, each metric of scores.npz,
 each <configuration>_<metric> pair of points.npz) its fingerprint from the
@@ -18,7 +18,7 @@ entry, that hold the lines of the entry it covers, its link's tag and its
 link's config lines. M covers the IDX files by sha256. A stage loads,
 without unpickling, each entry whose lines are equal, rebuilds the others
 through a temporary file and names on stderr the first changed line.
-`report` never retrains; the stages that write CSV files are in reports.py.
+`report` reads points.npz alone; reports.py holds the stages that write CSVs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .model import (
     Dataset,
     ModelState,
     TrainParams,
-    accuracy,
     build_model,
     desk_architecture,
     load_model,
@@ -143,7 +142,7 @@ _LINKS = {
     "LSA": ("guidedretrain LSA v3", "lsa.layer", "lsa.variance_threshold"),
     "DSA": ("guidedretrain DSA v3", "dsa.layers"),
     "RANDOM": ("guidedretrain RANDOM v3", "seed.random_metric"),
-    "pair": ("guidedretrain pair v3", "retrain."),
+    "pair": ("guidedretrain pair v4", "retrain."),
 }
 
 
@@ -217,9 +216,10 @@ def _read_sets(path: Path) -> tuple[AugmentedSets, np.ndarray]:
 def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tuple:
     """({entry: (array per field)}, why the file was rebuilt) of an .npz of
     arrays <field>_<entry> of the (dtype, shape) `fields` gives (else it is
-    unreadable) and fingerprint_<entry>. An entry is stale when missing or
-    when its fingerprint is not lines[entry]; build(stale) gives {entry: (value
-    per field)}, saved beside the fresh ones; else (None, why) if any is stale."""
+    unreadable) and fingerprint_<entry>. An entry is stale when its stored
+    fingerprint is not lines[entry], named by the first changed line, or when
+    it or one of its arrays is missing; build(stale) gives {entry: (value per
+    field)}, saved beside the fresh ones; else (None, why) if any is stale."""
     def read(path: Path) -> tuple[dict, None]:
         with np.load(path, allow_pickle=False) as arrays:
             held = {name: arrays[name] for name in arrays.files if name != "fingerprint"}
@@ -235,8 +235,9 @@ def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tupl
     held = held or {}
 
     def change(entry: str) -> str:
-        names = [f"{field}_{entry}" for field in (*fields, "fingerprint")]
-        return _change(held[names[-1]], lines[entry]) if held.keys() >= set(names) else "missing"
+        stored = held.get(f"fingerprint_{entry}")
+        why = "missing" if stored is None else _change(stored, lines[entry])
+        return why or ("" if all(f"{field}_{entry}" in held for field in fields) else "missing")
 
     stale = {entry: what for entry in entries if (what := change(entry))}
     if stale:
@@ -253,19 +254,20 @@ def _entries(path: Path, fields: dict, lines: dict, entries, build=None) -> tupl
 
 
 # points.npz: per sweep pair <configuration>_<metric>, an array of its points
-# per stored RetrainRun field, then its pool_total
+# per stored RetrainRun field, then its pool_total and M's Test* accuracy
 _RUN_FIELDS = ("input_size", "accuracy_test_star", "accuracy_test", "accuracy_adv_test",
                "wall_seconds")
 _POINT_FIELDS = {**{name: (np.float64, (SWEEP_POINTS,)) for name in _RUN_FIELDS},
-                 "input_size": (np.int64, (SWEEP_POINTS,)), "pool_total": (np.int64, ())}
+                 "input_size": (np.int64, (SWEEP_POINTS,)), "pool_total": (np.int64, ()),
+                 "original_accuracy": (np.float64, ())}
 
 
 def _record(entry: str, values) -> ExperimentRecord:
     kind, metric = entry.split("_")
-    *columns, total = (array.tolist() for array in values)
+    *columns, total, original_accuracy = (array.tolist() for array in values)
     return ExperimentRecord(kind, metric, tuple(
         RetrainRun(kind, metric, i, **dict(zip(_RUN_FIELDS, point)))
-        for i, point in enumerate(zip(*columns))), total)
+        for i, point in enumerate(zip(*columns))), total, original_accuracy)
 
 
 # ------------------------------------------------------------- the spine
@@ -326,11 +328,6 @@ class Spine:
         return sets
 
     @cached_property
-    def original_accuracy(self) -> float:
-        """M's accuracy on Test*."""
-        return accuracy(self.model, self.sets.test_star)
-
-    @cached_property
     def scores(self) -> dict:
         """{metric: (values, seconds)} of the configured metrics over Train*,
         read from <out>/scores.npz, which gains the metrics it lacks fresh."""
@@ -342,9 +339,9 @@ class Spine:
 
     @cached_property
     def points(self) -> RetrainBatch:
-        """The sweep of every configured (configuration, metric) pair in
-        pair_entries order, read from <out>/points.npz, which gains the pairs it
-        lacks fresh: those the pool retrains, its records and its workers."""
+        """The sweep of every configured pair in pair_entries order, made by
+        _record from <out>/points.npz, which gains the pairs it lacks fresh;
+        the workers and CPU seconds are the pool's (0 when none ran)."""
         pool = RetrainBatch((), workers=0, worker_cpu_seconds=0.0)
 
         def retrain(stale):
@@ -353,14 +350,13 @@ class Spine:
                                    retrain_hp(self.cfg), self.scores,
                                    fresh_init_seed=self.cfg.seed_init + 1)  # C1 differs from M's init
             return {f"{rec.kind}_{rec.metric}": [*([getattr(r, name) for r in rec.runs]
-                                                   for name in _RUN_FIELDS), rec.pool_total]
+                                                   for name in _RUN_FIELDS),
+                                                 rec.pool_total, rec.original_accuracy]
                     for rec in pool.records}
 
         held, _ = _entries(self.out / POINTS_FILE, _POINT_FIELDS, self.fingerprints,
                            pair_entries(self.cfg), retrain)
-        retrained = {f"{rec.kind}_{rec.metric}": rec for rec in pool.records}
-        return replace(pool, records=tuple(retrained.get(entry) or _record(entry, values)
-                                           for entry, values in held.items()))
+        return replace(pool, records=tuple(_record(e, values) for e, values in held.items()))
 
     def stored_points(self) -> tuple:
         """(records, None) read back from <out>/points.npz holding every pair

@@ -345,11 +345,11 @@ def test_c05_resource_utilization_formula(tmp_path):
     assert abs(ratio - 0.3960) < 1e-4
     runs = tuple(RetrainRun("C2", "DSA", i, s, a, a, a, 0.0)
                  for i, (s, a) in enumerate([(14400, 0.953), (36366, 0.95)]))
-    record = ExperimentRecord("C2", "DSA", runs, 36366)
+    record = ExperimentRecord("C2", "DSA", runs, 36366, 0.589)
     assert (record.best_accuracy, record.best_input_size) == (0.953, 14400)
     assert record.resource_utilization == ratio
     path = tmp_path / "summary.csv"
-    write_summary_csv([record], original_accuracy=0.589, path=path)
+    write_summary_csv([record], path=path)
     text = path.read_text()
     assert "14400/36366" in text
     assert "0.3960" in text

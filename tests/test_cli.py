@@ -731,6 +731,24 @@ def test_report_into_an_empty_out_loads_and_trains_nothing(tmp_path, monkeypatch
     assert trained == []
 
 
+def test_report_reads_points_npz_alone(tmp_path, monkeypatch, capsys):
+    # M's accuracy on Test* is stored with the points, so report needs
+    # neither M nor the sets
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("run", cfg, out)
+    summary = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
+    for name in ("model.grcnn", "sets.npz", "summary.csv"):
+        (out / name).unlink()
+    calls = count_rebuilds(monkeypatch)
+    capsys.readouterr()
+    stage("report", cfg, out)
+    assert "rebuilt" not in capsys.readouterr().err
+    assert calls == {}
+    assert not (out / "model.grcnn").exists() and not (out / "sets.npz").exists()
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == summary
+
+
 def test_report_reads_points_npz_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -955,6 +973,35 @@ def test_files_of_the_one_fingerprint_layout_are_rebuilt_not_read(tmp_path, monk
     points.clear()
     stage("run", cfg, out)
     assert (calls, points) == ({}, [])
+
+
+def test_points_npz_of_the_v3_pair_tag_is_refused_then_rebuilt_once(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the v3 pair tag stored no original_accuracy_<pair> array
+    monkeypatch.setenv("GR_THREADS", "1")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    stage("run", cfg, out)
+    written = csv_bytes(out)
+    with np.load(out / "points.npz", allow_pickle=False) as stored:
+        arrays = {name: np.char.replace(values, "guidedretrain pair v4", "guidedretrain pair v3")
+                  if name.startswith("fingerprint_") else values
+                  for name, values in stored.items() if not name.startswith("original_accuracy_")}
+    np.savez(out / "points.npz", **arrays)
+    (out / "summary.csv").unlink()
+    stale = "C2_RANDOM, C2_NC, C3_RANDOM, C3_NC guidedretrain pair v3 -> guidedretrain pair v4"
+    assert f"{out / 'points.npz'} ({stale})" in refused_report(cfg, out, capsys)
+    calls = count_points(monkeypatch)
+    stage("retrain", cfg, out)
+    assert sorted(calls) == sorted((kind, metric, i) for kind in ("C2", "C3")
+                                   for metric in ("RANDOM", "NC") for i in range(20))
+    assert f"rebuilt {out / 'points.npz'} ({stale})" in capsys.readouterr().err
+    calls.clear()
+    stage("retrain", cfg, out)
+    stage("report", cfg, out)
+    assert calls == []
+    assert "rebuilt" not in capsys.readouterr().err
+    assert csv_bytes(out) == written
 
 
 @pytest.mark.parametrize("line, metric, change", [

@@ -131,11 +131,11 @@ def test_summary_renders_resource_both_ways(tmp_path):
         RetrainRun("C2", "DSA", i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate([(10800, 0.91), (14400, 0.953), (36366, 0.95)])
     )
-    record = ExperimentRecord("C2", "DSA", runs, 36366)
+    record = ExperimentRecord("C2", "DSA", runs, 36366, 0.589)
     assert (record.best_accuracy, record.best_input_size) == (0.953, 14400)
     assert record.resource_utilization == 14400 / 36366
     path = tmp_path / "summary.csv"
-    write_summary_csv([record], original_accuracy=0.589, path=path)
+    write_summary_csv([record], path=path)
     text = path.read_text()
     assert "14400/36366" in text
     assert "0.3960" in text
@@ -147,17 +147,24 @@ def test_consistency_detects_mismatch(tmp_path):
     summary = tmp_path / "summary.csv"
     runs = (RetrainRun("C2", "DSA", 0, 10, 0.5, 0.5, 0.5, 0.0),
             RetrainRun("C2", "DSA", 1, 20, 0.7, 0.7, 0.7, 0.0))
-    records = [ExperimentRecord("C2", "DSA", runs, 20)]
+    records = [ExperimentRecord("C2", "DSA", runs, 20, 0.4)]
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.700,20,20,20/20,1.0000\n")
-    assert consistency_problems(records, 0.4, summary) == []
+    assert consistency_problems(records, summary) == []
     summary.write_text(
         "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
         "pool_total,resource,resource_utilization\n"
         "C2,DSA,0.400,0.900,20,20,20/20,1.0000\n")
-    assert any("best_accuracy" in p for p in consistency_problems(records, 0.4, summary))
+    assert any("best_accuracy" in p for p in consistency_problems(records, summary))
+    # M's accuracy is checked against the one the records carry
+    summary.write_text(
+        "config,metric,original_accuracy,best_accuracy,inputs_at_best,"
+        "pool_total,resource,resource_utilization\n"
+        "C2,DSA,0.500,0.700,20,20,20/20,1.0000\n")
+    assert consistency_problems(records, summary) == [
+        "('C2', 'DSA'): original_accuracy is 0.500, recomputed 0.400"]
 
 
 def test_a_row_that_fails_to_format_leaves_the_file_untouched(tmp_path):

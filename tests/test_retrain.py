@@ -263,7 +263,7 @@ def _record(kind, metric, sizes_accs, pool_total):
         RetrainRun(kind, metric, i, size, acc, acc, acc, 0.0)
         for i, (size, acc) in enumerate(sizes_accs)
     )
-    return ExperimentRecord(kind, metric, runs, pool_total)
+    return ExperimentRecord(kind, metric, runs, pool_total, 0.5)
 
 
 def test_compare_records_exact_budget_match():

@@ -96,7 +96,7 @@ def test_fingerprints_keep_their_values():
         "DSA": ("guidedretrain DSA v3", "dsa.layers = conv1,conv2,dense1,dense2"),
         "RANDOM": ("guidedretrain RANDOM v3", "seed.random_metric = 44"),
     }
-    pair = ("guidedretrain pair v3", "retrain.batch_size = 32", "retrain.epochs = 5",
+    pair = ("guidedretrain pair v4", "retrain.batch_size = 32", "retrain.epochs = 5",
             "retrain.lr = 0.01", "retrain.momentum = 0.9")
     want = {"model": model, "sets": sets}
     for metric, lines in metrics.items():
